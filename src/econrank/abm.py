@@ -11,6 +11,10 @@ one seed, so outcomes are reproducible and the capacity E depends only on the
 mismatch stream (doubling mu at a fixed seed exactly doubles GDP). Sweep
 sub-seeds are derived per country index, making ensembles independent of
 execution order and thread count.
+
+``simulate_country`` reuses one buffer of at most ``_LEAF`` mismatches, so memory
+is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
+and all outputs equal those of ``np.exp(-np.abs(normal)).sum()`` bit for bit.
 """
 
 from __future__ import annotations
@@ -90,6 +94,9 @@ class SweepConfig:
             raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
 
 
+_LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
+
+
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Independent (jobs, mismatch) generators derived from one seed."""
     jobs_ss, skill_ss = np.random.SeedSequence(seed).spawn(2)
@@ -118,8 +125,8 @@ def simulate_country(params: AbmParams) -> CountryOutcome:
     the job requirements when agent-level data is wanted.
     """
     _, skill_rng = _streams(params.seed)
-    mismatch = skill_rng.normal(0.0, params.sigma, params.n_jobs)
-    e_total = float(np.exp(-np.abs(mismatch)).sum())
+    buf = np.empty(min(params.n_jobs, _LEAF))
+    e_total = float(_capacity(skill_rng, params.sigma, buf, params.n_jobs))
     gdp_total = params.mu * e_total
     gdp_per_capita = gdp_total / params.n_jobs
     uncorrupt = params.sigma == 0
@@ -135,6 +142,22 @@ def simulate_country(params: AbmParams) -> CountryOutcome:
         uncorrupt=uncorrupt,
         params=params,
     )
+
+
+def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -> float:
+    """sum(exp(-|N(0, sigma)|)) over the next ``n`` draws of ``rng``, in place in ``buf``."""
+    if n <= _LEAF:
+        # normal(0, s) is 0.0 + s*z and |s*z| == s*|z|: draw_workforce's values
+        chunk = buf[:n]
+        rng.standard_normal(out=chunk)
+        np.abs(chunk, out=chunk)
+        chunk *= -sigma
+        np.exp(chunk, out=chunk)
+        return chunk.sum()
+    # numpy's pairwise-sum split, so every chunk is a node of np.sum's tree
+    half = n // 2
+    half -= half % 8
+    return _capacity(rng, sigma, buf, half) + _capacity(rng, sigma, buf, n - half)
 
 
 def gci_theoretical(sigma: float, gamma: float) -> float:
@@ -168,7 +191,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[CountryOutcome]:
     indices = range(config.n_countries)
     if threads == 1:
         return [_simulate_index(config, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, config.n_countries)) as pool:
         return list(pool.map(lambda i: _simulate_index(config, i), indices))
 
 

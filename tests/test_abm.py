@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from econrank import (
     simulate_country,
     sweep,
 )
+from econrank import abm
+from econrank.abm import _LEAF as LEAF
 from econrank.errors import DomainError, ParameterError, SingularDesignError
 
 # 4^(-0.1), frozen from a 30-digit mpmath evaluation
@@ -71,10 +75,11 @@ class TestParams:
 
 
 class TestSimulateCountry:
-    def test_zero_sigma_is_exact(self):
-        outcome = simulate_country(params(sigma=0.0, mu=10.0, n_jobs=1000))
-        assert outcome.e_total == 1000.0
-        assert outcome.gdp_total == 10000.0
+    @pytest.mark.parametrize("n_jobs", [1000, 3 * LEAF + 5])
+    def test_zero_sigma_is_exact(self, n_jobs):
+        outcome = simulate_country(params(sigma=0.0, mu=10.0, n_jobs=n_jobs))
+        assert outcome.e_total == float(n_jobs)
+        assert outcome.gdp_total == 10.0 * n_jobs
         assert outcome.gdp_per_capita == 10.0
         assert outcome.uncorrupt
 
@@ -94,11 +99,31 @@ class TestSimulateCountry:
     def test_deterministic_given_seed(self):
         assert simulate_country(params()) == simulate_country(params())
 
-    def test_matches_workforce_draw(self):
-        p = params(n_jobs=5000)
-        _, _, discrepancies = draw_workforce(p)
-        outcome = simulate_country(p)
-        assert outcome.e_total == float(discrepancies.sum())
+    # Chunk boundaries around the kernel's leaf size; exact equality fails if
+    # numpy's pairwise-sum split ever stops matching the kernel's.
+    @pytest.mark.parametrize(
+        "n_jobs", [1, 7, 8, 9, 5000, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8, 10**6 + 3]
+    )
+    def test_matches_workforce_draw(self, n_jobs):
+        # Several seeds: a wrong split still rounds to the same sum about half
+        # the time.
+        for seed in range(8):
+            p = params(n_jobs=n_jobs, seed=seed)
+            _, _, discrepancies = draw_workforce(p)
+            assert simulate_country(p).e_total == float(discrepancies.sum())
+
+    def test_memory_bounded_in_n_jobs(self):
+        # Cycle collector off: each call's buffer must be freed on return.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for seed in range(8):
+                simulate_country(params(n_jobs=2_000_000, seed=seed))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak < 4 * 2**20
 
     def test_doubling_mu_doubles_gdp_exactly(self):
         base = simulate_country(params(mu=8.0))
@@ -181,6 +206,29 @@ class TestSweep:
         serial = sweep(small_config(), threads=1)
         threaded = sweep(small_config(), threads=4)
         assert serial == threaded
+
+    def test_workers_capped_at_country_count(self, monkeypatch):
+        requested = []
+
+        class Recorder:
+            """Executor stand-in: records the pool size, runs tasks inline."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(abm, "ThreadPoolExecutor", Recorder)
+        ensemble = sweep(small_config(n_countries=3), threads=100_000)
+        assert requested == [3]
+        assert ensemble == sweep(small_config(n_countries=3))
 
     def test_single_country_consistent_with_simulate(self):
         (outcome,) = sweep(small_config(n_countries=1))
