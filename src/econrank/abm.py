@@ -92,6 +92,8 @@ class SweepConfig:
             )
         if self.gamma < 0:
             raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 _LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread

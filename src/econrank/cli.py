@@ -52,7 +52,7 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict, dict, i
     pnl, skipped = panel.load_panel(
         args.input, args.indicator, aliases=_load_aliases(args.alias)
     )
-    files = {"panel.csv": panel.serialize_panel(pnl, args.indicator)}
+    files = {"panel.csv": panel.serialize_panel(pnl)}
     inputs = {"input": args.input, "alias": args.alias}
     parameters = {
         "indicator": args.indicator,
@@ -68,11 +68,11 @@ def _run_rank_dynamics(
     pnl, skipped = panel.load_panel(
         args.input, args.indicator, aliases=_load_aliases(args.alias)
     )
-    all_years = pnl.years(args.indicator)
+    all_years = pnl.years()
     if not all_years:
         raise DataError(f"no observations for indicator {args.indicator!r}")
     years = _parse_years(args.years) if args.years else (all_years[0], all_years[-1])
-    balanced = panel.balanced_subset(pnl, years, args.indicator)
+    balanced = panel.balanced_subset(pnl, years)
     overlapping = not args.non_overlapping
     sample = rankdyn.rank_changes(balanced, args.window, overlapping=overlapping)
     fit = rankdyn.fit_laplace_mle(sample)
@@ -110,8 +110,8 @@ def _run_cross_section(
         raise ParameterError(
             f"--year {year} must lie inside the growth window {t0}:{t1}"
         )
-    balanced_x = panel.balanced_subset(x_panel, (t0, t1), args.indicator)
-    balanced_y = panel.balanced_subset(y_panel, (year, year), args.indicator_y)
+    balanced_x = panel.balanced_subset(x_panel, (t0, t1))
+    balanced_y = panel.balanced_subset(y_panel, (year, year))
     countries = sorted(set(balanced_x.countries) & set(balanced_y.countries))
     if not countries:
         raise DataError(
@@ -121,8 +121,8 @@ def _run_cross_section(
     excluded = _load_exclusions(args.exclude)
     fitted = [c for c in countries if c not in excluded]
 
-    points = [(balanced_x.value(c, year), balanced_y.value(c, year)) for c in fitted]
-    fit = xsection.fit_power_law(points, labels=fitted)
+    xy = {c: (balanced_x.value(c, year), balanced_y.value(c, year)) for c in countries}
+    fit = xsection.fit_power_law([xy[c] for c in fitted], labels=fitted)
     scores = xsection.relative_competitiveness(fit)
     growth = {
         c: panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted
@@ -137,10 +137,7 @@ def _run_cross_section(
         "fit.json": outputs.power_law_fit_json(fit),
         "dscores.csv": outputs.render_csv(
             ("country", x_name, y_name, "d"),
-            [
-                (c, balanced_x.value(c, year), balanced_y.value(c, year), scores[c])
-                for c in fitted
-            ],
+            [(c, *xy[c], scores[c]) for c in fitted],
         ),
         "ttest.json": outputs.ttest_json(ttest),
         "growth_vs_d.csv": outputs.render_csv(
@@ -149,11 +146,7 @@ def _run_cross_section(
         ),
         "points.csv": outputs.render_csv(
             ("country", x_name, y_name, "excluded"),
-            [
-                (c, balanced_x.value(c, year), balanced_y.value(c, year),
-                 int(c in excluded))
-                for c in countries
-            ],
+            [(c, *xy[c], int(c in excluded)) for c in countries],
         ),
         "fitline.csv": outputs.power_law_fitline_csv(fit, header=(x_name, y_name)),
         "growth_fitline.csv": outputs.linear_fitline_csv(
@@ -207,13 +200,13 @@ def _run_simulate(
     args: argparse.Namespace,
 ) -> tuple[dict[str, str], dict, dict, int | None]:
     raw = _read_sweep_config(args.config)
-    if args.seed is not None:
-        seed = args.seed
-    elif raw.get("seed") is not None:
-        seed = int(raw["seed"])
-    else:
-        seed = secrets.randbits(63)  # recorded in the manifest
     try:
+        if args.seed is not None:
+            seed = args.seed
+        elif raw.get("seed") is not None:
+            seed = int(raw["seed"])
+        else:
+            seed = secrets.randbits(63)  # recorded in the manifest
         config = abm.SweepConfig(
             n_countries=int(raw["n_countries"]),
             n_jobs=int(raw["n_jobs"]),
@@ -222,8 +215,8 @@ def _run_simulate(
             gamma=float(raw["gamma"]),
             seed=seed,
         )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParameterError(f"malformed sweep config: {exc}") from None
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+        raise ParameterError(f"malformed sweep config: {exc!r}") from None
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)
     files = {

@@ -18,7 +18,7 @@ class DataError(EconRankError):
 
 
 class DuplicateObservationError(DataError):
-    """Two rows map to the same (country, year, indicator) triple."""
+    """Two rows of one indicator map to the same (country, year) pair."""
 
 
 class EmptyPanelError(DataError):

@@ -1,19 +1,22 @@
-"""Country-year indicator panels: CSV ingestion, balancing, growth rates.
+"""Country-year panels of one indicator: CSV ingestion, balancing, growth rates.
 
-An :class:`IndicatorPanel` is the sparse universe of observations; a
-:class:`BalancedPanel` is the dense rectangle of countries that have a value
-for every year of a requested range. Both are immutable after construction
-and safe to share across threads.
+An :class:`IndicatorPanel` holds the sparse (country, year) -> value
+observations of one indicator; a :class:`BalancedPanel` is the dense
+rectangle of countries that have a value for every year of a requested
+range. Every value is finite, and values of gdp-like indicators are
+strictly positive. Both are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -29,82 +32,48 @@ from .errors import (
 PANEL_HEADER = ("country", "year", "value")
 ALIAS_HEADER = ("source_name", "iso3")
 
-Observation = tuple[str, int, str, float]
-
-
 def _is_gdp_like(indicator: str) -> bool:
     """Indicators carrying 'gdp' in the name must be strictly positive."""
     return "gdp" in indicator.lower()
 
 
+def _is_valid(value: float, positive: bool) -> bool:
+    """The value rule: finite, and strictly positive when ``positive``."""
+    return math.isfinite(value) and (value > 0 or not positive)
+
+
 @dataclass(frozen=True)
 class IndicatorPanel:
-    """Sparse mapping (country, year, indicator) -> value.
+    """Sparse mapping (country, year) -> value of one indicator.
 
-    ``observations`` is keyed by the triple, which enforces uniqueness by
-    construction. ``provenance`` is a free-form description of the source.
+    Keying ``observations`` by the pair enforces uniqueness by construction.
+    ``provenance`` is a free-form description of the source.
     """
 
-    observations: Mapping[tuple[str, int, str], float]
+    indicator: str
+    observations: Mapping[tuple[str, int], float]
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        for (country, year, indicator), value in self.observations.items():
-            if not math.isfinite(value):
+        positive = _is_gdp_like(self.indicator)
+        for (country, year), value in self.observations.items():
+            if not _is_valid(value, positive):
+                kind = "nonpositive" if math.isfinite(value) else "non-finite"
                 raise DataError(
-                    f"non-finite value for ({country}, {year}, {indicator})"
+                    f"{kind} {self.indicator} value {value!r} for ({country}, {year})"
                 )
-            if _is_gdp_like(indicator) and value <= 0:
-                raise DataError(
-                    f"nonpositive {indicator} value {value!r} for ({country}, {year})"
-                )
-
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Observation], provenance: str = ""
-    ) -> "IndicatorPanel":
-        """Build a panel from (country, year, indicator, value) rows.
-
-        Raises DuplicateObservationError if a triple appears twice.
-        """
-        obs: dict[tuple[str, int, str], float] = {}
-        for country, year, indicator, value in rows:
-            key = (country, int(year), indicator)
-            if key in obs:
-                raise DuplicateObservationError(
-                    f"duplicate observation for (country={country}, "
-                    f"year={year}, indicator={indicator})"
-                )
-            obs[key] = float(value)
-        return cls(observations=obs, provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.observations)
 
-    def indicators(self) -> list[str]:
-        return sorted({k[2] for k in self.observations})
+    def countries(self) -> list[str]:
+        return sorted({c for c, _ in self.observations})
 
-    def countries(self, indicator: str | None = None) -> list[str]:
-        indicator = self._resolve_indicator(indicator)
-        return sorted({c for (c, _, ind) in self.observations if ind == indicator})
+    def years(self) -> list[int]:
+        return sorted({y for _, y in self.observations})
 
-    def years(self, indicator: str | None = None) -> list[int]:
-        indicator = self._resolve_indicator(indicator)
-        return sorted({y for (_, y, ind) in self.observations if ind == indicator})
-
-    def get(self, country: str, year: int, indicator: str | None = None) -> float | None:
-        indicator = self._resolve_indicator(indicator)
-        return self.observations.get((country, year, indicator))
-
-    def _resolve_indicator(self, indicator: str | None) -> str:
-        if indicator is not None:
-            return indicator
-        names = self.indicators()
-        if len(names) != 1:
-            raise ParameterError(
-                f"panel holds {len(names)} indicators; specify one of {names}"
-            )
-        return names[0]
+    def get(self, country: str, year: int) -> float | None:
+        return self.observations.get((country, year))
 
 
 @dataclass(frozen=True)
@@ -136,10 +105,10 @@ class BalancedPanel:
         return len(self.countries)
 
     def country_index(self, country: str) -> int:
-        try:
-            return self.countries.index(country)
-        except ValueError:
-            raise MissingObservationError(f"country {country!r} not in panel") from None
+        i = bisect.bisect_left(self.countries, country)
+        if i == len(self.countries) or self.countries[i] != country:
+            raise MissingObservationError(f"country {country!r} not in panel")
+        return i
 
     def year_index(self, year: int) -> int:
         try:
@@ -149,10 +118,6 @@ class BalancedPanel:
 
     def value(self, country: str, year: int) -> float:
         return float(self.values[self.country_index(country), self.year_index(year)])
-
-    def year_values(self, year: int) -> np.ndarray:
-        """Values of every country for one year, in country order."""
-        return self.values[:, self.year_index(year)].copy()
 
 
 def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
@@ -208,7 +173,8 @@ def load_panel(
             raise DataError(
                 f"header must be {','.join(PANEL_HEADER)!r}, got {header!r}"
             )
-        obs: dict[tuple[str, int, str], float] = {}
+        positive = _is_gdp_like(indicator)
+        obs: dict[tuple[str, int], float] = {}
         skipped = 0
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
@@ -232,74 +198,54 @@ def load_panel(
             except ValueError:
                 skipped += 1
                 continue
-            if not math.isfinite(value):
+            if not _is_valid(value, positive):
                 skipped += 1
                 continue
-            if _is_gdp_like(indicator) and value <= 0:
-                skipped += 1
-                continue
-            key = (country, year, indicator)
+            key = (country, year)
             if key in obs:
                 raise DuplicateObservationError(
                     f"duplicate observation for (country={country}, "
                     f"year={year}, indicator={indicator})"
                 )
             obs[key] = value
-        return IndicatorPanel(observations=obs, provenance=provenance), skipped
+        return IndicatorPanel(indicator, obs, provenance), skipped
     finally:
         if owned:
             stream.close()
 
 
-def serialize_panel(panel: IndicatorPanel, indicator: str | None = None) -> str:
+def serialize_panel(panel: IndicatorPanel) -> str:
     """Canonical CSV dump, sorted by (country, year).
 
     Values are written with ``repr`` so reloading reproduces the exact
     observation set (shortest round-trip representation).
     """
-    indicator = panel._resolve_indicator(indicator)
-    buf = io.StringIO()
-    buf.write(",".join(PANEL_HEADER) + "\n")
-    rows = sorted(
-        (c, y, v) for (c, y, ind), v in panel.observations.items() if ind == indicator
-    )
-    for country, year, value in rows:
-        buf.write(f"{country},{year},{value!r}\n")
-    return buf.getvalue()
+    obs = panel.observations
+    rows = (f"{c},{y},{obs[c, y]!r}\n" for c, y in sorted(obs))
+    return ",".join(PANEL_HEADER) + "\n" + "".join(rows)
 
 
-def balanced_subset(
-    panel: IndicatorPanel,
-    years: tuple[int, int],
-    indicator: str | None = None,
-) -> BalancedPanel:
+def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPanel:
     """Countries of ``panel`` with a value for every year of the inclusive range.
 
     Raises EmptyPanelError when no country is complete.
     """
-    indicator = panel._resolve_indicator(indicator)
     start, end = int(years[0]), int(years[1])
     if start > end:
         raise ParameterError(f"empty year range {start}:{end}")
-    span = list(range(start, end + 1))
-    complete = sorted(
-        c
-        for c in panel.countries(indicator)
-        if all((c, y, indicator) in panel.observations for y in span)
-    )
+    span = range(start, end + 1)
+    obs = panel.observations
+    complete = [c for c in panel.countries() if all((c, y) in obs for y in span)]
     if not complete:
         raise EmptyPanelError(
-            f"no country has complete {indicator} coverage for {start}-{end}"
+            f"no country has complete {panel.indicator} coverage for {start}-{end}"
         )
-    values = np.array(
-        [[panel.observations[(c, y, indicator)] for y in span] for c in complete],
-        dtype=float,
-    )
+    values = np.array([[obs[c, y] for y in span] for c in complete], dtype=float)
     return BalancedPanel(
         countries=tuple(complete),
         years=tuple(span),
         values=values,
-        indicator=indicator,
+        indicator=panel.indicator,
     )
 
 
@@ -336,8 +282,3 @@ def growth_rates(
     """Growth per country over one window, in country order."""
     return {c: growth_rate(panel, c, t0, t1, method) for c in panel.countries}
 
-
-def iter_observations(panel: IndicatorPanel) -> Iterator[Observation]:
-    """Observations as (country, year, indicator, value), sorted."""
-    for (c, y, ind), v in sorted(panel.observations.items()):
-        yield (c, y, ind, v)

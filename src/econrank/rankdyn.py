@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -29,30 +30,30 @@ class RankTable:
     def as_dict(self) -> dict[str, int]:
         return dict(self.entries)
 
-    def rank_of(self, country: str) -> int:
-        for c, r in self.entries:
-            if c == country:
-                return r
-        raise KeyError(country)
-
 
 @dataclass(frozen=True)
 class RankChangeSample:
     """Pooled rank changes over every window of one length.
 
-    ``records`` keeps (country, start_year, end_year, delta) for reporting;
-    ``deltas`` is the same sample as a flat integer array.
+    ``deltas`` is a flat integer array, window-major with ``countries`` in
+    panel order inside each window.
     """
 
     deltas: np.ndarray
     window_length: int
     windows: tuple[tuple[int, int], ...]
     indicator: str
-    records: tuple[tuple[str, int, int, int], ...] = ()
+    countries: tuple[str, ...]
 
     @property
     def n(self) -> int:
         return int(self.deltas.size)
+
+    @property
+    def records(self) -> list[tuple[str, int, int, int]]:
+        """(country, start_year, end_year, delta) rows in ``deltas`` order."""
+        pairs = product(self.windows, self.countries)
+        return [(c, t0, t1, d) for ((t0, t1), c), d in zip(pairs, self.deltas.tolist())]
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,25 @@ class LaplaceFit:
     log_likelihood: float
 
 
+def _rank_order(values: np.ndarray) -> np.ndarray:
+    """Row indices down each column from largest to smallest value.
+
+    The sort is stable and rows are in country-code order, so equal values
+    keep the lexicographically smaller code first.
+    """
+    return np.argsort(-values, axis=0, kind="stable")
+
+
 def rank_snapshot(panel: BalancedPanel, year: int) -> RankTable:
     """Dense ranks 1..N for one year; ties broken by country code.
 
     The largest value gets rank 1; among equal values the lexicographically
     smaller code gets the smaller rank.
     """
-    values = panel.year_values(year)
-    order = sorted(range(panel.n_countries), key=lambda i: (-values[i], panel.countries[i]))
-    entries = tuple((panel.countries[i], rank) for rank, i in enumerate(order, start=1))
+    order = _rank_order(panel.values[:, panel.year_index(year)])
+    entries = tuple(
+        (panel.countries[i], rank) for rank, i in enumerate(order.tolist(), start=1)
+    )
     return RankTable(year=year, indicator=panel.indicator, entries=entries)
 
 
@@ -109,21 +120,19 @@ def rank_changes(
             f"window of {window} years needs a span of at least {window + 1} years; "
             f"panel covers {panel.years[0]}-{panel.years[-1]}"
         )
-    records: list[tuple[str, int, int, int]] = []
-    windows: list[tuple[int, int]] = []
-    for t in starts:
-        r0 = rank_snapshot(panel, t).as_dict()
-        r1 = rank_snapshot(panel, t + window).as_dict()
-        windows.append((t, t + window))
-        for country in panel.countries:
-            records.append((country, t, t + window, r1[country] - r0[country]))
-    deltas = np.array([rec[3] for rec in records], dtype=np.int64)
+    order = _rank_order(panel.values)
+    ranks = np.empty(order.shape, dtype=np.int64)
+    rank_values = np.arange(1, panel.n_countries + 1, dtype=np.int64)[:, None]
+    np.put_along_axis(ranks, order, rank_values, axis=0)
+    before = [panel.year_index(t) for t in starts]
+    after = [panel.year_index(t + window) for t in starts]
+    deltas = (ranks[:, after] - ranks[:, before]).T.ravel()
     return RankChangeSample(
         deltas=deltas,
         window_length=window,
-        windows=tuple(windows),
+        windows=tuple((t, t + window) for t in starts),
         indicator=panel.indicator,
-        records=tuple(records),
+        countries=panel.countries,
     )
 
 

@@ -1,12 +1,15 @@
 import csv
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import econrank
 from econrank.cli import main
 
 
@@ -122,6 +125,42 @@ class TestRankDynamics:
     def test_bad_years_argument_exits_1(self, toy_gdp_csv, tmp_path, capsys):
         assert run(["rank-dynamics", "--input", toy_gdp_csv, "--indicator", "gdp",
                     "--years", "2000-2006", "--out", tmp_path / "out"]) == 1
+
+
+# SHA-256 of every data file of the toy-panel runs below. These commands do
+# no BLAS or RNG work, so the digests hold on every platform.
+TOY_GOLDEN = {
+    ("ingest", "panel.csv"):
+        "c10d35297e14b48c6f069deec2eef8f34ce12caf8e53d8386b80857521afb613",
+    ("default", "deltas.csv"):
+        "fd7d2cf8e98e093dd026e24e1df3c1062dbb2ceaf3b3558c5934eb4320fcbac0",
+    ("default", "fit.json"):
+        "ba3402f5040ec2d6f0689070f3c5f2ad217fde91a8f917353d64f7564a36e1f0",
+    ("default", "pdf.csv"):
+        "492cdd6bdb04bcba81bad880cbf345c2e01e18aa624942f27b21585831f96dc1",
+    ("window3", "deltas.csv"):
+        "78d37e54144d0dff9a5a4b3ac087c53cbe7a7c0245fae381341850ae784fa194",
+    ("window3", "fit.json"):
+        "f49f35102f5da882a5cb483ef3383fdbd01ffe6a6fe54dafb30571ccd4088e1f",
+    ("window3", "pdf.csv"):
+        "768051260d13bf7914cee525eeea2c0e3a12e82b78444b09ac956d89d1994b94",
+}
+
+
+def test_toy_outputs_match_golden_bytes(toy_gdp_csv, tmp_path):
+    runs = {
+        "ingest": ["ingest"],
+        "default": ["rank-dynamics"],
+        "window3": ["rank-dynamics", "--window", 3, "--non-overlapping"],
+    }
+    for name, command in runs.items():
+        assert run([*command, "--input", toy_gdp_csv, "--indicator", "gdp",
+                    "--out", tmp_path / name]) == 0
+    digests = {
+        (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+        for name, file in TOY_GOLDEN
+    }
+    assert digests == TOY_GOLDEN
 
 
 class TestCrossSection:
@@ -243,6 +282,24 @@ class TestSimulate:
         config.write_text("{not json")
         assert run(["simulate", "--config", config, "--out", tmp_path / "out"]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({}, ("--seed", -5)),
+            ({"seed": -1}, ()),
+            ({"seed": "x"}, ()),
+            ({"mu_range": {"a": 1}}, ()),
+            ({"n_countries": float("inf")}, ()),  # int(inf) overflows
+        ],
+    )
+    def test_malformed_seed_or_range_exits_1(self, tmp_path, capsys, overrides, flags):
+        config = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, *flags, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     def test_constant_sigma_exits_3(self, tmp_path):
         config = self.write_config(tmp_path, sigma_range=[2.0, 2.0])
         out = tmp_path / "out"
@@ -269,11 +326,15 @@ class TestUsage:
 
     def test_module_entry_point(self, toy_gdp_csv, tmp_path):
         out = tmp_path / "out"
+        # the child imports econrank from where this process did
+        package_root = str(Path(econrank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
         proc = subprocess.run(
             [sys.executable, "-m", "econrank", "ingest", "--input", str(toy_gdp_csv),
              "--indicator", "gdp", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert (out / "panel.csv").exists()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from econrank import (
+    BalancedPanel,
     IndicatorPanel,
     balanced_subset,
     growth_rate,
@@ -74,7 +75,7 @@ class TestLoadPanel:
     def test_negative_value_kept_for_non_gdp_indicator(self):
         panel, skipped = _load("country,year,value\nHRV,2010,-0.25\n", "balance")
         assert skipped == 0
-        assert panel.get("HRV", 2010, "balance") == -0.25
+        assert panel.get("HRV", 2010) == -0.25
 
     def test_duplicate_triple_is_hard_error(self):
         with pytest.raises(DuplicateObservationError) as exc:
@@ -117,9 +118,7 @@ class TestLoadPanel:
 
 
 def _panel(rows, indicator="gdp"):
-    return IndicatorPanel(
-        observations={(c, y, indicator): float(v) for c, y, v in rows}
-    )
+    return IndicatorPanel(indicator, {(c, y): float(v) for c, y, v in rows})
 
 
 class TestBalancedSubset:
@@ -162,16 +161,30 @@ class TestBalancedSubset:
         )
         once = balanced_subset(panel, (2000, 2005))
         again_source = IndicatorPanel(
-            observations={
-                (c, y, "gdp"): once.value(c, y)
-                for c in once.countries
-                for y in once.years
-            }
+            "gdp", {(c, y): once.value(c, y) for c in once.countries for y in once.years}
         )
         twice = balanced_subset(again_source, (2000, 2005))
         assert twice.countries == once.countries
         assert twice.years == once.years
         assert np.array_equal(twice.values, once.values)
+
+
+class TestBalancedLookup:
+    panel = BalancedPanel(
+        countries=("BBB", "DDD", "FFF"),
+        years=(2000, 2001),
+        values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    )
+
+    def test_every_code_finds_its_row(self):
+        for i, country in enumerate(self.panel.countries):
+            assert self.panel.value(country, 2001) == self.panel.values[i, 1]
+
+    @pytest.mark.parametrize("country", ["AAA", "CCC", "EEE", "GGG", "", "BBBB"])
+    def test_absent_code_is_lookup_error(self, country):
+        # before the first code, between two codes, after the last
+        with pytest.raises(MissingObservationError):
+            self.panel.value(country, 2000)
 
 
 class TestGrowthRate:
@@ -195,7 +208,7 @@ class TestGrowthRate:
 
     def test_nonpositive_value_is_domain_error(self):
         panel = _panel([("AAA", 2000, 5.0), ("AAA", 2001, 0.0)], "idx")
-        balanced = balanced_subset(panel, (2000, 2001), "idx")
+        balanced = balanced_subset(panel, (2000, 2001))
         with pytest.raises(DomainError):
             growth_rate(balanced, "AAA", 2000, 2001)
 
@@ -237,9 +250,7 @@ values = st.floats(
     )
 )
 def test_serialize_round_trip(obs):
-    panel = IndicatorPanel(
-        observations={(c, y, "gdp"): v for (c, y), v in obs.items()}
-    )
+    panel = IndicatorPanel("gdp", obs)
     reloaded, skipped = load_panel(io.StringIO(serialize_panel(panel)), "gdp")
     assert skipped == 0
     assert dict(reloaded.observations) == dict(panel.observations)
@@ -258,7 +269,10 @@ def test_serialize_sorted_by_country_then_year():
 
 def test_panel_rejects_non_finite_observation():
     with pytest.raises(DataError):
-        IndicatorPanel(observations={("AAA", 2000, "idx"): float("nan")})
+        IndicatorPanel("idx", {("AAA", 2000): float("nan")})
+    # the same rule the loader skips by: gdp-like values must be positive
+    with pytest.raises(DataError, match="nonpositive"):
+        IndicatorPanel("gdp", {("AAA", 2000): 0.0})
 
 
 def test_balanced_panel_all_values_finite_property():

@@ -37,13 +37,9 @@ def brute_force_rank(values: dict[str, float]) -> dict[str, int]:
 
 
 def make_balanced(values_by_year: dict[int, dict[str, float]]) -> BalancedPanel:
-    obs = {
-        (c, y, "gdp"): float(v)
-        for y, row in values_by_year.items()
-        for c, v in row.items()
-    }
+    obs = {(c, y): float(v) for y, row in values_by_year.items() for c, v in row.items()}
     years = sorted(values_by_year)
-    return balanced_subset(IndicatorPanel(observations=obs), (years[0], years[-1]))
+    return balanced_subset(IndicatorPanel("gdp", obs), (years[0], years[-1]))
 
 
 class TestRankSnapshot:
@@ -129,6 +125,32 @@ class TestRankChanges:
         )
         with pytest.raises(ParameterError):
             rank_changes(panel, 5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rank_changes_match_counting_oracle(data):
+    codes = sorted(
+        data.draw(st.lists(st.text("ABC", min_size=1, max_size=3), min_size=1,
+                           max_size=12, unique=True))
+    )
+    span = data.draw(st.integers(min_value=2, max_value=8))
+    window = data.draw(st.integers(min_value=1, max_value=span - 1))
+    overlapping = data.draw(st.booleans())
+    # values from {1, 2, 3} make ties the rule rather than the exception
+    table = {
+        2000 + j: {c: float(data.draw(st.integers(1, 3))) for c in codes}
+        for j in range(span)
+    }
+    sample = rank_changes(make_balanced(table), window, overlapping=overlapping)
+
+    step = 1 if overlapping else window
+    expected = []
+    for t in range(2000, 2000 + span - window, step):
+        r0, r1 = brute_force_rank(table[t]), brute_force_rank(table[t + window])
+        expected += [(c, t, t + window, r1[c] - r0[c]) for c in codes]
+    assert list(sample.records) == expected
+    assert sample.deltas.tolist() == [d for *_, d in expected]
 
 
 class TestLaplaceMle:
