@@ -196,27 +196,45 @@ def _read_sweep_config(path: str) -> dict[str, Any]:
     return raw
 
 
+def _config_int(raw: dict[str, Any], name: str) -> int:
+    value = raw[name]
+    if type(value) is not int:  # a JSON integer; bool is an int subclass, not a count
+        raise ParameterError(f"sweep config {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_real(value: Any, name: str) -> float:
+    # bool is not a number here; comparing before float() keeps huge integers from overflowing
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"sweep config {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _config_range(raw: dict[str, Any], name: str) -> tuple[float, float]:
+    value = raw[name]
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ParameterError(f"sweep config {name!r} must be a list of 2 numbers, got {value!r}")
+    return _config_real(value[0], name), _config_real(value[1], name)
+
+
 def _run_simulate(
     args: argparse.Namespace,
 ) -> tuple[dict[str, str], dict, dict, int | None]:
     raw = _read_sweep_config(args.config)
-    try:
-        if args.seed is not None:
-            seed = args.seed
-        elif raw.get("seed") is not None:
-            seed = int(raw["seed"])
-        else:
-            seed = secrets.randbits(63)  # recorded in the manifest
-        config = abm.SweepConfig(
-            n_countries=int(raw["n_countries"]),
-            n_jobs=int(raw["n_jobs"]),
-            mu_range=(float(raw["mu_range"][0]), float(raw["mu_range"][1])),
-            sigma_range=(float(raw["sigma_range"][0]), float(raw["sigma_range"][1])),
-            gamma=float(raw["gamma"]),
-            seed=seed,
-        )
-    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
-        raise ParameterError(f"malformed sweep config: {exc!r}") from None
+    if args.seed is not None:
+        seed = args.seed
+    elif raw.get("seed") is not None:
+        seed = _config_int(raw, "seed")
+    else:
+        seed = secrets.randbits(63)  # recorded in the manifest
+    config = abm.SweepConfig(
+        n_countries=_config_int(raw, "n_countries"),
+        n_jobs=_config_int(raw, "n_jobs"),
+        mu_range=_config_range(raw, "mu_range"),
+        sigma_range=_config_range(raw, "sigma_range"),
+        gamma=_config_real(raw["gamma"], "gamma"),
+        seed=seed,
+    )
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)
     files = {

@@ -6,14 +6,19 @@ way. The canonical panel dump is the one exception (exact repr, see panel).
 
 Commands assemble every output as an in-memory string first and write only
 after the whole pipeline has succeeded, so a failing run leaves no partial
-files behind.
+files behind. The write itself is atomic per file: every file goes to a
+temporary name in the output directory and is renamed into place, the
+manifest last, only once all of them are written; a failed write removes
+its temporaries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import json
 import math
+import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -99,10 +104,18 @@ def ttest_json(result: TTestResult) -> str:
 
 
 def deltas_csv(sample: RankChangeSample) -> str:
-    return render_csv(
-        ("country", "start_year", "end_year", "delta"),
-        sample.records,
-    )
+    """``render_csv`` of ``sample.records``, built window by window.
+
+    Years and deltas are integers, so ``str`` formats them as ``fmt12`` does.
+    """
+    lines = ["country,start_year,end_year,delta\n"]
+    countries, n = sample.countries, len(sample.countries)
+    deltas = sample.deltas.tolist()
+    for k, (t0, t1) in enumerate(sample.windows):
+        years = f",{t0},{t1},"
+        window = deltas[k * n : (k + 1) * n]
+        lines += [f"{c}{years}{d}\n" for c, d in zip(countries, window)]
+    return "".join(lines)
 
 
 def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
@@ -165,12 +178,29 @@ def build_manifest(
 
 
 def write_output_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
-    """Write pre-rendered file contents under ``out_dir`` (created if absent)."""
+    """Write pre-rendered file contents under ``out_dir`` (created if absent).
+
+    A failed write removes the temporaries, and ``out_dir`` if this call
+    created it and it is still empty, before the error propagates.
+    """
     out = Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, content in files.items():
-        path = out / name
-        path.write_text(content, encoding="utf-8")
-        written.append(path)
+    names = sorted(files, key=lambda name: name == "manifest.json")
+    staged: list[Path] = []
+    try:
+        for name in names:
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            staged.append(tmp)
+            tmp.write_text(files[name], encoding="utf-8")
+        written = [out / name for name in names]
+        for tmp, path in zip(staged, written):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
     return written

@@ -14,6 +14,7 @@ import bisect
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
@@ -56,6 +57,13 @@ class IndicatorPanel:
 
     def __post_init__(self) -> None:
         positive = _is_gdp_like(self.indicator)
+        values = np.fromiter(self.observations.values(), float, len(self.observations))
+        ok = np.isfinite(values)
+        if positive:
+            ok &= values > 0
+        if ok.all():
+            return
+        # only the message needs the first bad value in insertion order
         for (country, year), value in self.observations.items():
             if not _is_valid(value, positive):
                 kind = "nonpositive" if math.isfinite(value) else "non-finite"
@@ -174,40 +182,29 @@ def load_panel(
                 f"header must be {','.join(PANEL_HEADER)!r}, got {header!r}"
             )
         positive = _is_gdp_like(indicator)
+        alias = (aliases or {}).get
         obs: dict[tuple[str, int], float] = {}
         skipped = 0
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue  # blank line, not a data row
-            if len(row) != 3:
+            if len(row) == 3 and (country := alias(c := row[0].strip(), c)):
+                try:
+                    year, value = int(row[1]), float(row[2])
+                except ValueError:
+                    pass
+                else:
+                    if _is_valid(value, positive):
+                        key = (country, year)
+                        if key in obs:
+                            raise DuplicateObservationError(
+                                f"duplicate observation for (country={country}, "
+                                f"year={year}, indicator={indicator})"
+                            )
+                        obs[key] = value
+                        continue
+            # every rejected row lands here, including a whitespace-only row that an
+            # alias for "" let through; blank lines are not data rows, so not counted
+            if any(cell.strip() for cell in row):
                 skipped += 1
-                continue
-            country = row[0].strip()
-            if aliases and country in aliases:
-                country = aliases[country]
-            if not country:
-                skipped += 1
-                continue
-            try:
-                year = int(row[1])
-            except ValueError:
-                skipped += 1
-                continue
-            try:
-                value = float(row[2])
-            except ValueError:
-                skipped += 1
-                continue
-            if not _is_valid(value, positive):
-                skipped += 1
-                continue
-            key = (country, year)
-            if key in obs:
-                raise DuplicateObservationError(
-                    f"duplicate observation for (country={country}, "
-                    f"year={year}, indicator={indicator})"
-                )
-            obs[key] = value
         return IndicatorPanel(indicator, obs, provenance), skipped
     finally:
         if owned:
@@ -220,9 +217,14 @@ def serialize_panel(panel: IndicatorPanel) -> str:
     Values are written with ``repr`` so reloading reproduces the exact
     observation set (shortest round-trip representation).
     """
-    obs = panel.observations
-    rows = (f"{c},{y},{obs[c, y]!r}\n" for c, y in sorted(obs))
-    return ",".join(PANEL_HEADER) + "\n" + "".join(rows)
+    by_country: dict[str, dict[int, float]] = {}
+    for (c, y), v in panel.observations.items():
+        by_country.setdefault(c, {})[y] = v
+    lines = [",".join(PANEL_HEADER) + "\n"]
+    for c in sorted(by_country):
+        years = by_country[c]
+        lines += [f"{c},{y},{years[y]!r}\n" for y in sorted(years)]
+    return "".join(lines)
 
 
 def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPanel:
@@ -235,7 +237,9 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
         raise ParameterError(f"empty year range {start}:{end}")
     span = range(start, end + 1)
     obs = panel.observations
-    complete = [c for c in panel.countries() if all((c, y) in obs for y in span)]
+    # keys are unique, so a country is complete when it has len(span) years in span
+    counts = Counter([c for c, y in obs if y in span])
+    complete = sorted(c for c, n in counts.items() if n == len(span))
     if not complete:
         raise EmptyPanelError(
             f"no country has complete {panel.indicator} coverage for {start}-{end}"

@@ -1,8 +1,10 @@
 import csv
+import errno
 import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +292,12 @@ class TestSimulate:
             ({"seed": "x"}, ()),
             ({"mu_range": {"a": 1}}, ()),
             ({"n_countries": float("inf")}, ()),  # int(inf) overflows
+            ({"n_countries": 3.7}, ()),
+            ({"seed": 1.9}, ()),
+            ({"seed": True}, ()),
+            ({"mu_range": [1, 2, 99]}, ()),
+            ({"mu_range": "12"}, ()),
+            ({"gamma": "0.1"}, ()),
         ],
     )
     def test_malformed_seed_or_range_exits_1(self, tmp_path, capsys, overrides, flags):
@@ -305,6 +313,127 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run(["simulate", "--config", config, "--out", out]) == 3
         assert not out.exists()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_new_or_temporary_files(
+        self, toy_gdp_csv, tmp_path, monkeypatch, capsys, existing
+    ):
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "earlier.txt").write_text("from an earlier run\n")
+        real_write_text = Path.write_text
+        writes = []
+
+        def failing_write_text(self, data, *args, **kwargs):
+            if self.parent != out:
+                return real_write_text(self, data, *args, **kwargs)
+            writes.append(self.name)
+            if len(writes) == 2:  # half the file reaches the disk, then it is full
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device", str(self))
+            return real_write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        code = run(["rank-dynamics", "--input", toy_gdp_csv, "--indicator", "gdp",
+                    "--out", out])
+        monkeypatch.undo()
+        assert code == 2
+        assert len(writes) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "No space left" in err[0]
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["earlier.txt"]
+        else:
+            assert not out.exists()
+
+
+# SHA-256 of the data files of the stress-shape runs below, derived with the
+# row-by-row loader and renderers that the one-pass panel code replaced.
+# Values come from random.Random.random() and IEEE arithmetic only, so the
+# inputs are the same on every platform.
+STRESS_GOLDEN = {
+    ("ingest", "panel.csv"):
+        "fecf5e15ef083ed388411f00b44efd6548144fcd16f9ea457e4bd1a5031bd0dc",
+    ("default", "deltas.csv"):
+        "b8dd318b5fa5d0252f034ec1dd1ce1ecf874012da36741cff12d18c25eccf89f",
+    ("default", "fit.json"):
+        "28d9fea2cbe8400037ee0a2b6daa028342cd3fc589c271ed4fe1a7656abb3324",
+    ("default", "pdf.csv"):
+        "297b23d466a2f6959f1f1b46cc5e86b0beb65a2d224c5b465d8aac1159d42222",
+    ("window5", "deltas.csv"):
+        "85ae7bcd0ff70472147c83386f65c6cb2f9690d06ad6f5432d68659d36f7d4ae",
+    ("window5", "fit.json"):
+        "709157f6282a2451100cd778ac0d85ec2a3d6001ea4a825668f044fb4fee36f1",
+    ("window5", "pdf.csv"):
+        "9f5df9b994f68176e4087154c8ba200bed8e6264d351a1e5255d80a6bff6c91a",
+}
+# One row for each reason the loader skips a row.
+STRESS_BAD_ROWS = (
+    "C001,1990",  # field count
+    "C001,1990,1.0,extra",  # field count
+    ",1990,123.5",  # blank country
+    "Atlantis,1990,123.5",  # aliased to a blank country
+    "C002,1990x,123.5",  # bad year
+    "C003,1990,n/a",  # non-numeric value
+    "C004,1990,",  # empty value
+    "C005,1990,nan",  # non-finite
+    "C006,1990,-inf",  # non-finite
+    "C007,1990,0",  # nonpositive gdp
+    "C008,1990,-42.25",  # nonpositive gdp
+)
+
+
+def write_stress_panel(directory: Path) -> tuple[Path, Path, int]:
+    """A seeded 300-country x 40-year gdp panel with gaps, aliases and bad rows.
+
+    Returns the panel path, the alias path and the number of data rows.
+    """
+    rng = random.Random(20120501)
+    rows = []
+    for i in range(300):
+        code = f"C{i:03d}"
+        name = f"Country {i}" if i % 20 == 0 else code  # resolved by the alias file
+        level = 300.0 + 60000.0 * rng.random()
+        for year in range(1971, 2011):
+            level = round(level * (0.92 + 0.17 * rng.random()), 3)
+            if i % 13 == 0 and rng.random() < 0.05:
+                continue  # a gap: this country drops out of the balanced panel
+            rows.append(f"{name},{year},{level!r}")
+    rows += STRESS_BAD_ROWS
+    rows += ["", "   ", " , , "]  # blank lines are not data rows
+    rows.sort(key=lambda _: rng.random())
+    panel_csv = directory / "stress.csv"
+    panel_csv.write_text("country,year,value\n" + "\n".join(rows) + "\n")
+    aliases = directory / "aliases.csv"
+    aliases.write_text(
+        "source_name,iso3\nAtlantis,\n"
+        + "".join(f"Country {i},C{i:03d}\n" for i in range(0, 300, 20))
+    )
+    return panel_csv, aliases, len(rows) - 3
+
+
+def test_stress_shape_outputs_match_golden_bytes(tmp_path):
+    panel_csv, aliases, n_rows = write_stress_panel(tmp_path)
+    runs = {
+        "ingest": ["ingest"],
+        "default": ["rank-dynamics"],
+        "window5": ["rank-dynamics", "--years", "1980:2010", "--window", 5,
+                    "--non-overlapping"],
+    }
+    for name, command in runs.items():
+        assert run([*command, "--input", panel_csv, "--indicator", "gdp",
+                    "--alias", aliases, "--out", tmp_path / name]) == 0
+    parameters = read_json(tmp_path / "ingest" / "manifest.json")["parameters"]
+    assert parameters["rows_skipped"] == len(STRESS_BAD_ROWS)
+    assert parameters["observations"] == n_rows - len(STRESS_BAD_ROWS)
+    digests = {
+        (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+        for name, file in STRESS_GOLDEN
+    }
+    assert digests == STRESS_GOLDEN
 
 
 class TestManifest:

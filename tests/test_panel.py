@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -280,3 +281,156 @@ def test_balanced_panel_all_values_finite_property():
     balanced = balanced_subset(panel, (2000, 2004))
     assert balanced.values.shape == (1, 5)
     assert np.all(np.isfinite(balanced.values))
+
+
+def reference_load_panel(text, indicator, aliases=None):
+    """The one-check-per-row loader loop that ``load_panel`` replaced, kept
+    verbatim (with the value rule written out) as the reference."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    positive = "gdp" in indicator.lower()
+    obs = {}
+    skipped = 0
+    for row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue  # blank line, not a data row
+        if len(row) != 3:
+            skipped += 1
+            continue
+        country = row[0].strip()
+        if aliases and country in aliases:
+            country = aliases[country]
+        if not country:
+            skipped += 1
+            continue
+        try:
+            year = int(row[1])
+        except ValueError:
+            skipped += 1
+            continue
+        try:
+            value = float(row[2])
+        except ValueError:
+            skipped += 1
+            continue
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            skipped += 1
+            continue
+        key = (country, year)
+        if key in obs:
+            raise DuplicateObservationError(
+                f"duplicate observation for (country={country}, "
+                f"year={year}, indicator={indicator})"
+            )
+        obs[key] = value
+    return obs, skipped
+
+
+def _outcome(load):
+    """Observations in insertion order and the skip count, or the duplicate error."""
+    try:
+        obs, skipped = load()
+    except DuplicateObservationError as exc:
+        return "duplicate", str(exc)
+    return list(getattr(obs, "observations", obs).items()), skipped
+
+
+raw_countries = st.sampled_from(["HRV", " HRV ", "POL", "", "  ", "Croatia", "Atlantis"])
+raw_years = st.sampled_from(["1990", " 1990 ", "+1990", "1_990", "1990x", "1991", "", "-7"])
+raw_values = st.sampled_from(
+    ["12.5", " 3 ", "1e3", "1_000.5", "nan", "inf", "-inf", "0", "-0", "-2.5", "", "n/a"]
+)
+blank_cells = st.sampled_from(["", " ", "\t"])
+raw_rows = st.one_of(
+    st.just([]),  # empty line
+    st.lists(blank_cells, min_size=1, max_size=4),  # whitespace only
+    st.tuples(blank_cells, blank_cells, blank_cells).map(list),
+    st.tuples(raw_countries).map(list),
+    st.tuples(raw_countries, raw_years).map(list),
+    st.tuples(raw_countries, raw_years, raw_values).map(list),
+    st.tuples(raw_countries, raw_years, raw_values).map(list),
+    st.tuples(raw_countries, raw_years, raw_values, raw_values).map(list),
+)
+raw_aliases = st.none() | st.dictionaries(
+    st.sampled_from(["Croatia", "Atlantis", "", "POL", "HRV"]),
+    st.sampled_from(["HRV", "POL", "", "ZZZ"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(raw_rows, max_size=25),
+    raw_aliases,
+    st.sampled_from(["gdp", "GDP_pc", "gci", "balance"]),
+)
+def test_load_panel_matches_reference_loader(rows, aliases, indicator):
+    text = "country,year,value\n" + "".join(",".join(row) + "\n" for row in rows)
+    assert _outcome(lambda: _load(text, indicator, aliases=aliases)) == _outcome(
+        lambda: reference_load_panel(text, indicator, aliases)
+    )
+
+
+def reference_serialize_panel(panel):
+    """The canonical dump as one sort of every (country, year) key."""
+    obs = panel.observations
+    rows = (f"{c},{y},{obs[c, y]!r}\n" for c, y in sorted(obs))
+    return "country,year,value\n" + "".join(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        # codes that are prefixes of each other, and non-ASCII ones
+        st.tuples(st.sampled_from(["A", "A0", "AB", "AA", "B", "a", "\u00c5", "\u65e5\u672c"]),
+                  st.integers(min_value=1990, max_value=2001)),
+        values,
+        max_size=40,
+    )
+)
+def test_serialize_matches_one_sort_of_all_keys(obs):
+    panel = IndicatorPanel("gdp", obs)
+    assert serialize_panel(panel) == reference_serialize_panel(panel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
+                  st.integers(min_value=1995, max_value=2005)),
+        values,
+        min_size=1,
+        max_size=44,
+    )
+)
+def test_balanced_subset_keeps_exactly_the_complete_countries(obs):
+    span = range(1998, 2003)  # observations reach outside the span on both sides
+    panel = IndicatorPanel("gdp", obs)
+    complete = sorted({c for c, _ in obs if all((c, y) in obs for y in span)})
+    if not complete:
+        with pytest.raises(EmptyPanelError):
+            balanced_subset(panel, (span[0], span[-1]))
+        return
+    balanced = balanced_subset(panel, (span[0], span[-1]))
+    assert balanced.countries == tuple(complete)
+    assert balanced.values.tolist() == [[obs[c, y] for y in span] for c in complete]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([1.5, 2.0, 0.0, -1.0, math.nan, math.inf, -math.inf]),
+             min_size=1, max_size=8),
+    st.sampled_from(["gdp", "idx"]),
+)
+def test_panel_reports_first_bad_value_in_insertion_order(values_in_order, indicator):
+    obs = {(f"C{k}", 2000 + k): v for k, v in enumerate(values_in_order)}
+    positive = indicator == "gdp"
+    bad = [(k, v) for k, v in enumerate(values_in_order)
+           if not (math.isfinite(v) and (v > 0 or not positive))]
+    if not bad:
+        IndicatorPanel(indicator, obs)
+        return
+    k, v = bad[0]
+    kind = "nonpositive" if math.isfinite(v) else "non-finite"
+    with pytest.raises(DataError) as exc:
+        IndicatorPanel(indicator, obs)
+    assert str(exc.value) == f"{kind} {indicator} value {v!r} for (C{k}, {2000 + k})"

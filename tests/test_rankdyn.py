@@ -18,6 +18,7 @@ from econrank import (
     sample_discrete_laplace,
 )
 from econrank.errors import DegenerateSampleError, ParameterError
+from econrank.outputs import deltas_csv, render_csv
 
 # 0.5*exp(-1.2), frozen from a 30-digit mpmath evaluation
 HALF_EXP_M12 = 0.150597105956101
@@ -151,6 +152,25 @@ def test_rank_changes_match_counting_oracle(data):
         expected += [(c, t, t + window, r1[c] - r0[c]) for c in codes]
     assert list(sample.records) == expected
     assert sample.deltas.tolist() == [d for *_, d in expected]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_deltas_csv_renders_the_records(data):
+    codes = sorted(
+        data.draw(st.lists(st.text("AB\u00c5", min_size=1, max_size=3), min_size=1,
+                           max_size=12, unique=True))
+    )
+    span = data.draw(st.integers(min_value=2, max_value=9))
+    window = data.draw(st.integers(min_value=1, max_value=span - 1))
+    overlapping = data.draw(st.booleans())
+    table = {
+        1990 + j: {c: float(data.draw(st.integers(1, 50))) for c in codes}
+        for j in range(span)
+    }
+    sample = rank_changes(make_balanced(table), window, overlapping=overlapping)
+    header = ("country", "start_year", "end_year", "delta")
+    assert deltas_csv(sample) == render_csv(header, sample.records)
 
 
 class TestLaplaceMle:
