@@ -17,7 +17,6 @@ from .abm import (
     AbmParams,
     CountryOutcome,
     SweepConfig,
-    draw_workforce,
     fit_model_regression,
     gci_theoretical,
     simulate_country,
@@ -28,7 +27,6 @@ from .panel import (
     IndicatorPanel,
     balanced_subset,
     growth_rate,
-    growth_rates,
     load_alias_map,
     load_panel,
     serialize_panel,
@@ -36,7 +34,6 @@ from .panel import (
 from .rankdyn import (
     LaplaceFit,
     RankChangeSample,
-    RankTable,
     empirical_pdf,
     exceedance_probability,
     fit_laplace_mle,
@@ -48,7 +45,6 @@ from .rankdyn import (
 from .xsection import (
     LinearFit,
     PowerLawFit,
-    RelativeCompetitiveness,
     TTestResult,
     fit_power_law,
     ols_linear,
@@ -68,12 +64,9 @@ __all__ = [
     "LinearFit",
     "PowerLawFit",
     "RankChangeSample",
-    "RankTable",
-    "RelativeCompetitiveness",
     "SweepConfig",
     "TTestResult",
     "balanced_subset",
-    "draw_workforce",
     "empirical_pdf",
     "exceedance_probability",
     "fit_laplace_mle",
@@ -81,7 +74,6 @@ __all__ = [
     "fit_power_law",
     "gci_theoretical",
     "growth_rate",
-    "growth_rates",
     "laplace_density",
     "load_alias_map",
     "load_panel",

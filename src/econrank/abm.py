@@ -6,11 +6,11 @@ Gaussian(0, sigma) amount, paying an efficiency penalty exp(-|mismatch|).
 Total capacity E is the sum of the penalties, output is GDP = mu * E, and the
 competitiveness proxy is sigma^(-gamma).
 
-Randomness is split into independent job and mismatch streams derived from
-one seed, so outcomes are reproducible and the capacity E depends only on the
-mismatch stream (doubling mu at a fixed seed exactly doubles GDP). Sweep
-sub-seeds are derived per country index, making ensembles independent of
-execution order and thread count.
+The job requirements describe the model but are never drawn: E depends only
+on the mismatches. A country's one random stream, the mismatch draws, is child
+1 of ``SeedSequence(seed)``, so outcomes are reproducible and doubling mu at a
+fixed seed exactly doubles GDP. Sweep sub-seeds are derived per country index,
+making ensembles independent of execution order and thread count.
 
 ``simulate_country`` reuses one buffer of at most ``_LEAF`` mismatches, so memory
 is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
@@ -99,34 +99,13 @@ class SweepConfig:
 _LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
 
 
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Independent (jobs, mismatch) generators derived from one seed."""
-    jobs_ss, skill_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(jobs_ss), np.random.default_rng(skill_ss)
-
-
-def draw_workforce(params: AbmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Agent-level draw: job requirements, worker skills, and discrepancies.
-
-    Returns (jobs, skills, discrepancies) where jobs ~ Poisson(mu),
-    skills = jobs + Gaussian(0, sigma) mismatch (real-valued, unclamped),
-    and each discrepancy is exp(-|skill - job|) in (0, 1].
-    """
-    jobs_rng, skill_rng = _streams(params.seed)
-    jobs = jobs_rng.poisson(params.mu, params.n_jobs)
-    mismatch = skill_rng.normal(0.0, params.sigma, params.n_jobs)
-    skills = jobs + mismatch
-    return jobs, skills, np.exp(-np.abs(mismatch))
-
-
 def simulate_country(params: AbmParams) -> CountryOutcome:
     """Simulate one country and aggregate its outcome.
 
     The capacity E = sum(exp(-|mismatch|)) depends only on the mismatch
-    stream, so only that stream is drawn here; ``draw_workforce`` exposes
-    the job requirements when agent-level data is wanted.
+    stream, the same stream as ``SeedSequence(seed).spawn(2)[1]``.
     """
-    _, skill_rng = _streams(params.seed)
+    skill_rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(1,)))
     buf = np.empty(min(params.n_jobs, _LEAF))
     e_total = float(_capacity(skill_rng, params.sigma, buf, params.n_jobs))
     gdp_total = params.mu * e_total
@@ -149,7 +128,7 @@ def simulate_country(params: AbmParams) -> CountryOutcome:
 def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -> float:
     """sum(exp(-|N(0, sigma)|)) over the next ``n`` draws of ``rng``, in place in ``buf``."""
     if n <= _LEAF:
-        # normal(0, s) is 0.0 + s*z and |s*z| == s*|z|: draw_workforce's values
+        # |normal(0, s)| == s*|z| exactly, as normal(0, s) is 0.0 + s*z
         chunk = buf[:n]
         rng.standard_normal(out=chunk)
         np.abs(chunk, out=chunk)

@@ -2,7 +2,8 @@
 
 Subcommands: ``ingest``, ``rank-dynamics``, ``cross-section``, ``simulate``.
 Every command writes its outputs plus a ``manifest.json`` under ``--out`` and
-nowhere else. Exit codes: 0 success, 1 usage error, 2 data error,
+nowhere else, and removes there the files the previous manifest listed that it
+did not produce again. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical/degenerate error. Reruns with identical inputs, parameters, and
 seed produce byte-identical data files; only the manifest timestamp varies.
 """

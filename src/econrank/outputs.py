@@ -9,7 +9,9 @@ after the whole pipeline has succeeded, so a failing run leaves no partial
 files behind. The write itself is atomic per file: every file goes to a
 temporary name in the output directory and is renamed into place, the
 manifest last, only once all of them are written; a failed write removes
-its temporaries.
+its temporaries. After a successful write, the files that the previous
+manifest in the directory listed and this run did not produce are removed,
+so ``--out`` holds no stale outputs of an earlier command.
 """
 
 from __future__ import annotations
@@ -181,11 +183,14 @@ def write_output_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]
     """Write pre-rendered file contents under ``out_dir`` (created if absent).
 
     A failed write removes the temporaries, and ``out_dir`` if this call
-    created it and it is still empty, before the error propagates.
+    created it and it is still empty, before the error propagates. Once the
+    new manifest is in place, the regular files named in the previous
+    manifest's ``produced_files`` that ``files`` lacks are removed.
     """
     out = Path(out_dir)
     created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    previous = _listed_outputs(out)
     names = sorted(files, key=lambda name: name == "manifest.json")
     staged: list[Path] = []
     try:
@@ -203,4 +208,18 @@ def write_output_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]
             with contextlib.suppress(OSError):
                 out.rmdir()
         raise
+    # os.listdir yields only plain names: no separator, never "." or ".."
+    for name in os.listdir(out):
+        if name in previous and name not in files and (out / name).is_file():
+            (out / name).unlink()
     return written
+
+
+def _listed_outputs(out: Path) -> list[Any]:
+    """``produced_files`` of the manifest in ``out``; empty if missing or unparseable."""
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return []
+    listed = manifest.get("produced_files") if isinstance(manifest, dict) else None
+    return listed if isinstance(listed, list) else []

@@ -1,18 +1,17 @@
 """Country-year panels of one indicator: CSV ingestion, balancing, growth rates.
 
 An :class:`IndicatorPanel` holds the sparse (country, year) -> value
-observations of one indicator; a :class:`BalancedPanel` is the dense
-rectangle of countries that have a value for every year of a requested
-range. Every value is finite, and values of gdp-like indicators are
-strictly positive. Both are immutable after construction and safe to share
-across threads.
+observations of one indicator; callers read ``observations`` directly. A
+:class:`BalancedPanel` is the dense countries x years matrix of the
+countries that have a value for every year of a requested range. Every
+value is finite, and values of gdp-like indicators are strictly positive.
+Both are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,12 +47,10 @@ class IndicatorPanel:
     """Sparse mapping (country, year) -> value of one indicator.
 
     Keying ``observations`` by the pair enforces uniqueness by construction.
-    ``provenance`` is a free-form description of the source.
     """
 
     indicator: str
     observations: Mapping[tuple[str, int], float]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         positive = _is_gdp_like(self.indicator)
@@ -74,14 +71,8 @@ class IndicatorPanel:
     def __len__(self) -> int:
         return len(self.observations)
 
-    def countries(self) -> list[str]:
-        return sorted({c for c, _ in self.observations})
-
     def years(self) -> list[int]:
         return sorted({y for _, y in self.observations})
-
-    def get(self, country: str, year: int) -> float | None:
-        return self.observations.get((country, year))
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,6 @@ class BalancedPanel:
     countries: tuple[str, ...]
     years: tuple[int, ...]
     values: np.ndarray
-    indicator: str = ""
 
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.countries), len(self.years)):
@@ -135,7 +125,10 @@ def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
 
 
 def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
-    """Read a ``source_name,iso3`` CSV into a rename mapping."""
+    """Read a ``source_name,iso3`` CSV into a rename mapping.
+
+    A ``source_name`` may repeat only with the same ``iso3``.
+    """
     stream, owned = _open_source(source)
     try:
         reader = csv.reader(stream)
@@ -150,7 +143,11 @@ def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
                 continue
             if len(row) != 2:
                 raise DataError(f"alias row must have 2 fields, got {row!r}")
-            aliases[row[0].strip()] = row[1].strip()
+            name, iso3 = row[0].strip(), row[1].strip()
+            if aliases.setdefault(name, iso3) != iso3:
+                raise DataError(
+                    f"alias {name!r} maps to both {aliases[name]!r} and {iso3!r}"
+                )
         return aliases
     finally:
         if owned:
@@ -161,7 +158,6 @@ def load_panel(
     source: str | Path | IO[str],
     indicator: str,
     aliases: Mapping[str, str] | None = None,
-    provenance: str | None = None,
 ) -> tuple[IndicatorPanel, int]:
     """Load one indicator from a ``country,year,value`` CSV.
 
@@ -171,8 +167,6 @@ def load_panel(
     skip count is returned alongside the panel. Duplicate (country, year)
     rows for the indicator are a hard error.
     """
-    if provenance is None:
-        provenance = str(source) if isinstance(source, (str, Path)) else "<stream>"
     stream, owned = _open_source(source)
     try:
         reader = csv.reader(stream)
@@ -205,7 +199,7 @@ def load_panel(
             # alias for "" let through; blank lines are not data rows, so not counted
             if any(cell.strip() for cell in row):
                 skipped += 1
-        return IndicatorPanel(indicator, obs, provenance), skipped
+        return IndicatorPanel(indicator, obs), skipped
     finally:
         if owned:
             stream.close()
@@ -245,12 +239,7 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
             f"no country has complete {panel.indicator} coverage for {start}-{end}"
         )
     values = np.array([[obs[c, y] for y in span] for c in complete], dtype=float)
-    return BalancedPanel(
-        countries=tuple(complete),
-        years=tuple(span),
-        values=values,
-        indicator=panel.indicator,
-    )
+    return BalancedPanel(countries=tuple(complete), years=tuple(span), values=values)
 
 
 def growth_rate(
@@ -278,11 +267,4 @@ def growth_rate(
     if method == "log":
         return math.log(v1 / v0)
     return (v1 - v0) / v0
-
-
-def growth_rates(
-    panel: BalancedPanel, t0: int, t1: int, method: str = "log"
-) -> dict[str, float]:
-    """Growth per country over one window, in country order."""
-    return {c: growth_rate(panel, c, t0, t1, method) for c in panel.countries}
 

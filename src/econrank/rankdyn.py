@@ -20,18 +20,6 @@ from .panel import BalancedPanel
 
 
 @dataclass(frozen=True)
-class RankTable:
-    """One year's ranking; ``entries`` holds (country, rank) sorted by rank."""
-
-    year: int
-    indicator: str
-    entries: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.entries)
-
-
-@dataclass(frozen=True)
 class RankChangeSample:
     """Pooled rank changes over every window of one length.
 
@@ -40,9 +28,7 @@ class RankChangeSample:
     """
 
     deltas: np.ndarray
-    window_length: int
     windows: tuple[tuple[int, int], ...]
-    indicator: str
     countries: tuple[str, ...]
 
     @property
@@ -78,17 +64,14 @@ def _rank_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(-values, axis=0, kind="stable")
 
 
-def rank_snapshot(panel: BalancedPanel, year: int) -> RankTable:
-    """Dense ranks 1..N for one year; ties broken by country code.
+def rank_snapshot(panel: BalancedPanel, year: int) -> dict[str, int]:
+    """Dense ranks 1..N for one year as {country: rank}, in rank order.
 
     The largest value gets rank 1; among equal values the lexicographically
     smaller code gets the smaller rank.
     """
     order = _rank_order(panel.values[:, panel.year_index(year)])
-    entries = tuple(
-        (panel.countries[i], rank) for rank, i in enumerate(order.tolist(), start=1)
-    )
-    return RankTable(year=year, indicator=panel.indicator, entries=entries)
+    return {panel.countries[i]: rank for rank, i in enumerate(order.tolist(), start=1)}
 
 
 def _start_years(years: Sequence[int], window: int, overlapping: bool) -> list[int]:
@@ -129,9 +112,7 @@ def rank_changes(
     deltas = (ranks[:, after] - ranks[:, before]).T.ravel()
     return RankChangeSample(
         deltas=deltas,
-        window_length=window,
         windows=tuple((t, t + window) for t in starts),
-        indicator=panel.indicator,
         countries=panel.countries,
     )
 

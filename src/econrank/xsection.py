@@ -44,22 +44,6 @@ class PowerLawFit:
     def predict_ln(self, ln_x: float) -> float:
         return self.ln_intercept + self.alpha * ln_x
 
-    def predict(self, x: float) -> float:
-        return math.exp(self.predict_ln(math.log(x)))
-
-
-@dataclass(frozen=True)
-class RelativeCompetitiveness:
-    """Per-country log-space residual from a power-law fit; mean is zero."""
-
-    scores: Mapping[str, float]
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __getitem__(self, country: str) -> float:
-        return self.scores[country]
-
 
 @dataclass(frozen=True)
 class TTestResult:
@@ -149,30 +133,31 @@ def fit_power_law(
     )
 
 
-def relative_competitiveness(fit: PowerLawFit) -> RelativeCompetitiveness:
-    """Log-space residual per country: positive means above the fitted line."""
-    return RelativeCompetitiveness(
-        scores={p.label: p.residual for p in fit.sample}
-    )
+def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
+    """Log-space residual per country: positive means above the fitted line.
+
+    The residuals of an OLS fit with intercept have mean zero.
+    """
+    return {p.label: p.residual for p in fit.sample}
 
 
 def split_by_sign(
-    d: RelativeCompetitiveness, growth: Mapping[str, float]
+    d: Mapping[str, float], growth: Mapping[str, float]
 ) -> tuple[list[float], list[float]]:
     """Partition growth values by the sign of the competitiveness score.
 
     Scores of exactly zero join the positive group. The country sets of the
     scores and the growth mapping must coincide.
     """
-    if set(d.scores) != set(growth):
-        missing = sorted(set(d.scores) ^ set(growth))
+    if set(d) != set(growth):
+        missing = sorted(set(d) ^ set(growth))
         raise AlignmentError(
             f"country sets of scores and growth differ; mismatched: {missing}"
         )
     group_pos: list[float] = []
     group_neg: list[float] = []
-    for country in sorted(d.scores):
-        (group_pos if d.scores[country] >= 0 else group_neg).append(
+    for country in sorted(d):
+        (group_pos if d[country] >= 0 else group_neg).append(
             float(growth[country])
         )
     return group_pos, group_neg

@@ -9,7 +9,6 @@ from scipy.stats import norm
 from econrank import (
     AbmParams,
     SweepConfig,
-    draw_workforce,
     fit_model_regression,
     gci_theoretical,
     simulate_country,
@@ -18,6 +17,7 @@ from econrank import (
 from econrank import abm
 from econrank.abm import _LEAF as LEAF
 from econrank.errors import DomainError, ParameterError, SingularDesignError
+from workforce_reference import draw_workforce
 
 # 4^(-0.1), frozen from a 30-digit mpmath evaluation
 FOUR_POW_M01 = 0.870550563296124

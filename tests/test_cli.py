@@ -71,6 +71,18 @@ class TestIngest:
                     "--alias", aliases, "--out", out]) == 0
         assert read_rows(out / "panel.csv")[0]["country"] == "HRV"
 
+    def test_conflicting_alias_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "named.csv"
+        src.write_text("country,year,value\nCroatia,2000,5.0\n")
+        aliases = tmp_path / "aliases.csv"
+        aliases.write_text("source_name,iso3\nCroatia,HRV\nCroatia,HRW\n")
+        out = tmp_path / "out"
+        assert run(["ingest", "--input", src, "--indicator", "gdp",
+                    "--alias", aliases, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Croatia" in err[0]
+        assert not out.exists()
+
 
 class TestRankDynamics:
     def test_toy_panel_outputs(self, toy_gdp_csv, tmp_path):
@@ -348,6 +360,45 @@ class TestAtomicWrite:
             assert [p.name for p in out.iterdir()] == ["earlier.txt"]
         else:
             assert not out.exists()
+
+
+class TestStaleOutputs:
+    def test_rerun_removes_files_the_previous_manifest_listed(self, toy_gdp_csv, tmp_path):
+        out = tmp_path / "out"
+        assert run(["rank-dynamics", "--input", toy_gdp_csv, "--indicator", "gdp",
+                    "--out", out]) == 0
+        (out / "notes.txt").write_text("put here by the user\n")
+        assert run(["ingest", "--input", toy_gdp_csv, "--indicator", "gdp",
+                    "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "panel.csv"]
+        assert read_json(out / "manifest.json")["produced_files"] == [
+            "manifest.json", "panel.csv"]
+
+    @pytest.mark.parametrize(
+        "old_manifest",
+        [
+            '{"produced_files": ["../victim.txt", "sub", "sub/inner.txt", "", ".", ".."]}',
+            '{"produced_files": "deltas.csv"}',
+            '["deltas.csv"]',
+            '{"produced_files": ["deltas.csv"',
+        ],
+    )
+    def test_only_plain_files_of_a_readable_manifest_are_removed(
+        self, toy_gdp_csv, tmp_path, old_manifest
+    ):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "sub" / "inner.txt").write_text("inner\n")
+        (out / "deltas.csv").write_text("not listed as a plain name\n")
+        (tmp_path / "victim.txt").write_text("outside --out\n")
+        (out / "manifest.json").write_text(old_manifest)
+        assert run(["ingest", "--input", toy_gdp_csv, "--indicator", "gdp",
+                    "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "deltas.csv", "manifest.json", "panel.csv", "sub"]
+        assert (out / "sub" / "inner.txt").exists()
+        assert (tmp_path / "victim.txt").exists()
 
 
 # SHA-256 of the data files of the stress-shape runs below, derived with the

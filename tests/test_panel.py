@@ -12,7 +12,6 @@ from econrank import (
     IndicatorPanel,
     balanced_subset,
     growth_rate,
-    growth_rates,
     load_alias_map,
     load_panel,
     serialize_panel,
@@ -41,9 +40,9 @@ class TestLoadPanel:
         )
         assert len(panel) == 4
         assert skipped == 0
-        assert panel.countries() == ["HRV", "POL"]
+        assert sorted({c for c, _ in panel.observations}) == ["HRV", "POL"]
         assert panel.years() == [2010, 2011]
-        assert panel.get("HRV", 2010) == 13.5
+        assert panel.observations["HRV", 2010] == 13.5
 
     def test_empty_value_skipped_and_counted(self):
         panel, skipped = _load("country,year,value\nHRV,2010,\nPOL,2010,12.6\n")
@@ -70,13 +69,13 @@ class TestLoadPanel:
 
     def test_nonpositive_gdp_skipped(self):
         panel, skipped = _load("country,year,value\nHRV,2010,0\nPOL,2010,-3\nALB,2010,2\n")
-        assert panel.countries() == ["ALB"]
+        assert sorted({c for c, _ in panel.observations}) == ["ALB"]
         assert skipped == 2
 
     def test_negative_value_kept_for_non_gdp_indicator(self):
         panel, skipped = _load("country,year,value\nHRV,2010,-0.25\n", "balance")
         assert skipped == 0
-        assert panel.get("HRV", 2010) == -0.25
+        assert panel.observations["HRV", 2010] == -0.25
 
     def test_duplicate_triple_is_hard_error(self):
         with pytest.raises(DuplicateObservationError) as exc:
@@ -96,7 +95,7 @@ class TestLoadPanel:
     def test_alias_mapping_applied(self):
         aliases = {"Croatia": "HRV"}
         panel, _ = _load("country,year,value\nCroatia,2010,13.5\n", aliases=aliases)
-        assert panel.countries() == ["HRV"]
+        assert sorted({c for c, _ in panel.observations}) == ["HRV"]
 
     def test_alias_collision_raises_duplicate(self):
         aliases = {"Croatia": "HRV"}
@@ -110,6 +109,14 @@ class TestLoadPanel:
         path = tmp_path / "aliases.csv"
         path.write_text("source_name,iso3\nCroatia,HRV\nUnited States,USA\n")
         assert load_alias_map(path) == {"Croatia": "HRV", "United States": "USA"}
+
+    def test_alias_map_repeat_must_agree(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_text("source_name,iso3\nCroatia,HRV\nPoland,POL\nCroatia,HRV\n")
+        assert load_alias_map(path) == {"Croatia": "HRV", "Poland": "POL"}
+        path.write_text("source_name,iso3\nCroatia,HRV\nCroatia,HRW\n")
+        with pytest.raises(DataError, match="'Croatia'.*'HRV'.*'HRW'"):
+            load_alias_map(path)
 
     def test_alias_map_bad_header(self, tmp_path):
         path = tmp_path / "aliases.csv"
@@ -230,7 +237,7 @@ class TestGrowthRate:
             [("AAA", 2000, 1), ("AAA", 2001, 2), ("BBB", 2000, 3), ("BBB", 2001, 4)]
         )
         balanced = balanced_subset(panel, (2000, 2001))
-        rates = growth_rates(balanced, 2000, 2001)
+        rates = {c: growth_rate(balanced, c, 2000, 2001) for c in balanced.countries}
         assert set(rates) == {"AAA", "BBB"}
         assert rates["AAA"] == pytest.approx(math.log(2.0))
 

@@ -47,19 +47,20 @@ class TestRankSnapshot:
     def test_largest_value_gets_rank_one(self):
         panel = make_balanced({2000: {"AAA": 100.0, "BBB": 300.0, "CCC": 200.0}})
         table = rank_snapshot(panel, 2000)
-        assert table.as_dict() == {"BBB": 1, "CCC": 2, "AAA": 3}
+        assert table == {"BBB": 1, "CCC": 2, "AAA": 3}
 
     def test_ranks_are_permutation(self):
         rng = np.random.default_rng(5)
         row = {f"C{i:02d}": float(v) for i, v in enumerate(rng.uniform(1, 9, 25))}
         panel = make_balanced({2000: row})
-        ranks = rank_snapshot(panel, 2000).as_dict()
+        ranks = rank_snapshot(panel, 2000)
         assert sorted(ranks.values()) == list(range(1, 26))
+        assert list(ranks.values()) == list(range(1, 26))  # in rank order
 
     def test_tie_broken_by_country_code(self):
         panel = make_balanced({2000: {"BBB": 7.0, "AAA": 7.0, "CCC": 9.0}})
         table = rank_snapshot(panel, 2000)
-        assert table.as_dict() == {"CCC": 1, "AAA": 2, "BBB": 3}
+        assert table == {"CCC": 1, "AAA": 2, "BBB": 3}
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(17)
@@ -69,7 +70,7 @@ class TestRankSnapshot:
                 for i, v in enumerate(rng.integers(1, 8, 12))  # ties likely
             }
             panel = make_balanced({2000: row})
-            assert rank_snapshot(panel, 2000).as_dict() == brute_force_rank(row)
+            assert rank_snapshot(panel, 2000) == brute_force_rank(row)
 
 
 class TestRankChanges:

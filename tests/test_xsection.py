@@ -130,13 +130,13 @@ class TestRelativeCompetitiveness:
     def test_point_on_line_has_zero_score(self):
         fit = self._fit([0.0, 0.0, 0.0, 0.0, 0.0])
         scores = relative_competitiveness(fit)
-        for c in scores.scores:
+        for c in scores:
             assert scores[c] == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_score_is_zero(self):
         fit = self._fit([0.3, -0.2, 0.1, -0.4, 0.25])
         scores = relative_competitiveness(fit)
-        assert abs(sum(scores.scores.values())) < 1e-10
+        assert abs(sum(scores.values())) < 1e-10
 
     def test_invariant_under_y_rescaling(self):
         noise = [0.3, -0.2, 0.1, -0.4, 0.25]
@@ -144,7 +144,7 @@ class TestRelativeCompetitiveness:
         x = np.array([2.0, 5.0, 11.0, 23.0, 47.0])
         y = np.exp(0.5 + 0.1 * np.log(x) + np.asarray(noise)) * 7.3
         scaled = relative_competitiveness(fit_power_law(list(zip(x, y))))
-        for c in base.scores:
+        for c in base:
             assert scaled[c] == pytest.approx(base[c], abs=1e-10)
 
     def test_x_rescaling_shifts_by_minus_alpha_ln_c(self):
@@ -160,7 +160,7 @@ class TestRelativeCompetitiveness:
         assert scaled_fit.ln_intercept == pytest.approx(
             fit.ln_intercept - fit.alpha * math.log(4.0), abs=1e-10
         )
-        for c in base.scores:
+        for c in base:
             assert scaled[c] == pytest.approx(base[c], abs=1e-10)
 
     def test_sign_matches_position_relative_to_line(self):
@@ -172,29 +172,24 @@ class TestRelativeCompetitiveness:
 
 
 class TestSplitBySign:
-    def _scores(self, values):
-        from econrank import RelativeCompetitiveness
-
-        return RelativeCompetitiveness(scores=values)
-
     def test_partition_sizes(self):
-        scores = self._scores({"A": 0.1, "B": -0.2})
+        scores = {"A": 0.1, "B": -0.2}
         pos, neg = split_by_sign(scores, {"A": 1.0, "B": 2.0})
         assert (len(pos), len(neg)) == (1, 1)
         assert pos == [1.0] and neg == [2.0]
 
     def test_zero_score_joins_positive_group(self):
-        scores = self._scores({"A": 0.0, "B": -0.2})
+        scores = {"A": 0.0, "B": -0.2}
         pos, neg = split_by_sign(scores, {"A": 1.0, "B": 2.0})
         assert pos == [1.0]
 
     def test_country_mismatch_is_alignment_error(self):
-        scores = self._scores({"A": 0.1, "B": -0.2})
+        scores = {"A": 0.1, "B": -0.2}
         with pytest.raises(AlignmentError):
             split_by_sign(scores, {"A": 1.0, "C": 2.0})
 
     def test_all_positive_gives_empty_negative_group(self):
-        scores = self._scores({"A": 0.1, "B": 0.2, "C": 0.3})
+        scores = {"A": 0.1, "B": 0.2, "C": 0.3}
         pos, neg = split_by_sign(scores, {"A": 1.0, "B": 2.0, "C": 3.0})
         assert neg == []
         with pytest.raises(ParameterError):
