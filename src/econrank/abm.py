@@ -12,6 +12,11 @@ on the mismatches. A country's one random stream, the mismatch draws, is child
 fixed seed exactly doubles GDP. Sweep sub-seeds are derived per country index,
 making ensembles independent of execution order and thread count.
 
+``sweep`` splits the country indices into one contiguous block per worker
+thread, so it holds one task per worker rather than one per country. Every
+country draws the same ``n_jobs`` mismatches and so costs the same, which makes
+equal blocks keep the workers equally busy.
+
 ``simulate_country`` reuses one buffer of at most ``_LEAF`` mismatches, so memory
 is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
 and all outputs equal those of ``np.exp(-np.abs(normal)).sum()`` bit for bit.
@@ -20,13 +25,52 @@ and all outputs equal those of ``np.exp(-np.abs(normal)).sum()`` bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 from .xsection import PowerLawFit, fit_power_law
+
+# simulate holds every outcome (~0.45 KB) and renders ensemble.csv as one string,
+# peaking near 1.1 KB per country: about 1 GB at this bound.
+_MAX_COUNTRIES = 1_000_000
+
+
+def _integer(obj: object, name: str, low: int, high: float = math.inf) -> None:
+    """Check that field ``name`` is an integer in [low, high]."""
+    value = getattr(obj, name)
+    if type(value) is not int or not low <= value <= high:  # bool is not a count
+        raise ParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def _real(obj: object, name: str, positive: bool = False) -> None:
+    """Store field ``name`` as a float; it must be finite, >= 0, and > 0 if ``positive``."""
+    object.__setattr__(obj, name, _finite(name, getattr(obj, name), positive))
+
+
+def _finite(name: str, value: object, positive: bool) -> float:
+    # bool is not a number here; comparing before float() keeps huge integers from overflowing
+    if (type(value) not in (int, float) or not 0 <= value <= sys.float_info.max
+            or positive and value == 0):
+        raise ParameterError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                             f"got {value!r}")
+    return float(value)
+
+
+def _range(obj: object, name: str) -> None:
+    """Store field ``name`` as a (low, high) float pair with 0 < low <= high."""
+    value = getattr(obj, name)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ParameterError(f"{name} must be a list of 2 numbers, got {value!r}")
+    low, high = (_finite(name, v, positive=True) for v in value)
+    if low > high:
+        raise ParameterError(f"{name} must satisfy 0 < low <= high, got {value!r}")
+    object.__setattr__(obj, name, (low, high))
 
 
 @dataclass(frozen=True)
@@ -40,35 +84,31 @@ class AbmParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.n_jobs < 1:
-            raise ParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
+        _real(self, "mu", positive=True)
+        _real(self, "sigma")
+        _integer(self, "n_jobs", 1)
+        _real(self, "gamma")
+        _integer(self, "seed", 0)
 
 
 @dataclass(frozen=True)
 class CountryOutcome:
     """Aggregates of one simulated country.
 
-    ``uncorrupt`` marks the sigma = 0 economy; its competitiveness proxy is
-    the +inf sentinel when gamma > 0 and should be excluded from regressions.
+    A sigma = 0 economy is uncorrupt: its competitiveness proxy is the +inf
+    sentinel when gamma > 0 and should be excluded from regressions.
     """
 
     e_total: float
     gdp_total: float
     gdp_per_capita: float
     gci_th: float
-    uncorrupt: bool
     params: AbmParams
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Ensemble configuration; mirrors the simulate command's JSON config."""
+    """Ensemble configuration; the simulate command's JSON config has these fields."""
 
     n_countries: int
     n_jobs: int
@@ -78,22 +118,12 @@ class SweepConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_countries < 1:
-            raise ParameterError(f"n_countries must be >= 1, got {self.n_countries}")
-        if self.n_jobs < 1:
-            raise ParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        lo, hi = self.mu_range
-        if not (0 < lo <= hi):
-            raise ParameterError(f"mu_range must satisfy 0 < low <= high, got {self.mu_range}")
-        lo, hi = self.sigma_range
-        if not (0 < lo <= hi):
-            raise ParameterError(
-                f"sigma_range must satisfy 0 < low <= high, got {self.sigma_range}"
-            )
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        _integer(self, "n_countries", 1, _MAX_COUNTRIES)
+        _integer(self, "n_jobs", 1)
+        _range(self, "mu_range")
+        _range(self, "sigma_range")
+        _real(self, "gamma")
+        _integer(self, "seed", 0)
 
 
 _LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
@@ -110,8 +140,7 @@ def simulate_country(params: AbmParams) -> CountryOutcome:
     e_total = float(_capacity(skill_rng, params.sigma, buf, params.n_jobs))
     gdp_total = params.mu * e_total
     gdp_per_capita = gdp_total / params.n_jobs
-    uncorrupt = params.sigma == 0
-    if uncorrupt:
+    if params.sigma == 0:
         gci_th = math.inf if params.gamma > 0 else 1.0
     else:
         gci_th = gci_theoretical(params.sigma, params.gamma)
@@ -120,7 +149,6 @@ def simulate_country(params: AbmParams) -> CountryOutcome:
         gdp_total=gdp_total,
         gdp_per_capita=gdp_per_capita,
         gci_th=gci_th,
-        uncorrupt=uncorrupt,
         params=params,
     )
 
@@ -150,30 +178,33 @@ def gci_theoretical(sigma: float, gamma: float) -> float:
     return sigma ** -gamma
 
 
-def _simulate_index(config: SweepConfig, index: int) -> CountryOutcome:
-    """Country ``index`` of a sweep, derived independently of all others."""
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    rng = np.random.default_rng(ss)
-    mu = float(rng.uniform(*config.mu_range))
-    sigma = float(rng.uniform(*config.sigma_range))
-    seed = int(rng.integers(0, 2**63))
-    return simulate_country(
-        AbmParams(mu=mu, sigma=sigma, n_jobs=config.n_jobs, gamma=config.gamma, seed=seed)
-    )
+def _simulate_block(config: SweepConfig, block: range) -> list[CountryOutcome]:
+    """Countries ``block`` of a sweep, each derived independently of all others."""
+    outcomes = []
+    for index in block:
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
+        mu = float(rng.uniform(*config.mu_range))
+        sigma = float(rng.uniform(*config.sigma_range))
+        seed = int(rng.integers(0, 2**63))
+        outcomes.append(simulate_country(
+            AbmParams(mu=mu, sigma=sigma, n_jobs=config.n_jobs, gamma=config.gamma, seed=seed)
+        ))
+    return outcomes
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> list[CountryOutcome]:
     """Simulate the whole ensemble; results are in country-index order.
 
-    Identical configs produce identical ensembles regardless of ``threads``.
+    Runs at most ``threads`` workers, and no more than there are countries or
+    CPUs. Identical configs produce identical ensembles regardless of ``threads``.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    indices = range(config.n_countries)
-    if threads == 1:
-        return [_simulate_index(config, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=min(threads, config.n_countries)) as pool:
-        return list(pool.map(lambda i: _simulate_index(config, i), indices))
+    n = config.n_countries
+    k = min(threads, n, os.cpu_count() or 1)
+    blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        return [o for block in pool.map(partial(_simulate_block, config), blocks) for o in block]
 
 
 def fit_model_regression(ensemble: list[CountryOutcome]) -> PowerLawFit:
@@ -186,4 +217,4 @@ def fit_model_regression(ensemble: list[CountryOutcome]) -> PowerLawFit:
                 f"country {i} has non-finite gci_th; exclude uncorrupt outcomes first"
             )
     points = [(o.gdp_per_capita, o.gci_th) for o in ensemble]
-    return fit_power_law(points, labels=[str(i) for i in range(len(ensemble))])
+    return fit_power_law(points)

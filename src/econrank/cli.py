@@ -11,12 +11,12 @@ seed produce byte-identical data files; only the manifest timestamp varies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import secrets
 import sys
 from pathlib import Path
-from typing import Any
 
 from . import __version__, abm, outputs, panel, rankdyn, xsection
 from .errors import DataError, NumericalError, ParameterError
@@ -45,7 +45,10 @@ def _load_aliases(path: str | None) -> dict[str, str] | None:
 def _load_exclusions(path: str | None) -> set[str]:
     if not path:
         return set()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     return {ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")}
 
 
@@ -179,63 +182,31 @@ def _run_cross_section(
     return files, inputs, parameters, None
 
 
-def _read_sweep_config(path: str) -> dict[str, Any]:
+def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
+    """The config at ``path``, its seed replaced by ``seed`` when given."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also undecodable, over-long, too deep
             raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParameterError(f"config {path!r} must be a JSON object")
-    allowed = {"n_countries", "n_jobs", "mu_range", "sigma_range", "gamma", "seed"}
-    unknown = set(raw) - allowed
+    if seed is not None or raw.get("seed") is None:
+        raw["seed"] = secrets.randbits(63) if seed is None else seed  # recorded in the manifest
+    names = {field.name for field in dataclasses.fields(abm.SweepConfig)}
+    unknown = set(raw) - names
     if unknown:
         raise ParameterError(f"unknown config fields: {sorted(unknown)}")
-    missing = allowed - {"seed"} - set(raw)
+    missing = names - set(raw)
     if missing:
         raise ParameterError(f"config is missing fields: {sorted(missing)}")
-    return raw
-
-
-def _config_int(raw: dict[str, Any], name: str) -> int:
-    value = raw[name]
-    if type(value) is not int:  # a JSON integer; bool is an int subclass, not a count
-        raise ParameterError(f"sweep config {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _config_real(value: Any, name: str) -> float:
-    # bool is not a number here; comparing before float() keeps huge integers from overflowing
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ParameterError(f"sweep config {name!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _config_range(raw: dict[str, Any], name: str) -> tuple[float, float]:
-    value = raw[name]
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ParameterError(f"sweep config {name!r} must be a list of 2 numbers, got {value!r}")
-    return _config_real(value[0], name), _config_real(value[1], name)
+    return abm.SweepConfig(**raw)
 
 
 def _run_simulate(
     args: argparse.Namespace,
 ) -> tuple[dict[str, str], dict, dict, int | None]:
-    raw = _read_sweep_config(args.config)
-    if args.seed is not None:
-        seed = args.seed
-    elif raw.get("seed") is not None:
-        seed = _config_int(raw, "seed")
-    else:
-        seed = secrets.randbits(63)  # recorded in the manifest
-    config = abm.SweepConfig(
-        n_countries=_config_int(raw, "n_countries"),
-        n_jobs=_config_int(raw, "n_jobs"),
-        mu_range=_config_range(raw, "mu_range"),
-        sigma_range=_config_range(raw, "sigma_range"),
-        gamma=_config_real(raw["gamma"], "gamma"),
-        seed=seed,
-    )
+    config = _read_sweep_config(args.config, args.seed)
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)
     files = {
@@ -251,14 +222,9 @@ def _run_simulate(
         "fitline.csv": outputs.power_law_fitline_csv(fit, header=("gdp", "gci_th")),
     }
     inputs = {"config": args.config}
-    parameters = {
-        "n_countries": config.n_countries,
-        "n_jobs": config.n_jobs,
-        "mu_range": list(config.mu_range),
-        "sigma_range": list(config.sigma_range),
-        "gamma": config.gamma,
-        "threads": args.threads,
-    }
+    parameters = dataclasses.asdict(config)
+    seed = parameters.pop("seed")
+    parameters["threads"] = args.threads
     return files, inputs, parameters, seed
 
 

@@ -11,12 +11,13 @@ Both are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -118,10 +119,18 @@ class BalancedPanel:
         return float(self.values[self.country_index(country), self.year_index(year)])
 
 
-def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
+@contextlib.contextmanager
+def _csv_rows(source: str | Path | IO[str]) -> Iterator[Iterator[list[str]]]:
+    """CSV rows of ``source``; undecodable text or an oversized field is a DataError."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    return source, False
+        source = open(source, "r", encoding="utf-8-sig", newline="")
+    else:
+        source = contextlib.nullcontext(source)
+    with source as stream:
+        try:
+            yield csv.reader(stream)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {getattr(stream, 'name', 'CSV input')}: {exc}") from None
 
 
 def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
@@ -129,9 +138,7 @@ def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
 
     A ``source_name`` may repeat only with the same ``iso3``.
     """
-    stream, owned = _open_source(source)
-    try:
-        reader = csv.reader(stream)
+    with _csv_rows(source) as reader:
         header = next(reader, None)
         if header is None or tuple(h.strip().lower() for h in header) != ALIAS_HEADER:
             raise DataError(
@@ -149,9 +156,6 @@ def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
                     f"alias {name!r} maps to both {aliases[name]!r} and {iso3!r}"
                 )
         return aliases
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_panel(
@@ -167,9 +171,7 @@ def load_panel(
     skip count is returned alongside the panel. Duplicate (country, year)
     rows for the indicator are a hard error.
     """
-    stream, owned = _open_source(source)
-    try:
-        reader = csv.reader(stream)
+    with _csv_rows(source) as reader:
         header = next(reader, None)
         if header is None or tuple(h.strip().lower() for h in header) != PANEL_HEADER:
             raise DataError(
@@ -200,9 +202,6 @@ def load_panel(
             if any(cell.strip() for cell in row):
                 skipped += 1
         return IndicatorPanel(indicator, obs), skipped
-    finally:
-        if owned:
-            stream.close()
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:

@@ -1,9 +1,12 @@
 import gc
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from econrank import (
@@ -43,6 +46,8 @@ class TestParams:
             dict(sigma=-0.5),
             dict(n_jobs=0),
             dict(gamma=-0.1),
+            dict(mu=math.nan),
+            dict(gamma=math.inf),
         ],
     )
     def test_invalid_params_rejected(self, bad):
@@ -58,6 +63,9 @@ class TestParams:
             dict(mu_range=(6.0, 5.0)),
             dict(sigma_range=(0.0, 20.0)),
             dict(gamma=-1.0),
+            dict(n_countries=2.5),
+            dict(gamma=math.nan),
+            dict(n_countries=abm._MAX_COUNTRIES + 1),
         ],
     )
     def test_invalid_config_rejected(self, bad):
@@ -73,6 +81,46 @@ class TestParams:
         with pytest.raises(ParameterError):
             SweepConfig(**base)
 
+    def test_largest_config_accepted(self):
+        config = SweepConfig(n_countries=abm._MAX_COUNTRIES, n_jobs=1, mu_range=[1, 2],
+                             sigma_range=(1, 1), gamma=0, seed=0)
+        assert config.mu_range == (1.0, 2.0) and config.gamma == 0.0
+
+
+# JSON-like values of every kind a config file or a library caller can supply.
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**1100), 2**1100)
+    | st.floats() | st.text(max_size=3)
+)
+_junk = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+_pair = st.lists(st.integers(1, 100) | st.floats(0.1, 100), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_countries=st.integers(1, 10**6) | _junk,
+    n_jobs=st.integers(1, 10**6) | _junk,
+    mu_range=_pair | _pair.map(tuple) | _junk,
+    sigma_range=_pair | _junk,
+    gamma=st.integers(0, 5) | st.floats(0, 5) | _junk,
+    seed=st.integers(0, 2**64) | _junk,
+)
+def test_config_normalised_or_parameter_error(**fields):
+    try:
+        config = SweepConfig(**fields)
+    except ParameterError:
+        return
+    for name in ("n_countries", "n_jobs", "seed"):
+        assert type(getattr(config, name)) is int
+    for name in ("mu_range", "sigma_range"):
+        value = getattr(config, name)
+        assert type(value) is tuple and [type(v) for v in value] == [float, float]
+    assert type(config.gamma) is float
+
 
 class TestSimulateCountry:
     @pytest.mark.parametrize("n_jobs", [1000, 3 * LEAF + 5])
@@ -81,11 +129,11 @@ class TestSimulateCountry:
         assert outcome.e_total == float(n_jobs)
         assert outcome.gdp_total == 10.0 * n_jobs
         assert outcome.gdp_per_capita == 10.0
-        assert outcome.uncorrupt
+        assert outcome.params.sigma == 0
 
     def test_zero_sigma_gci_sentinel(self):
         flagged = simulate_country(params(sigma=0.0, gamma=0.1))
-        assert flagged.uncorrupt
+        assert flagged.params.sigma == 0
         assert math.isinf(flagged.gci_th)
         plain = simulate_country(params(sigma=0.0, gamma=0.0))
         assert plain.gci_th == 1.0
@@ -198,6 +246,31 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """(max_workers, blocks) of each pool the sweep opens; no thread is started."""
+    calls = []
+
+    class Recorder:
+        """Executor stand-in: records the pool size and blocks, runs tasks inline."""
+
+        def __init__(self, max_workers):
+            calls.append((max_workers, []))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            calls[-1][1].extend(iterable)
+            return map(fn, calls[-1][1])
+
+    monkeypatch.setattr(abm, "ThreadPoolExecutor", Recorder)
+    return calls
+
+
 class TestSweep:
     def test_same_seed_identical_ensemble(self):
         assert sweep(small_config()) == sweep(small_config())
@@ -207,28 +280,28 @@ class TestSweep:
         threaded = sweep(small_config(), threads=4)
         assert serial == threaded
 
-    def test_workers_capped_at_country_count(self, monkeypatch):
-        requested = []
-
-        class Recorder:
-            """Executor stand-in: records the pool size, runs tasks inline."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(abm, "ThreadPoolExecutor", Recorder)
+    def test_workers_capped_at_country_count(self, monkeypatch, pool_calls):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         ensemble = sweep(small_config(n_countries=3), threads=100_000)
-        assert requested == [3]
+        assert [workers for workers, _ in pool_calls] == [3]
         assert ensemble == sweep(small_config(n_countries=3))
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (None, 1)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, pool_calls, cpus, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sweep(small_config(n_countries=10, n_jobs=5), threads=5000)
+        assert [w for w, _ in pool_calls] == [workers]
+
+    @pytest.mark.parametrize("n", [1, 7, 10])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_blocks_cover_every_index_once_in_order(self, monkeypatch, pool_calls, k, n):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        ensemble = sweep(small_config(n_countries=n, n_jobs=5), threads=k)
+        ((workers, blocks),) = pool_calls
+        assert workers == len(blocks) == min(k, n)
+        assert [i for block in blocks for i in block] == list(range(n))
+        assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+        assert ensemble == sweep(small_config(n_countries=n, n_jobs=5), threads=1)
 
     def test_single_country_consistent_with_simulate(self):
         (outcome,) = sweep(small_config(n_countries=1))

@@ -320,11 +320,51 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    def test_oversized_sweep_exits_1_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(econrank.abm, "sweep", no_sweep)
+        config = self.write_config(tmp_path, n_countries=econrank.abm._MAX_COUNTRIES + 1)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "n_countries" in err[0]
+        assert not out.exists()
+
     def test_constant_sigma_exits_3(self, tmp_path):
         config = self.write_config(tmp_path, sigma_range=[2.0, 2.0])
         out = tmp_path / "out"
         assert run(["simulate", "--config", config, "--out", out]) == 3
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, content, code",
+    [
+        ("--input", b"country,year,value\nAL\xffB,2000,1.0\n", 2),
+        ("--input", b"country,year,value\n" + b"A" * 200_000 + b",2000,1.0\n", 2),
+        ("--alias", b"source_name,iso3\nCro\xffatia,HRV\n", 2),
+        ("--exclude", b"AL\xffB\n", 2),
+        ("--config", b'{"n_countries": 1\xff}', 1),
+        ("--config", b"[" * 200_000 + b"]" * 200_000, 1),
+    ],
+    ids=["input", "big_field", "alias", "exclude", "config", "nested_config"],
+)
+def test_unreadable_file_exits_with_one_line(flag, content, code, toy_gdp_csv, toy_gci_csv,
+                                             tmp_path, capsys):
+    bad = tmp_path / "bad_file"
+    bad.write_bytes(content)
+    if flag == "--config":
+        argv = ["simulate", "--config", bad]
+    else:
+        files = {"--input": toy_gdp_csv, "--input-y": toy_gci_csv, flag: bad}
+        argv = ["cross-section", "--years", "2008:2011", *(a for kv in files.items() for a in kv)]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and bad.name in err[0]
+    assert not out.exists()
 
 
 class TestAtomicWrite:
