@@ -170,12 +170,15 @@ def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -
 
 
 def gci_theoretical(sigma: float, gamma: float) -> float:
-    """Competitiveness proxy sigma^(-gamma); decreasing in sigma for gamma > 0."""
+    """Competitiveness proxy sigma^(-gamma), decreasing in sigma; DomainError on overflow."""
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if gamma < 0:
         raise ParameterError(f"gamma must be nonnegative, got {gamma}")
-    return sigma ** -gamma
+    try:
+        return sigma ** -gamma
+    except OverflowError:
+        raise DomainError(f"sigma^(-gamma) overflows for sigma={sigma}, gamma={gamma}") from None
 
 
 def _simulate_block(config: SweepConfig, block: range) -> list[CountryOutcome]:

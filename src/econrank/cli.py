@@ -3,9 +3,11 @@
 Subcommands: ``ingest``, ``rank-dynamics``, ``cross-section``, ``simulate``.
 Every command writes its outputs plus a ``manifest.json`` under ``--out`` and
 nowhere else, and removes there the files the previous manifest listed that it
-did not produce again. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical/degenerate error. Reruns with identical inputs, parameters, and
-seed produce byte-identical data files; only the manifest timestamp varies.
+did not produce again; its manifest records the runner's parameters and the
+command's ``_INPUT_FLAGS``. Exit codes: 0 success, 1 usage error, 2 data error,
+3 numerical/degenerate error (``EconRankError.exit_code``). Reruns with
+identical inputs, parameters, and seed produce byte-identical data files; only
+the manifest timestamp varies.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, abm, outputs, panel, rankdyn, xsection
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, EconRankError, ParameterError
+
+# input-file flags recorded in the manifest, in order, where the command has them
+_INPUT_FLAGS = ("input", "input_y", "alias", "alias_y", "exclude", "config")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,8 +43,9 @@ def _parse_years(text: str) -> tuple[int, int]:
         raise ParameterError(f"--years must look like A:B, got {text!r}") from None
 
 
-def _load_aliases(path: str | None) -> dict[str, str] | None:
-    return panel.load_alias_map(path) if path else None
+def _load(path: str, indicator: str, alias: str | None) -> tuple[panel.IndicatorPanel, int]:
+    aliases = panel.load_alias_map(alias) if alias else None
+    return panel.load_panel(path, indicator, aliases=aliases)
 
 
 def _load_exclusions(path: str | None) -> set[str]:
@@ -52,26 +58,19 @@ def _load_exclusions(path: str | None) -> set[str]:
     return {ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")}
 
 
-def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict, dict, int | None]:
-    pnl, skipped = panel.load_panel(
-        args.input, args.indicator, aliases=_load_aliases(args.alias)
-    )
+def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
+    pnl, skipped = _load(args.input, args.indicator, args.alias)
     files = {"panel.csv": panel.serialize_panel(pnl)}
-    inputs = {"input": args.input, "alias": args.alias}
     parameters = {
         "indicator": args.indicator,
         "observations": len(pnl),
         "rows_skipped": skipped,
     }
-    return files, inputs, parameters, None
+    return files, parameters
 
 
-def _run_rank_dynamics(
-    args: argparse.Namespace,
-) -> tuple[dict[str, str], dict, dict, int | None]:
-    pnl, skipped = panel.load_panel(
-        args.input, args.indicator, aliases=_load_aliases(args.alias)
-    )
+def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
+    pnl, skipped = _load(args.input, args.indicator, args.alias)
     all_years = pnl.years()
     if not all_years:
         raise DataError(f"no observations for indicator {args.indicator!r}")
@@ -85,7 +84,6 @@ def _run_rank_dynamics(
         "pdf.csv": outputs.pdf_csv(sample, fit),
         "fit.json": outputs.laplace_fit_json(fit),
     }
-    inputs = {"input": args.input, "alias": args.alias}
     parameters = {
         "indicator": args.indicator,
         "years": list(years),
@@ -96,18 +94,12 @@ def _run_rank_dynamics(
         "rows_skipped": skipped,
         "bins": "unit integer",
     }
-    return files, inputs, parameters, None
+    return files, parameters
 
 
-def _run_cross_section(
-    args: argparse.Namespace,
-) -> tuple[dict[str, str], dict, dict, int | None]:
-    x_panel, x_skipped = panel.load_panel(
-        args.input, args.indicator, aliases=_load_aliases(args.alias)
-    )
-    y_panel, y_skipped = panel.load_panel(
-        args.input_y, args.indicator_y, aliases=_load_aliases(args.alias_y)
-    )
+def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
+    x_panel, x_skipped = _load(args.input, args.indicator, args.alias)
+    y_panel, y_skipped = _load(args.input_y, args.indicator_y, args.alias_y)
     t0, t1 = _parse_years(args.years)
     year = args.year if args.year is not None else t1
     if not (t0 <= year <= t1):
@@ -160,13 +152,6 @@ def _run_cross_section(
             header=("d", "growth"),
         ),
     }
-    inputs = {
-        "input": args.input,
-        "input_y": args.input_y,
-        "alias": args.alias,
-        "alias_y": args.alias_y,
-        "exclude": args.exclude,
-    }
     parameters = {
         "indicator": x_name,
         "indicator_y": y_name,
@@ -179,7 +164,7 @@ def _run_cross_section(
         "rows_skipped": x_skipped + y_skipped,
         "ttest_groups": [ttest.n_a, ttest.n_b],
     }
-    return files, inputs, parameters, None
+    return files, parameters
 
 
 def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
@@ -203,9 +188,7 @@ def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
     return abm.SweepConfig(**raw)
 
 
-def _run_simulate(
-    args: argparse.Namespace,
-) -> tuple[dict[str, str], dict, dict, int | None]:
+def _run_simulate(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     config = _read_sweep_config(args.config, args.seed)
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)
@@ -221,11 +204,7 @@ def _run_simulate(
         "model_fit.json": outputs.power_law_fit_json(fit),
         "fitline.csv": outputs.power_law_fitline_csv(fit, header=("gdp", "gci_th")),
     }
-    inputs = {"config": args.config}
-    parameters = dataclasses.asdict(config)
-    seed = parameters.pop("seed")
-    parameters["threads"] = args.threads
-    return files, inputs, parameters, seed
+    return files, {**dataclasses.asdict(config), "threads": args.threads}
 
 
 def build_parser() -> _Parser:
@@ -241,7 +220,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="country,year,value CSV")
     p.add_argument("--indicator", required=True, help="indicator name for the rows")
     p.add_argument("--alias", help="source_name,iso3 CSV renaming countries")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(runner=_run_ingest)
 
     p = sub.add_parser("rank-dynamics", help="windowed rank changes and MLE decay fit")
@@ -255,7 +233,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="advance start years by the window length instead of 1",
     )
-    p.add_argument("--out", required=True)
     p.set_defaults(runner=_run_rank_dynamics)
 
     p = sub.add_parser(
@@ -272,7 +249,6 @@ def build_parser() -> _Parser:
     p.add_argument("--year", type=int, help="fit year (default: end of growth window)")
     p.add_argument("--exclude", help="file of country codes excluded from the fit")
     p.add_argument("--growth", choices=("log", "relative"), default="log")
-    p.add_argument("--out", required=True)
     p.set_defaults(runner=_run_cross_section)
 
     p = sub.add_parser("simulate", help="run the corruption-model ensemble sweep")
@@ -284,8 +260,9 @@ def build_parser() -> _Parser:
         default=os.cpu_count() or 1,
         help="worker threads for the sweep (default: machine parallelism)",
     )
-    p.add_argument("--out", required=True)
     p.set_defaults(runner=_run_simulate)
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -296,30 +273,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        files, inputs, parameters, seed = args.runner(args)
-        produced = sorted(files) + ["manifest.json"]
+        files, parameters = args.runner(args)
+        seed = parameters.pop("seed", None)  # only simulate has one
         manifest = outputs.build_manifest(
             command=args.command,
             version=__version__,
-            inputs=inputs,
+            inputs={flag: getattr(args, flag) for flag in _INPUT_FLAGS if hasattr(args, flag)},
             parameters=parameters,
             seed=seed,
-            produced=produced,
+            produced=[*files, "manifest.json"],
         )
         files["manifest.json"] = outputs.render_json(manifest)
         outputs.write_output_files(args.out, files)
-    except ParameterError as exc:
+    except EconRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,26 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these classes onto exit codes: ParameterError -> 1,
-DataError -> 2, NumericalError -> 3.
+Each family carries the CLI exit code of all its subclasses in ``exit_code``:
+ParameterError 1, DataError 2, NumericalError 3.
 """
 
 
 class EconRankError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; raise one of its families."""
+
+    exit_code: int
 
 
 class ParameterError(EconRankError):
     """An argument, option, or configuration value is invalid."""
 
+    exit_code = 1
+
 
 class DataError(EconRankError):
     """Input data violates a structural requirement."""
+
+    exit_code = 2
 
 
 class DuplicateObservationError(DataError):
@@ -35,6 +41,8 @@ class AlignmentError(DataError):
 
 class NumericalError(EconRankError):
     """A computation is mathematically undefined for the given inputs."""
+
+    exit_code = 3
 
 
 class DomainError(NumericalError):

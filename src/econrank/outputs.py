@@ -17,6 +17,7 @@ so ``--out`` holds no stale outputs of an earlier command.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime as _dt
 import json
 import math
@@ -29,6 +30,8 @@ import numpy as np
 from .errors import ParameterError
 from .rankdyn import LaplaceFit, RankChangeSample, empirical_pdf, laplace_density
 from .xsection import LinearFit, PowerLawFit, TTestResult
+
+_FITLINE_POINTS = 100  # rows of every fit-line CSV
 
 
 def fmt12(value: Any) -> str:
@@ -69,14 +72,7 @@ def render_json(payload: dict[str, Any]) -> str:
 
 
 def laplace_fit_json(fit: LaplaceFit) -> str:
-    return render_json(
-        {
-            "decay": fit.decay,
-            "n": fit.n,
-            "mean_abs": fit.mean_abs,
-            "log_likelihood": fit.log_likelihood,
-        }
-    )
+    return render_json(dataclasses.asdict(fit))
 
 
 def power_law_fit_json(fit: PowerLawFit) -> str:
@@ -93,16 +89,7 @@ def power_law_fit_json(fit: PowerLawFit) -> str:
 
 
 def ttest_json(result: TTestResult) -> str:
-    return render_json(
-        {
-            "t": result.t,
-            "df": result.df,
-            "mean_a": result.mean_a,
-            "mean_b": result.mean_b,
-            "n_a": result.n_a,
-            "n_b": result.n_b,
-        }
-    )
+    return render_json(dataclasses.asdict(result))
 
 
 def deltas_csv(sample: RankChangeSample) -> str:
@@ -129,29 +116,22 @@ def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
     return render_csv(("bin", "density", "model_density"), rows)
 
 
-def power_law_fitline_csv(
-    fit: PowerLawFit, n_points: int = 100, header: Sequence[str] = ("x", "y")
-) -> str:
-    """Fitted curve sampled at ``n_points`` log-spaced x values."""
+def power_law_fitline_csv(fit: PowerLawFit, header: Sequence[str]) -> str:
+    """The fitted curve at ``_FITLINE_POINTS`` log-spaced x values over the fit sample."""
     if not fit.sample:
         raise ParameterError("fit sample is empty; nothing to plot")
     ln_lo = min(p.ln_x for p in fit.sample)
     ln_hi = max(p.ln_x for p in fit.sample)
-    ln_grid = np.linspace(ln_lo, ln_hi, n_points)
+    ln_grid = np.linspace(ln_lo, ln_hi, _FITLINE_POINTS)
     rows = [(math.exp(v), math.exp(fit.predict_ln(v))) for v in ln_grid]
     return render_csv(header, rows)
 
 
-def linear_fitline_csv(
-    fit: LinearFit,
-    x_min: float,
-    x_max: float,
-    n_points: int = 100,
-    header: Sequence[str] = ("x", "y"),
-) -> str:
+def linear_fitline_csv(fit: LinearFit, x_min: float, x_max: float, header: Sequence[str]) -> str:
+    """The fitted line at ``_FITLINE_POINTS`` evenly spaced x from ``x_min`` to ``x_max``."""
     if not (x_min <= x_max):
         raise ParameterError(f"empty fit-line range {x_min}..{x_max}")
-    grid = np.linspace(x_min, x_max, n_points)
+    grid = np.linspace(x_min, x_max, _FITLINE_POINTS)
     return render_csv(header, [(x, fit.predict(x)) for x in grid])
 
 
@@ -179,7 +159,7 @@ def build_manifest(
     }
 
 
-def write_output_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+def write_output_files(out_dir: str | Path, files: dict[str, str]) -> None:
     """Write pre-rendered file contents under ``out_dir`` (created if absent).
 
     A failed write removes the temporaries, and ``out_dir`` if this call
@@ -198,9 +178,8 @@ def write_output_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]
             tmp = out / f".{name}.{os.getpid()}.tmp"
             staged.append(tmp)
             tmp.write_text(files[name], encoding="utf-8")
-        written = [out / name for name in names]
-        for tmp, path in zip(staged, written):
-            os.replace(tmp, path)
+        for tmp, name in zip(staged, names):
+            os.replace(tmp, out / name)
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
@@ -212,7 +191,6 @@ def write_output_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]
     for name in os.listdir(out):
         if name in previous and name not in files and (out / name).is_file():
             (out / name).unlink()
-    return written
 
 
 def _listed_outputs(out: Path) -> list[Any]:

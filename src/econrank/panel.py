@@ -230,9 +230,9 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
         raise ParameterError(f"empty year range {start}:{end}")
     span = range(start, end + 1)
     obs = panel.observations
-    # keys are unique, so a country is complete when it has len(span) years in span
+    # keys are unique: complete means end - start + 1 years in span (len(span) can overflow)
     counts = Counter([c for c, y in obs if y in span])
-    complete = sorted(c for c, n in counts.items() if n == len(span))
+    complete = sorted(c for c, n in counts.items() if n == end - start + 1)
     if not complete:
         raise EmptyPanelError(
             f"no country has complete {panel.indicator} coverage for {start}-{end}"

@@ -228,6 +228,10 @@ class TestGciTheoretical:
         with pytest.raises(DomainError):
             gci_theoretical(-2.0, 0.1)
 
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflow"):
+            gci_theoretical(1e-300, 2.0)
+
     def test_strictly_decreasing_for_positive_gamma(self):
         values = [gci_theoretical(s, 0.3) for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(values, values[1:]))

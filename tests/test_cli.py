@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import econrank
+from econrank import cli, errors
 from econrank.cli import main
 
 
@@ -139,6 +140,28 @@ class TestRankDynamics:
     def test_bad_years_argument_exits_1(self, toy_gdp_csv, tmp_path, capsys):
         assert run(["rank-dynamics", "--input", toy_gdp_csv, "--indicator", "gdp",
                     "--years", "2000-2006", "--out", tmp_path / "out"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, route",
+    [("rank-dynamics", "data"), ("rank-dynamics", "years"), ("cross-section", "years")],
+)
+def test_over_wide_year_span_exits_2(command, route, toy_gdp_csv, toy_gci_csv, tmp_path, capsys):
+    huge = 10**20
+    if route == "data":
+        wide = tmp_path / "wide.csv"
+        wide.write_text(f"country,year,value\nALB,2000,1.0\nALB,{huge},2.0\n")
+        argv = [command, "--input", wide, "--indicator", "gdp"]
+    elif command == "rank-dynamics":
+        argv = [command, "--input", toy_gdp_csv, "--indicator", "gdp", f"--years=-{huge}:{huge}"]
+    else:
+        argv = [command, "--input", toy_gdp_csv, "--input-y", toy_gci_csv,
+                f"--years=-{huge}:{huge}", "--year", 2009]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "coverage" in err[0]
+    assert not out.exists()
 
 
 # SHA-256 of every data file of the toy-panel runs below. These commands do
@@ -338,6 +361,14 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out", out]) == 3
         assert not out.exists()
 
+    def test_overflowing_proxy_exits_3(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, sigma_range=[1e-300, 1e-300], gamma=2)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", out]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "overflow" in err[0]
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "flag, content, code",
@@ -535,6 +566,73 @@ class TestManifest:
         manifest = read_json(out / "manifest.json")
         on_disk = sorted(p.name for p in out.iterdir())
         assert manifest["produced_files"] == on_disk
+
+    @pytest.mark.parametrize("command", ["ingest", "rank-dynamics", "cross-section", "simulate"])
+    def test_inputs_parameters_and_seed(self, command, toy_gdp_csv, toy_gci_csv, fig7_config,
+                                        tmp_path):
+        aliases = tmp_path / "aliases.csv"
+        aliases.write_text("source_name,iso3\nAlbania,ALB\n")
+        exclude = tmp_path / "exclude.txt"
+        exclude.write_text("BRA\n")
+        gdp, gci = str(toy_gdp_csv), str(toy_gci_csv)
+        argv, inputs, parameters, seed = {
+            "ingest": (
+                ["--input", gdp, "--indicator", "gdp"],
+                {"input": gdp, "alias": None},
+                ["indicator", "observations", "rows_skipped"],
+                None,
+            ),
+            "rank-dynamics": (
+                ["--input", gdp, "--indicator", "gdp", "--alias", aliases],
+                {"input": gdp, "alias": str(aliases)},
+                ["indicator", "years", "window", "overlapping", "n_countries", "n_windows",
+                 "rows_skipped", "bins"],
+                None,
+            ),
+            "cross-section": (
+                ["--input", gdp, "--input-y", gci, "--alias-y", aliases, "--exclude", exclude],
+                {"input": gdp, "input_y": gci, "alias": None, "alias_y": str(aliases),
+                 "exclude": str(exclude)},
+                ["indicator", "indicator_y", "year", "years", "growth", "n_countries",
+                 "n_fitted", "excluded", "rows_skipped", "ttest_groups"],
+                None,
+            ),
+            "simulate": (
+                ["--config", fig7_config, "--threads", 1],
+                {"config": str(fig7_config)},
+                ["n_countries", "n_jobs", "mu_range", "sigma_range", "gamma", "threads"],
+                1980,
+            ),
+        }[command]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--out", out]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert list(manifest) == ["command", "tool", "version", "generated_at", "inputs",
+                                  "parameters", "seed", "produced_files"]
+        assert list(manifest["inputs"].items()) == list(inputs.items())
+        assert list(manifest["parameters"]) == parameters
+        assert manifest["seed"] == seed
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.DuplicateObservationError, 2),
+        (errors.MissingObservationError, 2),
+        (errors.DomainError, 3),
+        (errors.SingularDesignError, 3),
+        (errors.ParameterError, 1),
+    ],
+)
+def test_error_family_sets_exit_code(error, code, toy_gdp_csv, tmp_path, capsys, monkeypatch):
+    def failing_runner(args):
+        raise error("stub failure")
+
+    monkeypatch.setattr(cli, "_run_ingest", failing_runner)
+    out = tmp_path / "out"
+    assert run(["ingest", "--input", toy_gdp_csv, "--indicator", "gdp", "--out", out]) == code
+    assert capsys.readouterr().err.splitlines() == ["error: stub failure"]
+    assert not out.exists()
 
 
 class TestUsage:
