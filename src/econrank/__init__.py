@@ -16,6 +16,7 @@ The :mod:`econrank.cli` module exposes them as the ``econrank`` command.
 from .abm import (
     AbmParams,
     CountryOutcome,
+    Ensemble,
     SweepConfig,
     fit_model_regression,
     gci_theoretical,
@@ -59,6 +60,7 @@ __all__ = [
     "AbmParams",
     "BalancedPanel",
     "CountryOutcome",
+    "Ensemble",
     "IndicatorPanel",
     "LaplaceFit",
     "LinearFit",

@@ -12,12 +12,16 @@ on the mismatches. A country's one random stream, the mismatch draws, is child
 fixed seed exactly doubles GDP. Sweep sub-seeds are derived per country index,
 making ensembles independent of execution order and thread count.
 
-``sweep`` splits the country indices into one contiguous block per worker
-thread, so it holds one task per worker rather than one per country. Every
-country draws the same ``n_jobs`` mismatches and so costs the same, which makes
-equal blocks keep the workers equally busy.
+``sweep`` returns an :class:`Ensemble` of float64 columns. It splits the
+country indices into one contiguous block per worker thread, which fills its
+rows of the mu, sigma and E columns with one reused mismatch buffer. Every
+country draws the same ``n_jobs`` mismatches and so costs the same, which
+makes equal blocks keep the workers equally busy. A block seeds its streams
+``_ROWS`` countries at a time: ``_seeds`` runs numpy's SeedSequence hash
+on all of them at once, giving the same PCG64 streams as a SeedSequence per
+stream at a tenth of the cost.
 
-``simulate_country`` reuses one buffer of at most ``_LEAF`` mismatches, so memory
+The kernel fills a buffer of at most ``_LEAF`` mismatches at a time, so memory
 is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
 and all outputs equal those of ``np.exp(-np.abs(normal)).sum()`` bit for bit.
 """
@@ -36,8 +40,8 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .xsection import PowerLawFit, fit_power_law
 
-# simulate holds every outcome (~0.45 KB) and renders ensemble.csv as one string,
-# peaking near 1.1 KB per country: about 1 GB at this bound.
+# simulate holds the columns (48 B per country) and the fit's sample and renders
+# ensemble.csv as one string, peaking near 0.65 KB per country: 0.65 GB at this bound.
 _MAX_COUNTRIES = 1_000_000
 
 
@@ -106,6 +110,18 @@ class CountryOutcome:
     params: AbmParams
 
 
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """A sweep's outcomes: equal-length float64 arrays, row i for country index i."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    e_total: np.ndarray
+    gdp_total: np.ndarray
+    gdp_per_capita: np.ndarray
+    gci_th: np.ndarray
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Ensemble configuration; the simulate command's JSON config has these fields."""
@@ -127,6 +143,7 @@ class SweepConfig:
 
 
 _LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
+_ROWS = 1 << 10  # countries seeded per hashing pass of a sweep block
 
 
 def simulate_country(params: AbmParams) -> CountryOutcome:
@@ -181,22 +198,37 @@ def gci_theoretical(sigma: float, gamma: float) -> float:
         raise DomainError(f"sigma^(-gamma) overflows for sigma={sigma}, gamma={gamma}") from None
 
 
-def _simulate_block(config: SweepConfig, block: range) -> list[CountryOutcome]:
-    """Countries ``block`` of a sweep, each derived independently of all others."""
-    outcomes = []
-    for index in block:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
-        mu = float(rng.uniform(*config.mu_range))
-        sigma = float(rng.uniform(*config.sigma_range))
-        seed = int(rng.integers(0, 2**63))
-        outcomes.append(simulate_country(
-            AbmParams(mu=mu, sigma=sigma, n_jobs=config.n_jobs, gamma=config.gamma, seed=seed)
-        ))
-    return outcomes
+def _simulate_block(config: SweepConfig, mu: np.ndarray, sigma: np.ndarray,
+                    e_total: np.ndarray, block: range) -> None:
+    """Fill rows ``block``, each country derived independently of all others.
+
+    Country ``index`` draws mu, sigma and its mismatch seed from child
+    ``index`` of the config seed, within ranges ``SweepConfig`` checked, and
+    its mismatches from child 1 of that seed, as ``simulate_country`` does.
+    """
+    # numpy loads numpy.random on first use; importing it with econrank would
+    # slow every command, not only simulate
+    from ._seeds import hashed_stream, seed_states
+
+    buf = np.empty(min(config.n_jobs, _LEAF))
+    seed = config.seed  # as 32-bit words, zero-padded to 4, then the index
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 128), 32)]
+    for start in range(block.start, block.stop, _ROWS):
+        rows = range(start, min(start + _ROWS, block.stop))
+        draws = []
+        for index, state in zip(rows, seed_states([*seed_words, np.array(rows)], len(rows))):
+            rng = hashed_stream(state)
+            mu[index] = rng.uniform(*config.mu_range)
+            sigma[index] = rng.uniform(*config.sigma_range)
+            draws.append(rng.integers(0, 2**63))
+        seeds = np.array(draws, dtype=np.uint64)
+        words = [seeds & 0xFFFFFFFF, seeds >> 32, 0, 0, 1]  # 2 words, padded, then key 1
+        for index, state in zip(rows, seed_states(words, len(rows))):
+            e_total[index] = _capacity(hashed_stream(state), sigma[index], buf, config.n_jobs)
 
 
-def sweep(config: SweepConfig, threads: int = 1) -> list[CountryOutcome]:
-    """Simulate the whole ensemble; results are in country-index order.
+def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
+    """Simulate the whole ensemble; rows are in country-index order.
 
     Runs at most ``threads`` workers, and no more than there are countries or
     CPUs. Identical configs produce identical ensembles regardless of ``threads``.
@@ -206,18 +238,16 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[CountryOutcome]:
     n = config.n_countries
     k = min(threads, n, os.cpu_count() or 1)
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
+    mu, sigma, e_total = np.empty(n), np.empty(n), np.empty(n)
     with ThreadPoolExecutor(max_workers=k) as pool:
-        return [o for block in pool.map(partial(_simulate_block, config), blocks) for o in block]
+        list(pool.map(partial(_simulate_block, config, mu, sigma, e_total), blocks))
+    # libm's scalar pow per country, as simulate_country has it, and DomainError on overflow
+    gci_th = np.fromiter((gci_theoretical(s, config.gamma) for s in sigma.tolist()), float, n)
+    with np.errstate(over="ignore"):  # fit_power_law rejects the infinite outputs
+        gdp_total = mu * e_total
+    return Ensemble(mu, sigma, e_total, gdp_total, gdp_total / config.n_jobs, gci_th)
 
 
-def fit_model_regression(ensemble: list[CountryOutcome]) -> PowerLawFit:
+def fit_model_regression(ensemble: Ensemble) -> PowerLawFit:
     """Power-law fit of the competitiveness proxy against per-capita output."""
-    if not ensemble:
-        raise ParameterError("ensemble is empty")
-    for i, outcome in enumerate(ensemble):
-        if not math.isfinite(outcome.gci_th):
-            raise DomainError(
-                f"country {i} has non-finite gci_th; exclude uncorrupt outcomes first"
-            )
-    points = [(o.gdp_per_capita, o.gci_th) for o in ensemble]
-    return fit_power_law(points)
+    return fit_power_law(zip(ensemble.gdp_per_capita.tolist(), ensemble.gci_th.tolist()))

@@ -193,14 +193,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)
     files = {
-        "ensemble.csv": outputs.render_csv(
-            ("country_index", "mu", "sigma", "E", "GDP", "gdp", "gci_th"),
-            [
-                (i, o.params.mu, o.params.sigma, o.e_total, o.gdp_total,
-                 o.gdp_per_capita, o.gci_th)
-                for i, o in enumerate(ensemble)
-            ],
-        ),
+        "ensemble.csv": outputs.ensemble_csv(ensemble),
         "model_fit.json": outputs.power_law_fit_json(fit),
         "fitline.csv": outputs.power_law_fitline_csv(fit, header=("gdp", "gci_th")),
     }

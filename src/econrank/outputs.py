@@ -27,6 +27,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .abm import Ensemble
 from .errors import ParameterError
 from .rankdyn import LaplaceFit, RankChangeSample, empirical_pdf, laplace_density
 from .xsection import LinearFit, PowerLawFit, TTestResult
@@ -104,6 +105,18 @@ def deltas_csv(sample: RankChangeSample) -> str:
         years = f",{t0},{t1},"
         window = deltas[k * n : (k + 1) * n]
         lines += [f"{c}{years}{d}\n" for c, d in zip(countries, window)]
+    return "".join(lines)
+
+
+def ensemble_csv(ensemble: Ensemble) -> str:
+    """``render_csv`` of the ensemble's columns in field order, one f-string per row.
+
+    ``.12g`` formats a float as ``fmt12`` does.
+    """
+    columns = (getattr(ensemble, f.name).tolist() for f in dataclasses.fields(ensemble))
+    lines = ["country_index,mu,sigma,E,GDP,gdp,gci_th\n"]
+    lines += [f"{i},{m:.12g},{s:.12g},{e:.12g},{g:.12g},{pc:.12g},{c:.12g}\n"
+              for i, (m, s, e, g, pc, c) in enumerate(zip(*columns))]
     return "".join(lines)
 
 

@@ -89,8 +89,8 @@ def fit_power_law(
 ) -> PowerLawFit:
     """Fit y = C * x^alpha by OLS in log-log space.
 
-    Both coordinates must be strictly positive, and both must vary: a
-    constant x or constant y leaves the slope or the correlation undefined.
+    Both coordinates must be finite and strictly positive, and both must vary:
+    a constant x or constant y leaves the slope or the correlation undefined.
     Any exclusions are applied by the caller before fitting.
     """
     pts = list(points)
@@ -105,9 +105,10 @@ def fit_power_law(
         if len(set(labels)) != len(labels):
             raise ParameterError("labels must be unique")
     for label, (x, y) in zip(labels, pts):
-        if x <= 0 or y <= 0:
+        if not (0 < x < math.inf and 0 < y < math.inf):  # also false for nan
             raise DomainError(
-                f"power-law fit needs positive coordinates, got ({x!r}, {y!r}) at {label!r}"
+                f"power-law fit needs finite positive coordinates, got ({x!r}, {y!r}) "
+                f"at {label!r}"
             )
     lx = np.log(np.array([p[0] for p in pts], dtype=float))
     ly = np.log(np.array([p[1] for p in pts], dtype=float))

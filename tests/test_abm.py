@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,13 +13,14 @@ from scipy.stats import norm
 
 from econrank import (
     AbmParams,
+    Ensemble,
     SweepConfig,
     fit_model_regression,
     gci_theoretical,
     simulate_country,
     sweep,
 )
-from econrank import abm
+from econrank import _seeds, abm
 from econrank.abm import _LEAF as LEAF
 from econrank.errors import DomainError, ParameterError, SingularDesignError
 from workforce_reference import draw_workforce
@@ -212,6 +215,20 @@ class TestWorkforce:
         assert skills.min() < 0  # negative skills allowed
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64) | st.integers(0, 2**300),
+       keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_seed_states_match_seed_sequence(seed, keys):
+    words = []
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
+    words += [0] * (4 - len(words))  # SeedSequence pads the entropy of a spawned child
+    states = _seeds.seed_states([*words, np.array(keys)], len(keys))
+    expected = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                for k in keys]
+    assert np.array_equal(states, expected)
+
+
 class TestGciTheoretical:
     def test_unit_base(self):
         assert gci_theoretical(1.0, 0.7) == 1.0
@@ -250,6 +267,36 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+def same_columns(a: Ensemble, b: Ensemble) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(Ensemble))
+
+
+def head(ensemble: Ensemble, n: int) -> Ensemble:
+    return Ensemble(*(getattr(ensemble, f.name)[:n] for f in dataclasses.fields(Ensemble)))
+
+
+def ensemble_of(outcomes) -> Ensemble:
+    """The columns of ``simulate_country`` outcomes."""
+    return Ensemble(
+        *(np.array([getattr(o.params, name) for o in outcomes]) for name in ("mu", "sigma")),
+        *(np.array([getattr(o, name) for o in outcomes])
+          for name in ("e_total", "gdp_total", "gdp_per_capita", "gci_th")),
+    )
+
+
+def country_params(config: SweepConfig, index: int) -> AbmParams:
+    """Country ``index``'s parameters, drawn from child ``index`` of the config seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
+    return AbmParams(
+        mu=rng.uniform(*config.mu_range),
+        sigma=rng.uniform(*config.sigma_range),
+        n_jobs=config.n_jobs,
+        gamma=config.gamma,
+        seed=int(rng.integers(0, 2**63)),
+    )
+
+
 @pytest.fixture
 def pool_calls(monkeypatch):
     """(max_workers, blocks) of each pool the sweep opens; no thread is started."""
@@ -277,18 +324,30 @@ def pool_calls(monkeypatch):
 
 class TestSweep:
     def test_same_seed_identical_ensemble(self):
-        assert sweep(small_config()) == sweep(small_config())
+        assert same_columns(sweep(small_config()), sweep(small_config()))
 
     def test_thread_count_does_not_change_results(self):
         serial = sweep(small_config(), threads=1)
         threaded = sweep(small_config(), threads=4)
-        assert serial == threaded
+        assert same_columns(serial, threaded)
+
+    def test_more_workers_than_cores_fill_every_row(self, monkeypatch):
+        # Workers share the columns; each must write only its own rows.
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        config = small_config(n_countries=64, n_jobs=20)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sweep(config, threads=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_columns(threaded, sweep(config, threads=1))
 
     def test_workers_capped_at_country_count(self, monkeypatch, pool_calls):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         ensemble = sweep(small_config(n_countries=3), threads=100_000)
         assert [workers for workers, _ in pool_calls] == [3]
-        assert ensemble == sweep(small_config(n_countries=3))
+        assert same_columns(ensemble, sweep(small_config(n_countries=3)))
 
     @pytest.mark.parametrize("cpus, workers", [(4, 4), (None, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, pool_calls, cpus, workers):
@@ -305,21 +364,44 @@ class TestSweep:
         assert workers == len(blocks) == min(k, n)
         assert [i for block in blocks for i in block] == list(range(n))
         assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
-        assert ensemble == sweep(small_config(n_countries=n, n_jobs=5), threads=1)
+        assert same_columns(ensemble, sweep(small_config(n_countries=n, n_jobs=5), threads=1))
 
     def test_single_country_consistent_with_simulate(self):
-        (outcome,) = sweep(small_config(n_countries=1))
-        assert outcome == simulate_country(outcome.params)
+        config = small_config(n_countries=1)
+        outcome = simulate_country(country_params(config, 0))
+        assert same_columns(sweep(config), ensemble_of([outcome]))
+
+    # Seeds of 1 to 5 words (32 bits each) and blocks seeded in several passes.
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**127 + 1, 2**130 + 7])
+    @pytest.mark.parametrize("rows", [2, abm._ROWS])
+    def test_every_country_consistent_with_simulate(self, monkeypatch, seed, rows):
+        monkeypatch.setattr(abm, "_ROWS", rows)
+        config = small_config(n_countries=7, n_jobs=50, seed=seed)
+        outcomes = [simulate_country(country_params(config, i)) for i in range(7)]
+        assert same_columns(sweep(config, threads=2), ensemble_of(outcomes))
 
     def test_params_drawn_from_ranges(self):
-        for outcome in sweep(small_config(n_countries=100, n_jobs=10)):
-            assert 5.0 <= outcome.params.mu <= 20.0
-            assert 0.5 <= outcome.params.sigma <= 20.0
+        ensemble = sweep(small_config(n_countries=100, n_jobs=10))
+        assert np.all((5.0 <= ensemble.mu) & (ensemble.mu <= 20.0))
+        assert np.all((0.5 <= ensemble.sigma) & (ensemble.sigma <= 20.0))
+
+    def test_memory_per_country_bounded(self):
+        # The columns take 48 B per country; a per-country object is hundreds.
+        n = 20_000
+        gc.disable()
+        tracemalloc.start()
+        try:
+            sweep(small_config(n_countries=n, n_jobs=1), threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak / n < 200
 
     def test_order_independent_sub_seeds(self):
         wide = sweep(small_config(n_countries=30))
         narrow = sweep(small_config(n_countries=10))
-        assert wide[:10] == narrow  # prefix unchanged by ensemble size
+        assert same_columns(head(wide, 10), narrow)  # prefix unchanged by ensemble size
 
 
 class TestModelRegression:
@@ -335,9 +417,7 @@ class TestModelRegression:
         from scipy.stats import spearmanr
 
         ensemble = sweep(small_config(n_countries=400, n_jobs=2000))
-        rho = spearmanr(
-            [o.gci_th for o in ensemble], [o.gdp_per_capita for o in ensemble]
-        ).statistic
+        rho = spearmanr(ensemble.gci_th, ensemble.gdp_per_capita).statistic
         assert rho > 0.75
 
     def test_gamma_scaling_scales_slope(self):
@@ -353,8 +433,8 @@ class TestModelRegression:
     def test_non_finite_gci_rejected(self):
         outcome = simulate_country(params(sigma=0.0, gamma=0.5))
         with pytest.raises(DomainError):
-            fit_model_regression([outcome])
+            fit_model_regression(ensemble_of([outcome]))
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ParameterError):
-            fit_model_regression([])
+            fit_model_regression(ensemble_of([]))

@@ -287,9 +287,7 @@ def test_c08_fig7_reproduction(fig7_config):
     start = time.perf_counter()
     er.sweep(config, threads=8)
     threaded_s = time.perf_counter() - start
-    gdp = np.array([o.gdp_per_capita for o in ensemble])
-    mu = np.array([o.params.mu for o in ensemble])
-    gci = [o.gci_th for o in ensemble]
+    gdp, mu, gci = ensemble.gdp_per_capita, ensemble.mu, ensemble.gci_th
     rho = float(scipy.stats.spearmanr(gci, gdp).statistic)
     rho_sigma = float(scipy.stats.spearmanr(gci, gdp / mu).statistic)
     oracle, oracle_sd = _fig7_spearman_oracle(

@@ -369,6 +369,54 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error:") and "overflow" in err[0]
         assert not out.exists()
 
+    def test_overflowing_output_exits_3(self, tmp_path, capsys):
+        # mu * E overflows to inf; a numpy warning would fail this test
+        config = self.write_config(tmp_path, n_countries=20, n_jobs=100,
+                                   mu_range=[1e308, 1.7e308], seed=3)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", out]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not out.exists()
+
+
+# SHA-256 of the simulate data files for the standard sweep and for a sweep
+# whose n_jobs exceeds two kernel leaves, so E is summed over several chunks.
+# The normal draws are platform-independent; np.exp and the fit's dot products
+# may round differently with another numpy build or CPU (these are numpy 2.4
+# on x86-64).
+SIMULATE_GOLDEN = {
+    ("fig7", "ensemble.csv"):
+        "5f1b165c15f48c1464320b925d6f63685d2133d09d82f48bb41fa0d900e49243",
+    ("fig7", "model_fit.json"):
+        "a7ea2d3f187392350a68a3ffa8da31af038dadc198af67a0895828761f838602",
+    ("fig7", "fitline.csv"):
+        "0d63051705dbe5e1a15436aa5cbc91569bafa8e7b51f66b8bd2e362122ac0d80",
+    ("multi_leaf", "ensemble.csv"):
+        "632fd96fe62479c6090144401a0c7b3ad2f8f7d1f9528f64c715502324399cb3",
+    ("multi_leaf", "model_fit.json"):
+        "b83fd3e7a37625901bd67a144c976b485a298b9067554752a8ef48f675cb3aaa",
+    ("multi_leaf", "fitline.csv"):
+        "090f2318c6e1812f069f534d05fcd41f13ec68bb3ac126ad562419118d8bc474",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_outputs_match_golden_bytes(threads, fig7_config, tmp_path):
+    multi_leaf = tmp_path / "multi_leaf.json"
+    multi_leaf.write_text(json.dumps(dict(
+        n_countries=5, n_jobs=200_003, mu_range=[5.0, 20.0], sigma_range=[0.5, 20.0],
+        gamma=0.1, seed=2012)))
+    assert econrank.abm._LEAF * 2 < 200_003
+    for name, config in (("fig7", fig7_config), ("multi_leaf", multi_leaf)):
+        assert run(["simulate", "--config", config, "--threads", threads,
+                    "--out", tmp_path / name]) == 0
+    digests = {
+        (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+        for name, file in SIMULATE_GOLDEN
+    }
+    assert digests == SIMULATE_GOLDEN
+
 
 @pytest.mark.parametrize(
     "flag, content, code",

@@ -58,6 +58,12 @@ class TestFitPowerLaw:
         fit = fit_power_law(list(zip(x, y)))
         assert abs(fit.alpha - 0.1) < 3 * fit.stderr_alpha
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_coordinate_is_domain_error(self, bad):
+        for point in ((bad, 2.0), (2.0, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                fit_power_law([(1.0, 1.0), point, (3.0, 5.0), (4.0, 2.0)])
+
     def test_nonpositive_coordinate_is_domain_error(self):
         with pytest.raises(DomainError):
             fit_power_law([(1.0, 2.0), (0.0, 3.0), (2.0, 4.0)])
