@@ -131,11 +131,8 @@ def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
 
 def power_law_fitline_csv(fit: PowerLawFit, header: Sequence[str]) -> str:
     """The fitted curve at ``_FITLINE_POINTS`` log-spaced x values over the fit sample."""
-    if not fit.sample:
-        raise ParameterError("fit sample is empty; nothing to plot")
-    ln_lo = min(p.ln_x for p in fit.sample)
-    ln_hi = max(p.ln_x for p in fit.sample)
-    ln_grid = np.linspace(ln_lo, ln_hi, _FITLINE_POINTS)
+    ln_x = fit.sample[:, 0]
+    ln_grid = np.linspace(ln_x.min(), ln_x.max(), _FITLINE_POINTS)
     rows = [(math.exp(v), math.exp(fit.predict_ln(v))) for v in ln_grid]
     return render_csv(header, rows)
 

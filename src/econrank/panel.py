@@ -251,7 +251,8 @@ def growth_rate(
     """Growth of a country's value from ``t0`` to ``t1``.
 
     ``method='log'`` returns ln(v1/v0); ``method='relative'`` returns
-    (v1 - v0)/v0. Values must be strictly positive.
+    (v1 - v0)/v0. Values must be strictly positive, and v1/v0 must neither
+    overflow nor, for log growth, underflow to 0.
     """
     if t0 >= t1:
         raise ParameterError(f"growth window must satisfy t0 < t1, got {t0}:{t1}")
@@ -263,7 +264,8 @@ def growth_rate(
         raise DomainError(
             f"growth of {country} needs positive values, got {v0!r} -> {v1!r}"
         )
-    if method == "log":
-        return math.log(v1 / v0)
-    return (v1 - v0) / v0
+    growth = math.log(v1 / v0 or math.nan) if method == "log" else (v1 - v0) / v0
+    if not math.isfinite(growth):  # v1/v0 overflowed, or underflowed to 0 under the log
+        raise DomainError(f"growth of {country} needs v1/v0 in float range, got {v0!r} -> {v1!r}")
+    return growth
 

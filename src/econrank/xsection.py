@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,14 +23,7 @@ from .errors import (
 )
 
 
-class SamplePoint(NamedTuple):
-    label: str
-    ln_x: float
-    ln_y: float
-    residual: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerLawFit:
     """OLS fit of ln y = ln_intercept + alpha * ln x."""
 
@@ -39,7 +32,8 @@ class PowerLawFit:
     stderr_alpha: float
     correlation: float
     t_value_alpha: float
-    sample: tuple[SamplePoint, ...]
+    sample: np.ndarray  # read-only (n, 3) float64; per point: ln x, ln y, residual
+    labels: tuple[str, ...] | None  # one per sample row; None when fitted without labels
 
     def predict_ln(self, ln_x: float) -> float:
         return self.ln_intercept + self.alpha * ln_x
@@ -65,65 +59,67 @@ class LinearFit:
         return self.intercept + self.slope * x
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """Slope, intercept, stderr of slope, residuals for y on x with intercept."""
+def _columns(points: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The points as a C-contiguous (2, n) float array: x in row 0, y in row 1."""
+    return np.asarray(points, dtype=float).reshape(len(points), 2).T.copy()
+
+
+def _ols(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """OLS of y on x with intercept: slope, intercept, slope stderr, residuals, centred x, y."""
     n = x.size
     if n < 3:
         raise ParameterError(f"need at least 3 points, got {n}")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
-    if sxx == 0.0:
+    if sxx == 0.0 or x.min() == x.max():  # a rounded mean leaves a constant x a tiny sxx
         raise SingularDesignError("x never varies; the regression is undefined")
     slope = float(dx @ dy) / sxx
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (intercept + slope * x)
     sse = float(residuals @ residuals)
     stderr = math.sqrt(sse / (n - 2) / sxx)
-    return slope, intercept, stderr, residuals
+    return slope, intercept, stderr, residuals, dx, dy
 
 
 def fit_power_law(
     points: Sequence[tuple[float, float]],
     labels: Sequence[str] | None = None,
 ) -> PowerLawFit:
-    """Fit y = C * x^alpha by OLS in log-log space.
+    """Fit y = C * x^alpha by OLS in log-log space to (x, y) pairs or an (n, 2) array.
 
-    Both coordinates must be finite and strictly positive, and both must vary:
-    a constant x or constant y leaves the slope or the correlation undefined.
-    Any exclusions are applied by the caller before fitting.
+    Both coordinates must be finite and strictly positive (the DomainError
+    names the first bad point by its label, or its index without labels), and
+    both must vary: a constant x or constant y leaves the slope or the
+    correlation undefined. Any exclusions are applied by the caller before fitting.
     """
-    pts = list(points)
-    if labels is None:
-        labels = [str(i) for i in range(len(pts))]
-    else:
-        labels = [str(lab) for lab in labels]
-        if len(labels) != len(pts):
-            raise ParameterError(
-                f"{len(labels)} labels for {len(pts)} points"
-            )
+    xy = _columns(points)
+    if labels is not None:
+        labels = tuple(str(lab) for lab in labels)
+        if len(labels) != len(points):
+            raise ParameterError(f"{len(labels)} labels for {len(points)} points")
         if len(set(labels)) != len(labels):
             raise ParameterError("labels must be unique")
-    for label, (x, y) in zip(labels, pts):
-        if not (0 < x < math.inf and 0 < y < math.inf):  # also false for nan
-            raise DomainError(
-                f"power-law fit needs finite positive coordinates, got ({x!r}, {y!r}) "
-                f"at {label!r}"
-            )
-    lx = np.log(np.array([p[0] for p in pts], dtype=float))
-    ly = np.log(np.array([p[1] for p in pts], dtype=float))
-    slope, intercept, stderr, residuals = _ols(lx, ly)
-    dy = ly - ly.mean()
+    bad = ~((0 < xy) & (xy < math.inf)).all(axis=0)  # nan fails both comparisons
+    if bad.any():
+        i = int(bad.argmax())
+        x, y = xy[:, i].tolist()
+        label = str(i) if labels is None else labels[i]
+        raise DomainError(
+            f"power-law fit needs finite positive coordinates, got ({x!r}, {y!r}) "
+            f"at {label!r}"
+        )
+    lx, ly = np.log(xy, out=xy)
+    slope, intercept, stderr, residuals, dx, dy = _ols(lx, ly)
     syy = float(dy @ dy)
-    if syy == 0.0:
+    if syy == 0.0 or ly.min() == ly.max():
         raise SingularDesignError("y never varies; the correlation is undefined")
-    dx = lx - lx.mean()
     correlation = float(dx @ dy) / math.sqrt(float(dx @ dx) * syy)
     t_value = slope / stderr if stderr > 0 else math.inf * np.sign(slope)
-    sample = tuple(
-        SamplePoint(label, float(a), float(b), float(r))
-        for label, a, b, r in zip(labels, lx, ly, residuals)
-    )
+    sample = np.column_stack((lx, ly, residuals))
+    sample.flags.writeable = False
     return PowerLawFit(
         alpha=slope,
         ln_intercept=intercept,
@@ -131,15 +127,17 @@ def fit_power_law(
         correlation=correlation,
         t_value_alpha=float(t_value),
         sample=sample,
+        labels=labels,
     )
 
 
 def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
-    """Log-space residual per country: positive means above the fitted line.
+    """Log-space residual per label (per row index without labels): positive
+    means above the fitted line.
 
     The residuals of an OLS fit with intercept have mean zero.
     """
-    return {p.label: p.residual for p in fit.sample}
+    return dict(zip(fit.labels or map(str, range(len(fit.sample))), fit.sample[:, 2].tolist()))
 
 
 def split_by_sign(
@@ -189,8 +187,6 @@ def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
 def ols_linear(points: Sequence[tuple[float, float]]) -> LinearFit:
     """Plain OLS line with the standard error of the slope."""
-    pts = list(points)
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    slope, intercept, stderr, _ = _ols(x, y)
+    x, y = _columns(points)
+    slope, intercept, stderr, *_ = _ols(x, y)
     return LinearFit(slope=slope, intercept=intercept, stderr_slope=stderr)

@@ -398,6 +398,20 @@ class TestSweep:
             gc.enable()
         assert peak / n < 200
 
+    def test_fit_memory_per_country_bounded(self):
+        # The fit holds a (n, 3) float64 sample; per-point objects cost hundreds.
+        n = 20_000
+        ensemble = sweep(small_config(n_countries=n, n_jobs=1), threads=2)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            fit_model_regression(ensemble)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak / n < 120
+
     def test_order_independent_sub_seeds(self):
         wide = sweep(small_config(n_countries=30))
         narrow = sweep(small_config(n_countries=10))

@@ -253,6 +253,26 @@ class TestCrossSection:
         assert self.run_default(toy_gdp_csv, toy_gci_csv, tmp_path / "out",
                                 ("--year", "2000")) == 1
 
+    @pytest.mark.parametrize(
+        "v0, v1, growth",
+        [(1e-320, 1e308, "log"), (1e-320, 1e308, "relative"), (1e308, 1e-320, "log")],
+    )
+    def test_growth_outside_float_range_exits_3(self, v0, v1, growth, tmp_path, capsys):
+        # a numpy warning or a traceback on stderr would fail this test
+        gdp, gci = tmp_path / "gdp.csv", tmp_path / "gci.csv"
+        rows = [("AAA", v0, v1, 4.1), ("BBB", 2, 3, 3.2), ("CCC", 4, 5, 4.5),
+                ("DDD", 6, 8, 3.9), ("EEE", 3, 4, 4.4)]
+        gdp.write_text("country,year,value\n" + "".join(
+            f"{c},2000,{a!r}\n{c},2001,{b!r}\n" for c, a, b, _ in rows))
+        gci.write_text("country,year,value\n" + "".join(f"{c},2001,{g}\n" for c, *_, g in rows))
+        out = tmp_path / "out"
+        code = run(["cross-section", "--input", gdp, "--input-y", gci, "--years", "2000:2001",
+                    "--growth", growth, "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "AAA" in err[0]
+        assert not out.exists()
+
     def test_no_common_country_exits_2(self, toy_gdp_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
         other.write_text("country,year,value\nZZZ,2011,4.0\n")

@@ -220,6 +220,21 @@ class TestGrowthRate:
         with pytest.raises(DomainError):
             growth_rate(balanced, "AAA", 2000, 2001)
 
+    @pytest.mark.parametrize(
+        "v0, v1, method",
+        [(1e-320, 1e308, "log"), (1e-320, 1e308, "relative"), (1e308, 1e-320, "log")],
+    )
+    def test_growth_outside_float_range_is_domain_error(self, v0, v1, method):
+        # v1/v0 overflows to inf, or underflows to 0 where log growth takes its log
+        balanced = balanced_subset(_panel([("AAA", 2000, v0), ("AAA", 2001, v1)]), (2000, 2001))
+        with pytest.raises(DomainError, match="AAA"):
+            growth_rate(balanced, "AAA", 2000, 2001, method=method)
+
+    def test_relative_fall_to_subnormal_is_finite(self):
+        balanced = balanced_subset(_panel([("AAA", 2000, 1e308), ("AAA", 2001, 1e-320)]),
+                                   (2000, 2001))
+        assert growth_rate(balanced, "AAA", 2000, 2001, method="relative") == -1.0
+
     def test_missing_year_is_lookup_error(self):
         panel = _panel([("AAA", 2000, 5.0), ("AAA", 2001, 6.0)])
         balanced = balanced_subset(panel, (2000, 2001))

@@ -78,6 +78,13 @@ class TestFitPowerLaw:
         with pytest.raises(SingularDesignError):
             fit_power_law([(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)])
 
+    def test_constant_with_rounded_mean_is_singular(self):
+        # the mean of three ln 14.75 is not ln 14.75, so the sum of squares is not 0
+        with pytest.raises(SingularDesignError, match="x never varies"):
+            fit_power_law([(14.75, 1.0), (14.75, 2.0), (14.75, 3.0)])
+        with pytest.raises(SingularDesignError, match="y never varies"):
+            fit_power_law([(1.0, 14.75), (2.0, 14.75), (3.0, 14.75)])
+
     def test_too_few_points(self):
         with pytest.raises(ParameterError):
             fit_power_law([(1.0, 1.0), (2.0, 2.0)])
@@ -87,7 +94,7 @@ class TestFitPowerLaw:
         x = rng.uniform(0.5, 50, 40)
         y = np.exp(1.2 + 0.35 * np.log(x) + rng.normal(0, 0.2, 40))
         fit = fit_power_law(list(zip(x, y)))
-        residuals = np.array([p.residual for p in fit.sample])
+        residuals = fit.sample[:, 2]
         assert abs(residuals.mean()) < 1e-10
         ly = np.log(y)
         r2 = 1.0 - float(residuals @ residuals) / float(
@@ -125,6 +132,48 @@ class TestFitPowerLaw:
             fit_power_law(
                 [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], labels=["A", "A", "B"]
             )
+
+
+    def test_sample_is_read_only_columns(self):
+        x = np.array([2.0, 5.0, 11.0, 23.0])
+        y = np.array([1.5, 1.1, 2.5, 1.9])
+        fit = fit_power_law(list(zip(x, y)))
+        assert fit.labels is None
+        assert fit.sample.dtype == np.float64 and fit.sample.shape == (4, 3)
+        assert not fit.sample.flags.writeable
+        assert fit.sample[:, 0].tolist() == np.log(x).tolist()
+        assert fit.sample[:, 1].tolist() == np.log(y).tolist()
+        labelled = fit_power_law(np.column_stack((x, y)), labels=["A", "B", "C", "D"])
+        assert labelled.labels == ("A", "B", "C", "D")
+        assert labelled.sample.tolist() == fit.sample.tolist()
+
+
+any_float = st.one_of(st.floats(), st.floats(min_value=0.5, max_value=50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(any_float, any_float), min_size=3, max_size=8), st.booleans())
+def test_domain_rule_matches_scalar_rule(points, labelled):
+    # nan, +-inf, +-0.0, subnormals and negatives all come from st.floats()
+    labels = [f"c{i}" for i in range(len(points))] if labelled else None
+    bad = [i for i, (x, y) in enumerate(points)
+           if not (0 < x < math.inf and 0 < y < math.inf)]
+    if bad:
+        i = bad[0]
+        x, y = points[i]
+        label = labels[i] if labelled else str(i)
+        with pytest.raises(DomainError) as excinfo:
+            fit_power_law(points, labels=labels)
+        assert str(excinfo.value).endswith(f"got ({x!r}, {y!r}) at {label!r}")
+        return
+    lx, ly = np.log(np.array(points)).T
+    if np.all(lx == lx[0]) or np.all(ly == ly[0]):
+        with pytest.raises(SingularDesignError):
+            fit_power_law(points, labels=labels)
+        return
+    fit = fit_power_law(points, labels=labels)
+    assert fit.sample.shape == (len(points), 3)
+    assert fit.labels == (None if labels is None else tuple(labels))
 
 
 class TestRelativeCompetitiveness:
@@ -170,11 +219,11 @@ class TestRelativeCompetitiveness:
             assert scaled[c] == pytest.approx(base[c], abs=1e-10)
 
     def test_sign_matches_position_relative_to_line(self):
-        fit = self._fit([0.5, -0.5, 0.5, -0.5, 0.5])
+        fit = self._fit([0.5, -0.5, 0.5, -0.5, 0.5], labels=["A", "B", "C", "D", "E"])
         scores = relative_competitiveness(fit)
-        for p in fit.sample:
-            predicted = fit.ln_intercept + fit.alpha * p.ln_x
-            assert (scores[p.label] > 0) == (p.ln_y > predicted)
+        for label, (ln_x, ln_y, _) in zip(fit.labels, fit.sample.tolist()):
+            predicted = fit.ln_intercept + fit.alpha * ln_x
+            assert (scores[label] > 0) == (ln_y > predicted)
 
 
 class TestSplitBySign:
@@ -257,6 +306,10 @@ class TestOlsLinear:
     def test_singular_design(self):
         with pytest.raises(SingularDesignError):
             ols_linear([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+
+    def test_constant_x_with_rounded_mean_is_singular(self):
+        with pytest.raises(SingularDesignError):
+            ols_linear([(0.1, 2.0), (0.1, 3.0), (0.1, 4.0)])
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(23)
