@@ -41,7 +41,8 @@ from .errors import DomainError, ParameterError
 from .xsection import PowerLawFit, fit_power_law
 
 # simulate holds the columns (48 B per country) and the fit's sample (24 B) and renders
-# ensemble.csv as one string, peaking near 0.42 KB per country: 0.42 GB at this bound.
+# ensemble.csv in blocks joined into one string, peaking near 0.27 KB per country:
+# 0.27 GB at this bound.
 _MAX_COUNTRIES = 1_000_000
 
 

@@ -20,6 +20,8 @@ import secrets
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, abm, outputs, panel, rankdyn, xsection
 from .errors import DataError, EconRankError, ParameterError
 
@@ -117,39 +119,31 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     excluded = _load_exclusions(args.exclude)
     fitted = [c for c in countries if c not in excluded]
 
-    xy = {c: (balanced_x.value(c, year), balanced_y.value(c, year)) for c in countries}
-    fit = xsection.fit_power_law([xy[c] for c in fitted], labels=fitted)
+    keep = np.array([c not in excluded for c in countries])
+    x = np.array([balanced_x.value(c, year) for c in countries])
+    y = np.array([balanced_y.value(c, year) for c in countries])
+    fit = xsection.fit_power_law(np.column_stack((x[keep], y[keep])), labels=fitted)
     scores = xsection.relative_competitiveness(fit)
-    growth = {
-        c: panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted
-    }
+    growth = {c: panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted}
     group_pos, group_neg = xsection.split_by_sign(scores, growth)
     ttest = xsection.two_sample_t(group_pos, group_neg)
-    d_growth = [(scores[c], growth[c]) for c in fitted]
-    growth_fit = xsection.ols_linear(d_growth)
+    d, g = fit.sample[:, 2], list(growth.values())  # both in fitted order
+    growth_fit = xsection.ols_linear(np.column_stack((d, g)))
 
     x_name, y_name = args.indicator, args.indicator_y
     files = {
         "fit.json": outputs.power_law_fit_json(fit),
         "dscores.csv": outputs.render_csv(
-            ("country", x_name, y_name, "d"),
-            [(c, *xy[c], scores[c]) for c in fitted],
+            ("country", x_name, y_name, "d"), (fitted, x[keep], y[keep], d)
         ),
         "ttest.json": outputs.ttest_json(ttest),
-        "growth_vs_d.csv": outputs.render_csv(
-            ("country", "d", "growth"),
-            [(c, scores[c], growth[c]) for c in fitted],
-        ),
+        "growth_vs_d.csv": outputs.render_csv(("country", "d", "growth"), (fitted, d, g)),
         "points.csv": outputs.render_csv(
-            ("country", x_name, y_name, "excluded"),
-            [(c, *xy[c], int(c in excluded)) for c in countries],
+            ("country", x_name, y_name, "excluded"), (countries, x, y, (~keep).astype(int))
         ),
         "fitline.csv": outputs.power_law_fitline_csv(fit, header=(x_name, y_name)),
         "growth_fitline.csv": outputs.linear_fitline_csv(
-            growth_fit,
-            min(s for s, _ in d_growth),
-            max(s for s, _ in d_growth),
-            header=("d", "growth"),
+            growth_fit, d.min(), d.max(), header=("d", "growth")
         ),
     }
     parameters = {

@@ -1,8 +1,10 @@
 """Deterministic CSV/JSON rendering and plot-ready file emission.
 
-All numeric CSV output uses fixed 12-significant-digit formatting so reruns
-with identical inputs are byte-identical. JSON floats are rounded the same
-way. The canonical panel dump is the one exception (exact repr, see panel).
+Every data CSV comes from one columnar renderer, :func:`render_csv`, with
+floats at 12 significant digits, so reruns with identical inputs are
+byte-identical; fields holding a comma, quote, CR or LF are quoted (RFC 4180).
+JSON floats are rounded the same way. The canonical panel dump is the one
+exception (exact repr, see panel).
 
 Commands assemble every output as an in-memory string first and write only
 after the whole pipeline has succeeded, so a failing run leaves no partial
@@ -23,23 +25,18 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .abm import Ensemble
 from .errors import ParameterError
+from .panel import _quote
 from .rankdyn import LaplaceFit, RankChangeSample, empirical_pdf, laplace_density
 from .xsection import LinearFit, PowerLawFit, TTestResult
 
 _FITLINE_POINTS = 100  # rows of every fit-line CSV
-
-
-def fmt12(value: Any) -> str:
-    """Render a number with 12 significant digits (ints stay plain)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return format(float(value), ".12g")
+_BLOCK = 1024  # rows per formatted block of render_csv
 
 
 def json_ready(obj: Any) -> Any:
@@ -60,12 +57,27 @@ def json_ready(obj: Any) -> Any:
     return obj
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """CSV text with a header row; numbers formatted via :func:`fmt12`."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt12(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
+    """CSV text of ``header`` over equal-length ``columns`` (sequences or numpy arrays).
+
+    A column whose first value is a float is written ``%.12g`` (as ``format(v, ".12g")``),
+    any other with ``%s``. Rows are formatted ``_BLOCK`` at a time from column slices,
+    so only one block's Python values exist at once; unequal lengths raise ValueError.
+    """
+    cols, formats = [], []
+    for col in columns:
+        first = next(iter(col), None)
+        if isinstance(first, str) and any(_quote(v) != v for v in set(col)):
+            col = [_quote(v) for v in col]
+        cols.append(col)
+        formats.append("%.12g" if isinstance(first, float) else "%s")
+    row = ",".join(formats) + "\n"
+    blocks = [",".join(map(_quote, header)) + "\n"]
+    for start in range(0, max(map(len, cols), default=0), _BLOCK):
+        part = (col[start : start + _BLOCK] for col in cols)
+        part = (p.tolist() if isinstance(p, np.ndarray) else p for p in part)
+        blocks.append("".join(map(row.__mod__, zip(*part, strict=True))))
+    return "".join(blocks)
 
 
 def render_json(payload: dict[str, Any]) -> str:
@@ -94,55 +106,42 @@ def ttest_json(result: TTestResult) -> str:
 
 
 def deltas_csv(sample: RankChangeSample) -> str:
-    """``render_csv`` of ``sample.records``, built window by window.
-
-    Years and deltas are integers, so ``str`` formats them as ``fmt12`` does.
-    """
-    lines = ["country,start_year,end_year,delta\n"]
-    countries, n = sample.countries, len(sample.countries)
-    deltas = sample.deltas.tolist()
-    for k, (t0, t1) in enumerate(sample.windows):
-        years = f",{t0},{t1},"
-        window = deltas[k * n : (k + 1) * n]
-        lines += [f"{c}{years}{d}\n" for c, d in zip(countries, window)]
-    return "".join(lines)
+    """One row per delta in ``deltas`` order: country, window start and end year, delta."""
+    n = len(sample.countries)
+    starts = [t0 for t0, _ in sample.windows for _ in range(n)]
+    ends = [t1 for _, t1 in sample.windows for _ in range(n)]
+    columns = (sample.countries * len(sample.windows), starts, ends, sample.deltas)
+    return render_csv(("country", "start_year", "end_year", "delta"), columns)
 
 
 def ensemble_csv(ensemble: Ensemble) -> str:
-    """``render_csv`` of the ensemble's columns in field order, one f-string per row.
-
-    ``.12g`` formats a float as ``fmt12`` does.
-    """
-    columns = (getattr(ensemble, f.name).tolist() for f in dataclasses.fields(ensemble))
-    lines = ["country_index,mu,sigma,E,GDP,gdp,gci_th\n"]
-    lines += [f"{i},{m:.12g},{s:.12g},{e:.12g},{g:.12g},{pc:.12g},{c:.12g}\n"
-              for i, (m, s, e, g, pc, c) in enumerate(zip(*columns))]
-    return "".join(lines)
+    """One row per country index: the ensemble's columns in field order."""
+    columns = [getattr(ensemble, f.name) for f in dataclasses.fields(ensemble)]
+    header = ("country_index", "mu", "sigma", "E", "GDP", "gdp", "gci_th")
+    return render_csv(header, (range(len(ensemble.mu)), *columns))
 
 
 def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
     """Empirical density and model density per integer bin."""
-    rows = [
-        (center, density, laplace_density(fit.decay, center))
-        for center, density in empirical_pdf(sample)
-    ]
-    return render_csv(("bin", "density", "model_density"), rows)
+    centers, densities = zip(*empirical_pdf(sample))
+    model = [laplace_density(fit.decay, c) for c in centers]
+    return render_csv(("bin", "density", "model_density"), (centers, densities, model))
 
 
 def power_law_fitline_csv(fit: PowerLawFit, header: Sequence[str]) -> str:
     """The fitted curve at ``_FITLINE_POINTS`` log-spaced x values over the fit sample."""
     ln_x = fit.sample[:, 0]
-    ln_grid = np.linspace(ln_x.min(), ln_x.max(), _FITLINE_POINTS)
-    rows = [(math.exp(v), math.exp(fit.predict_ln(v))) for v in ln_grid]
-    return render_csv(header, rows)
+    ln_grid = np.linspace(ln_x.min(), ln_x.max(), _FITLINE_POINTS).tolist()
+    x = [math.exp(v) for v in ln_grid]  # math.exp per point: np.exp may differ in the last bit
+    return render_csv(header, (x, [math.exp(fit.predict_ln(v)) for v in ln_grid]))
 
 
 def linear_fitline_csv(fit: LinearFit, x_min: float, x_max: float, header: Sequence[str]) -> str:
     """The fitted line at ``_FITLINE_POINTS`` evenly spaced x from ``x_min`` to ``x_max``."""
     if not (x_min <= x_max):
         raise ParameterError(f"empty fit-line range {x_min}..{x_max}")
-    grid = np.linspace(x_min, x_max, _FITLINE_POINTS)
-    return render_csv(header, [(x, fit.predict(x)) for x in grid])
+    grid = np.linspace(x_min, x_max, _FITLINE_POINTS).tolist()
+    return render_csv(header, (grid, [fit.predict(x) for x in grid]))
 
 
 def build_manifest(

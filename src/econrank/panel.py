@@ -33,6 +33,14 @@ from .errors import (
 PANEL_HEADER = ("country", "year", "value")
 ALIAS_HEADER = ("source_name", "iso3")
 
+
+def _quote(field: str) -> str:
+    """``field`` as one CSV field: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    if any(ch in field for ch in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def _is_gdp_like(indicator: str) -> bool:
     """Indicators carrying 'gdp' in the name must be strictly positive."""
     return "gdp" in indicator.lower()
@@ -207,16 +215,17 @@ def load_panel(
 def serialize_panel(panel: IndicatorPanel) -> str:
     """Canonical CSV dump, sorted by (country, year).
 
-    Values are written with ``repr`` so reloading reproduces the exact
-    observation set (shortest round-trip representation).
+    Values are written with ``repr`` and codes quoted where CSV needs it, so
+    reloading reproduces the exact observation set (shortest round-trip
+    representation).
     """
     by_country: dict[str, dict[int, float]] = {}
     for (c, y), v in panel.observations.items():
         by_country.setdefault(c, {})[y] = v
     lines = [",".join(PANEL_HEADER) + "\n"]
     for c in sorted(by_country):
-        years = by_country[c]
-        lines += [f"{c},{y},{years[y]!r}\n" for y in sorted(years)]
+        years, field = by_country[c], _quote(c)
+        lines += [f"{field},{y},{years[y]!r}\n" for y in sorted(years)]
     return "".join(lines)
 
 

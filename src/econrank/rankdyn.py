@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +33,6 @@ class RankChangeSample:
     @property
     def n(self) -> int:
         return int(self.deltas.size)
-
-    @property
-    def records(self) -> list[tuple[str, int, int, int]]:
-        """(country, start_year, end_year, delta) rows in ``deltas`` order."""
-        pairs = product(self.windows, self.countries)
-        return [(c, t0, t1, d) for ((t0, t1), c), d in zip(pairs, self.deltas.tolist())]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import os
 import sys
@@ -20,7 +21,7 @@ from econrank import (
     simulate_country,
     sweep,
 )
-from econrank import _seeds, abm
+from econrank import _seeds, abm, cli
 from econrank.abm import _LEAF as LEAF
 from econrank.errors import DomainError, ParameterError, SingularDesignError
 from workforce_reference import draw_workforce
@@ -397,6 +398,25 @@ class TestSweep:
             tracemalloc.stop()
             gc.enable()
         assert peak / n < 200
+
+    def test_simulate_run_memory_per_country_bounded(self, tmp_path):
+        # Columns, the fit's sample and ensemble.csv rendered block by block; one
+        # Python string per row of ensemble.csv costs over 100 B per country more.
+        n = 20_000
+        config = tmp_path / "config.json"
+        args = ["simulate", "--config", str(config), "--threads", "2", "--out"]
+        for n_countries, out in ((5, "warm"), (n, "out")):  # the first run imports lazily
+            config.write_text(json.dumps({**dataclasses.asdict(small_config(n_jobs=1)),
+                                          "n_countries": n_countries}))
+            gc.disable()
+            tracemalloc.start()
+            try:
+                assert cli.main([*args, str(tmp_path / out)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peak / n < 350
 
     def test_fit_memory_per_country_bounded(self):
         # The fit holds a (n, 3) float64 sample; per-point objects cost hundreds.

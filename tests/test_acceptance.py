@@ -31,6 +31,7 @@ import scipy.stats
 
 import econrank as er
 from econrank.cli import main as cli_main
+from rank_records import records
 from workforce_reference import draw_workforce
 
 # closed-form mean discrepancy 2*exp(s^2/2)*Phi(-s), frozen from 30-digit
@@ -375,7 +376,7 @@ def test_c10_rank_invariants():
         sample = er.rank_changes(balanced, window, overlapping=True)
         for t0, t1 in sample.windows:
             window_sum = sum(
-                d for (_, a, b, d) in sample.records if (a, b) == (t0, t1)
+                d for (_, a, b, d) in records(sample) if (a, b) == (t0, t1)
             )
             assert window_sum == 0
         assert np.abs(sample.deltas).max(initial=0) <= n_countries - 1

@@ -626,6 +626,74 @@ def test_stress_shape_outputs_match_golden_bytes(tmp_path):
     assert digests == STRESS_GOLDEN
 
 
+# names that CSV must quote: a comma, a quote, line breaks; "AAA".. stay plain
+QUOTED_NAMES = ("Korea, Rep.", 'Q"x', "Line\nFeed", "Car\rriage", "AAA", "BBB")
+QUOTED_INDICATOR = "gdp, current US$"
+
+
+def write_quoted_panels(directory: Path) -> tuple[Path, Path]:
+    """gdp over 2008-2011 and gci in 2011 for QUOTED_NAMES, written by csv.writer."""
+    gdp_csv, gci_csv = directory / "gdp.csv", directory / "gci.csv"
+    with open(gdp_csv, "w", newline="") as gdp, open(gci_csv, "w", newline="") as gci:
+        gdp_rows, gci_rows = csv.writer(gdp), csv.writer(gci)
+        gdp_rows.writerow(["country", "year", "value"])
+        gci_rows.writerow(["country", "year", "value"])
+        for i, name in enumerate(QUOTED_NAMES):
+            for year in range(2008, 2012):
+                # the ranking shifts every year
+                gdp_rows.writerow([name, year, 1000.0 * (1 + (3 * i + 5 * year) % 7) + i])
+            # alternating residual signs around gci ~ gdp^0.5
+            gdp_2011 = 1000.0 * (1 + (3 * i + 5 * 2011) % 7) + i
+            gci_rows.writerow([name, 2011, gdp_2011**0.5 * (1.1 if i % 2 else 0.9)])
+    return gdp_csv, gci_csv
+
+
+class TestQuotedNames:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        return write_quoted_panels(tmp_path)
+
+    def commands(self, inputs, fig7_config):
+        gdp_csv, gci_csv = inputs
+        return {
+            "ingest": ["ingest", "--input", gdp_csv, "--indicator", QUOTED_INDICATOR],
+            "rank-dynamics": ["rank-dynamics", "--input", gdp_csv,
+                              "--indicator", QUOTED_INDICATOR, "--window", 2],
+            "cross-section": ["cross-section", "--input", gdp_csv,
+                              "--indicator", QUOTED_INDICATOR, "--input-y", gci_csv,
+                              "--years", "2008:2011"],
+            "simulate": ["simulate", "--config", fig7_config, "--threads", 2],
+        }
+
+    def test_ingest_reloads_identical_observations(self, inputs, tmp_path):
+        out = tmp_path / "out"
+        assert run(["ingest", "--input", inputs[0], "--indicator", QUOTED_INDICATOR,
+                    "--out", out]) == 0
+        original, _ = econrank.load_panel(inputs[0], QUOTED_INDICATOR)
+        reloaded, skipped = econrank.load_panel(out / "panel.csv", QUOTED_INDICATOR)
+        assert reloaded.observations == original.observations
+        assert len(reloaded) == len(QUOTED_NAMES) * 4
+        assert skipped == 0
+
+    @pytest.mark.parametrize("command", ["ingest", "rank-dynamics", "cross-section", "simulate"])
+    def test_every_csv_parses_to_header_width(self, command, inputs, fig7_config, tmp_path):
+        out = tmp_path / "out"
+        assert run([*self.commands(inputs, fig7_config)[command], "--out", out]) == 0
+        written = sorted(out.glob("*.csv"))
+        assert written
+        for path in written:
+            with open(path, newline="") as handle:
+                header, *rows = csv.reader(handle)
+            assert rows, path.name
+            assert {len(row) for row in rows} == {len(header)}, path.name
+            if header[0] == "country":
+                assert set(QUOTED_NAMES) >= {row[0] for row in rows}, path.name
+        if command == "cross-section":
+            rows = read_rows(out / "points.csv")
+            assert list(rows[0]) == ["country", QUOTED_INDICATOR, "gci", "excluded"]
+            assert [row["country"] for row in rows] == sorted(QUOTED_NAMES)
+
+
 class TestManifest:
     def test_lists_every_produced_file(self, toy_gdp_csv, toy_gci_csv, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +392,64 @@ def test_load_panel_matches_reference_loader(rows, aliases, indicator):
     assert _outcome(lambda: _load(text, indicator, aliases=aliases)) == _outcome(
         lambda: reference_load_panel(text, indicator, aliases)
     )
+
+
+# names as load_panel keeps them (stripped, non-empty), often holding CSV specials
+stripped_names = (
+    st.text(
+        st.one_of(st.sampled_from(',"\r\n \u00c5'), st.characters(exclude_categories=("Cs",))),
+        min_size=1,
+        max_size=6,
+    )
+    .map(str.strip)
+    .filter(bool)
+)
+
+
+def _quoted(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(stripped_names, st.integers(min_value=-3000, max_value=3000)),
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=30,
+    ),
+    st.lists(stripped_names, unique=True, max_size=6),
+    st.lists(st.sampled_from(["\n", "  \n", "\r\n"]), max_size=30),
+)
+def test_ingest_then_reload_is_identity(obs, sources, blank_lines):
+    codes = sorted({c for c, _ in obs})
+    # each aliased code appears in the input only under its source name
+    sources = [name for name in sources if name not in codes]
+    aliases = dict(zip(sources, codes))
+    raw_name = {code: source for source, code in aliases.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, alias_file, dump = (Path(tmp) / name for name in ("raw.csv", "alias.csv", "dump.csv"))
+        alias_file.write_text(
+            "source_name,iso3\n"
+            + "".join(f"{_quoted(s)},{_quoted(c)}\n" for s, c in aliases.items()),
+            encoding="utf-8-sig",
+        )
+        rows = [f"{_quoted(raw_name.get(c, c))},{y},{v!r}\n" for (c, y), v in obs.items()]
+        for i, blank in enumerate(blank_lines):
+            rows.insert(i % (len(rows) + 1), blank)
+        raw.write_text("country,year,value\n" + "".join(rows), encoding="utf-8-sig", newline="")
+
+        panel, skipped = load_panel(raw, "cpi", aliases=load_alias_map(alias_file))
+        assert skipped == 0
+        assert {k: v.hex() for k, v in panel.observations.items()} == {
+            k: v.hex() for k, v in obs.items()
+        }
+        dump.write_text(serialize_panel(panel), encoding="utf-8")
+        reloaded, skipped = load_panel(dump, "cpi")
+    assert skipped == 0
+    assert {k: v.hex() for k, v in reloaded.observations.items()} == {
+        k: v.hex() for k, v in obs.items()
+    }
 
 
 def reference_serialize_panel(panel):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -18,7 +20,8 @@ from econrank import (
     sample_discrete_laplace,
 )
 from econrank.errors import DegenerateSampleError, ParameterError
-from econrank.outputs import deltas_csv, render_csv
+from econrank.outputs import deltas_csv
+from rank_records import records
 
 # 0.5*exp(-1.2), frozen from a 30-digit mpmath evaluation
 HALF_EXP_M12 = 0.150597105956101
@@ -109,7 +112,7 @@ class TestRankChanges:
         }
         sample = rank_changes(make_balanced(values), 3)
         for t0, t1 in sample.windows:
-            in_window = [d for (_, a, b, d) in sample.records if (a, b) == (t0, t1)]
+            in_window = [d for (_, a, b, d) in records(sample) if (a, b) == (t0, t1)]
             assert sum(in_window) == 0
 
     def test_deltas_bounded_by_n_minus_one(self):
@@ -151,7 +154,7 @@ def test_rank_changes_match_counting_oracle(data):
     for t in range(2000, 2000 + span - window, step):
         r0, r1 = brute_force_rank(table[t]), brute_force_rank(table[t + window])
         expected += [(c, t, t + window, r1[c] - r0[c]) for c in codes]
-    assert list(sample.records) == expected
+    assert records(sample) == expected
     assert sample.deltas.tolist() == [d for *_, d in expected]
 
 
@@ -159,7 +162,7 @@ def test_rank_changes_match_counting_oracle(data):
 @given(st.data())
 def test_deltas_csv_renders_the_records(data):
     codes = sorted(
-        data.draw(st.lists(st.text("AB\u00c5", min_size=1, max_size=3), min_size=1,
+        data.draw(st.lists(st.text('AB\u00c5,"', min_size=1, max_size=3), min_size=1,
                            max_size=12, unique=True))
     )
     span = data.draw(st.integers(min_value=2, max_value=9))
@@ -170,8 +173,13 @@ def test_deltas_csv_renders_the_records(data):
         for j in range(span)
     }
     sample = rank_changes(make_balanced(table), window, overlapping=overlapping)
-    header = ("country", "start_year", "end_year", "delta")
-    assert deltas_csv(sample) == render_csv(header, sample.records)
+    text = deltas_csv(sample)
+    header = ["country", "start_year", "end_year", "delta"]
+    rows = [[c, str(t0), str(t1), str(d)] for c, t0, t1, d in records(sample)]
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header, *rows]
+    quoted = {c: '"' + c.replace('"', '""') + '"' if set(c) & set(',"') else c for c in codes}
+    assert text == "".join(",".join([quoted.get(r[0], r[0]), *r[1:]]) + "\n"
+                           for r in [header, *rows])
 
 
 class TestLaplaceMle:
