@@ -44,6 +44,7 @@ from .xsection import PowerLawFit, fit_power_law
 # ensemble.csv in blocks joined into one string, peaking near 0.27 KB per country:
 # 0.27 GB at this bound.
 _MAX_COUNTRIES = 1_000_000
+_MAX_JOBS = 10**10  # n_countries * n_jobs, by time: ~2 min at ~8e7 jobs/s on 2 threads
 
 
 def _integer(obj: object, name: str, low: int, high: float = math.inf) -> None:
@@ -91,7 +92,7 @@ class AbmParams:
     def __post_init__(self) -> None:
         _real(self, "mu", positive=True)
         _real(self, "sigma")
-        _integer(self, "n_jobs", 1)
+        _integer(self, "n_jobs", 1, _MAX_JOBS)
         _real(self, "gamma")
         _integer(self, "seed", 0)
 
@@ -136,7 +137,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _integer(self, "n_countries", 1, _MAX_COUNTRIES)
-        _integer(self, "n_jobs", 1)
+        _integer(self, "n_jobs", 1, _MAX_JOBS // self.n_countries)
         _range(self, "mu_range")
         _range(self, "sigma_range")
         _real(self, "gamma")

@@ -123,11 +123,9 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     x = np.array([balanced_x.value(c, year) for c in countries])
     y = np.array([balanced_y.value(c, year) for c in countries])
     fit = xsection.fit_power_law(np.column_stack((x[keep], y[keep])), labels=fitted)
-    scores = xsection.relative_competitiveness(fit)
-    growth = {c: panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted}
-    group_pos, group_neg = xsection.split_by_sign(scores, growth)
-    ttest = xsection.two_sample_t(group_pos, group_neg)
-    d, g = fit.sample[:, 2], list(growth.values())  # both in fitted order
+    d = fit.sample[:, 2]
+    g = [panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted]
+    ttest = xsection.two_sample_t(*xsection.split_by_sign(d, g))
     growth_fit = xsection.ols_linear(np.column_stack((d, g)))
 
     x_name, y_name = args.indicator, args.indicator_y

@@ -36,7 +36,7 @@ class MissingObservationError(DataError):
 
 
 class AlignmentError(DataError):
-    """Two per-country inputs cover different country sets."""
+    """Two per-country inputs do not line up row for row."""
 
 
 class NumericalError(EconRankError):

@@ -88,12 +88,12 @@ class IndicatorPanel:
 class BalancedPanel:
     """Dense countries x years value matrix with no gaps.
 
-    Country order is lexicographic by code; years ascend. ``values[i, j]``
-    is the value of ``countries[i]`` in ``years[j]``.
+    Country codes ascend strictly and ``years`` is one contiguous ascending
+    ``range``. ``values[i, j]`` is the value of ``countries[i]`` in ``years[j]``.
     """
 
     countries: tuple[str, ...]
-    years: tuple[int, ...]
+    years: range  # a consecutive ascending sequence passed in is stored as its range
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -102,8 +102,13 @@ class BalancedPanel:
                 f"value matrix shape {self.values.shape} does not match "
                 f"{len(self.countries)} countries x {len(self.years)} years"
             )
-        if list(self.countries) != sorted(self.countries):
-            raise DataError("countries must be sorted lexicographically")
+        years = range(start := next(iter(self.years), 0), start + len(self.years))
+        if list(self.years) != list(years):
+            raise DataError(f"years must run consecutively upward, got {list(self.years)}")
+        object.__setattr__(self, "years", years)
+        for a, b in zip(self.countries, self.countries[1:]):
+            if a >= b:
+                raise DataError(f"country codes must ascend strictly; {b!r} follows {a!r}")
         if not np.all(np.isfinite(self.values)):
             raise DataError("balanced panel contains non-finite values")
 
@@ -247,7 +252,7 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
             f"no country has complete {panel.indicator} coverage for {start}-{end}"
         )
     values = np.array([[obs[c, y] for y in span] for c in complete], dtype=float)
-    return BalancedPanel(countries=tuple(complete), years=tuple(span), values=values)
+    return BalancedPanel(countries=tuple(complete), years=span, values=values)
 
 
 def growth_rate(

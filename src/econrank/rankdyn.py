@@ -67,18 +67,6 @@ def rank_snapshot(panel: BalancedPanel, year: int) -> dict[str, int]:
     return {panel.countries[i]: rank for rank, i in enumerate(order.tolist(), start=1)}
 
 
-def _start_years(years: Sequence[int], window: int, overlapping: bool) -> list[int]:
-    year_set = set(years)
-    if overlapping:
-        return [t for t in years if t + window in year_set]
-    starts = []
-    t = years[0]
-    while t + window in year_set:
-        starts.append(t)
-        t += window
-    return starts
-
-
 def rank_changes(
     panel: BalancedPanel, window: int, overlapping: bool = True
 ) -> RankChangeSample:
@@ -86,12 +74,12 @@ def rank_changes(
 
     With ``overlapping`` every start year t with t+window in the panel
     contributes a window; otherwise start years advance in steps of
-    ``window`` from the first year.
+    ``window`` from the first year. Each window pairs rank column j with
+    column j + window, read as two column slices.
     """
     if window < 1:
         raise ParameterError(f"window must be >= 1 year, got {window}")
-    starts = _start_years(panel.years, window, overlapping)
-    if not starts:
+    if window >= len(panel.years):  # a slice stop of len(years) - window would wrap
         raise ParameterError(
             f"window of {window} years needs a span of at least {window + 1} years; "
             f"panel covers {panel.years[0]}-{panel.years[-1]}"
@@ -100,12 +88,12 @@ def rank_changes(
     ranks = np.empty(order.shape, dtype=np.int64)
     rank_values = np.arange(1, panel.n_countries + 1, dtype=np.int64)[:, None]
     np.put_along_axis(ranks, order, rank_values, axis=0)
-    before = [panel.year_index(t) for t in starts]
-    after = [panel.year_index(t + window) for t in starts]
-    deltas = (ranks[:, after] - ranks[:, before]).T.ravel()
+    step = 1 if overlapping else window
+    starts = slice(0, len(panel.years) - window, step)
+    deltas = (ranks[:, window::step] - ranks[:, starts]).T.ravel()
     return RankChangeSample(
         deltas=deltas,
-        windows=tuple((t, t + window) for t in starts),
+        windows=tuple((t, t + window) for t in panel.years[starts]),
         countries=panel.countries,
     )
 

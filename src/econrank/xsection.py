@@ -2,15 +2,15 @@
 
 A power-law fit is ordinary least squares of ln(y) on ln(x) with intercept.
 The per-point log-space residual is the relative-competitiveness score: a
-country above the fitted line outperforms its wealth peers. Scores split the
-sample into sign groups compared with a pooled-variance Student t.
+country above the fitted line outperforms its wealth peers. The scores split a
+row-aligned growth column into sign groups compared with a pooled-variance Student t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,25 +141,18 @@ def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
 
 
 def split_by_sign(
-    d: Mapping[str, float], growth: Mapping[str, float]
+    d: Sequence[float], growth: Sequence[float]
 ) -> tuple[list[float], list[float]]:
     """Partition growth values by the sign of the competitiveness score.
 
-    Scores of exactly zero join the positive group. The country sets of the
-    scores and the growth mapping must coincide.
+    Row-aligned: ``d[i]`` scores the country of ``growth[i]``. Scores of exactly
+    zero join the positive group, and each group keeps row order.
     """
-    if set(d) != set(growth):
-        missing = sorted(set(d) ^ set(growth))
-        raise AlignmentError(
-            f"country sets of scores and growth differ; mismatched: {missing}"
-        )
-    group_pos: list[float] = []
-    group_neg: list[float] = []
-    for country in sorted(d):
-        (group_pos if d[country] >= 0 else group_neg).append(
-            float(growth[country])
-        )
-    return group_pos, group_neg
+    if len(d) != len(growth):
+        raise AlignmentError(f"{len(d)} scores for {len(growth)} growth values")
+    values = np.asarray(growth, dtype=float)
+    positive = np.asarray(d, dtype=float) >= 0
+    return values[positive].tolist(), values[~positive].tolist()
 
 
 def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:

@@ -52,6 +52,8 @@ class TestParams:
             dict(gamma=-0.1),
             dict(mu=math.nan),
             dict(gamma=math.inf),
+            dict(n_jobs=abm._MAX_JOBS + 1),
+            dict(n_jobs=10**30),
         ],
     )
     def test_invalid_params_rejected(self, bad):
@@ -70,6 +72,8 @@ class TestParams:
             dict(n_countries=2.5),
             dict(gamma=math.nan),
             dict(n_countries=abm._MAX_COUNTRIES + 1),
+            dict(n_jobs=abm._MAX_JOBS // 10 + 1),
+            dict(n_jobs=10**30),
         ],
     )
     def test_invalid_config_rejected(self, bad):
@@ -89,6 +93,14 @@ class TestParams:
         config = SweepConfig(n_countries=abm._MAX_COUNTRIES, n_jobs=1, mu_range=[1, 2],
                              sigma_range=(1, 1), gamma=0, seed=0)
         assert config.mu_range == (1.0, 2.0) and config.gamma == 0.0
+
+    def test_largest_job_count_accepted(self):
+        # n_countries * n_jobs is bounded; each check only builds the config
+        for n in (1, 10, abm._MAX_COUNTRIES):
+            config = SweepConfig(n_countries=n, n_jobs=abm._MAX_JOBS // n, mu_range=[1, 2],
+                                 sigma_range=(1, 1), gamma=0, seed=0)
+            assert config.n_countries * config.n_jobs <= abm._MAX_JOBS
+        assert params(n_jobs=abm._MAX_JOBS).n_jobs == abm._MAX_JOBS
 
 
 # JSON-like values of every kind a config file or a library caller can supply.

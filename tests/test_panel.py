@@ -197,6 +197,31 @@ class TestBalancedLookup:
             self.panel.value(country, 2000)
 
 
+class TestBalancedLayout:
+    def test_gapped_years_are_data_error(self):
+        for years in [(2000, 2002), (2001, 2000), range(2000, 2004, 2)]:
+            with pytest.raises(DataError, match="consecutively"):
+                BalancedPanel(countries=("AAA",), years=years, values=np.ones((1, 2)))
+
+    def test_consecutive_tuple_is_stored_as_the_equal_range(self):
+        panel = BalancedPanel(
+            countries=("AAA",), years=(1999, 2000, 2001), values=np.ones((1, 3))
+        )
+        assert panel.years == range(1999, 2002)
+        assert panel.year_index(2001) == 2
+        source = _panel([("AAA", y, 1.0) for y in range(1999, 2002)])
+        assert balanced_subset(source, (1999, 2001)).years == range(1999, 2002)
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [(("AAA", "AAA", "BBB"), "'AAA' follows 'AAA'"), (("BBB", "AAA"), "'AAA' follows 'BBB'")],
+        ids=["repeated", "unsorted"],
+    )
+    def test_codes_must_ascend_strictly(self, codes, message):
+        with pytest.raises(DataError, match=message):
+            BalancedPanel(countries=codes, years=(2000,), values=np.ones((len(codes), 1)))
+
+
 class TestGrowthRate:
     def test_log_growth_matches_oracle(self):
         panel = _panel([("AAA", 2000, 100.0), ("AAA", 2001, 110.0)])

@@ -158,6 +158,39 @@ def test_rank_changes_match_counting_oracle(data):
     assert sample.deltas.tolist() == [d for *_, d in expected]
 
 
+def year_set_windows(years, window, overlapping):
+    """The window rule as a search of the year set, independent of slicing."""
+    year_set = set(years)
+    if overlapping:
+        starts = [t for t in years if t + window in year_set]
+    else:
+        starts, t = [], years[0]
+        while t + window in year_set:
+            starts.append(t)
+            t += window
+    return tuple((t, t + window) for t in starts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-3000, max_value=3000),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=45),
+    st.booleans(),
+)
+def test_windows_match_the_year_set_rule(first, span, window, overlapping):
+    years = tuple(range(first, first + span))
+    panel = BalancedPanel(countries=("A", "B"), years=years, values=np.ones((2, span)))
+    expected = year_set_windows(years, window, overlapping)
+    if not expected:
+        with pytest.raises(ParameterError):
+            rank_changes(panel, window, overlapping=overlapping)
+        return
+    sample = rank_changes(panel, window, overlapping=overlapping)
+    assert sample.windows == expected
+    assert sample.n == 2 * len(expected)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_deltas_csv_renders_the_records(data):

@@ -228,27 +228,30 @@ class TestRelativeCompetitiveness:
 
 class TestSplitBySign:
     def test_partition_sizes(self):
-        scores = {"A": 0.1, "B": -0.2}
-        pos, neg = split_by_sign(scores, {"A": 1.0, "B": 2.0})
+        pos, neg = split_by_sign([0.1, -0.2], [1.0, 2.0])
         assert (len(pos), len(neg)) == (1, 1)
         assert pos == [1.0] and neg == [2.0]
 
     def test_zero_score_joins_positive_group(self):
-        scores = {"A": 0.0, "B": -0.2}
-        pos, neg = split_by_sign(scores, {"A": 1.0, "B": 2.0})
+        pos, neg = split_by_sign([0.0, -0.2], [1.0, 2.0])
         assert pos == [1.0]
 
-    def test_country_mismatch_is_alignment_error(self):
-        scores = {"A": 0.1, "B": -0.2}
+    def test_length_mismatch_is_alignment_error(self):
         with pytest.raises(AlignmentError):
-            split_by_sign(scores, {"A": 1.0, "C": 2.0})
+            split_by_sign([0.1, -0.2], [1.0, 2.0, 3.0])
+        with pytest.raises(AlignmentError):
+            split_by_sign(np.array([0.1, -0.2]), [1.0])
 
     def test_all_positive_gives_empty_negative_group(self):
-        scores = {"A": 0.1, "B": 0.2, "C": 0.3}
-        pos, neg = split_by_sign(scores, {"A": 1.0, "B": 2.0, "C": 3.0})
+        pos, neg = split_by_sign([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
         assert neg == []
         with pytest.raises(ParameterError):
             two_sample_t(pos, neg)
+
+    def test_groups_keep_row_order(self):
+        d = np.array([0.5, -0.1, 0.0, -0.3, 0.2])
+        pos, neg = split_by_sign(d, [5.0, 4.0, 3.0, 2.0, 1.0])
+        assert pos == [5.0, 3.0, 1.0] and neg == [4.0, 2.0]
 
 
 class TestTwoSampleT:
