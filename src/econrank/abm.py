@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -241,6 +240,8 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
     k = min(threads, n, os.cpu_count() or 1)
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
     mu, sigma, e_total = np.empty(n), np.empty(n), np.empty(n)
+    from concurrent.futures import ThreadPoolExecutor  # loads logging; only simulate needs it
+
     with ThreadPoolExecutor(max_workers=k) as pool:
         list(pool.map(partial(_simulate_block, config, mu, sigma, e_total), blocks))
     # libm's scalar pow per country, as simulate_country has it, and DomainError on overflow

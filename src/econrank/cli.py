@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import os
-import secrets
 import sys
 from pathlib import Path
 
@@ -73,10 +72,10 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 
 def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     pnl, skipped = _load(args.input, args.indicator, args.alias)
-    all_years = pnl.years()
-    if not all_years:
+    if not len(pnl):
         raise DataError(f"no observations for indicator {args.indicator!r}")
-    years = _parse_years(args.years) if args.years else (all_years[0], all_years[-1])
+    span = (int(pnl.years.min()), int(pnl.years.max()))
+    years = _parse_years(args.years) if args.years else span
     balanced = panel.balanced_subset(pnl, years)
     overlapping = not args.non_overlapping
     sample = rankdyn.rank_changes(balanced, args.window, overlapping=overlapping)
@@ -110,18 +109,21 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
         )
     balanced_x = panel.balanced_subset(x_panel, (t0, t1))
     balanced_y = panel.balanced_subset(y_panel, (year, year))
-    countries = sorted(set(balanced_x.countries) & set(balanced_y.countries))
-    if not countries:
+    # x's codes ascend, so the shared codes in x's row order are sorted
+    row_y = {c: i for i, c in enumerate(balanced_y.countries)}
+    rows_x = [i for i, c in enumerate(balanced_x.countries) if c in row_y]
+    if not rows_x:
         raise DataError(
             f"no country has both {args.indicator!r} over {t0}-{t1} "
             f"and {args.indicator_y!r} in {year}"
         )
     excluded = _load_exclusions(args.exclude)
+    countries = [balanced_x.countries[i] for i in rows_x]
     fitted = [c for c in countries if c not in excluded]
 
     keep = np.array([c not in excluded for c in countries])
-    x = np.array([balanced_x.value(c, year) for c in countries])
-    y = np.array([balanced_y.value(c, year) for c in countries])
+    x = balanced_x.values[rows_x, year - t0]
+    y = balanced_y.values[[row_y[c] for c in countries], 0]
     fit = xsection.fit_power_law(np.column_stack((x[keep], y[keep])), labels=fitted)
     d = fit.sample[:, 2]
     g = [panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted]
@@ -169,6 +171,8 @@ def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
     if not isinstance(raw, dict):
         raise ParameterError(f"config {path!r} must be a JSON object")
     if seed is not None or raw.get("seed") is None:
+        import secrets  # here, not with the CLI: it loads hashlib and with it libcrypto
+
         raw["seed"] = secrets.randbits(63) if seed is None else seed  # recorded in the manifest
     names = {field.name for field in dataclasses.fields(abm.SweepConfig)}
     unknown = set(raw) - names

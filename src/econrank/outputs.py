@@ -31,12 +31,11 @@ import numpy as np
 
 from .abm import Ensemble
 from .errors import ParameterError
-from .panel import _quote
+from .panel import _BLOCK, _quote
 from .rankdyn import LaplaceFit, RankChangeSample, empirical_pdf, laplace_density
 from .xsection import LinearFit, PowerLawFit, TTestResult
 
 _FITLINE_POINTS = 100  # rows of every fit-line CSV
-_BLOCK = 1024  # rows per formatted block of render_csv
 
 
 def json_ready(obj: Any) -> Any:

@@ -1,11 +1,13 @@
 """Country-year panels of one indicator: CSV ingestion, balancing, growth rates.
 
-An :class:`IndicatorPanel` holds the sparse (country, year) -> value
-observations of one indicator; callers read ``observations`` directly. A
+An :class:`IndicatorPanel` holds the sparse observations of one indicator
+as row-aligned columns sorted by (country, year), one row per (country,
+year) pair; its constructor owns the value and duplicate rules. A
 :class:`BalancedPanel` is the dense countries x years matrix of the
 countries that have a value for every year of a requested range. Every
 value is finite, and values of gdp-like indicators are strictly positive.
-Both are immutable after construction and safe to share across threads.
+Both are immutable after construction (their arrays are read-only) and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import bisect
 import contextlib
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    AlignmentError,
     DataError,
     DomainError,
     DuplicateObservationError,
@@ -32,6 +34,7 @@ from .errors import (
 
 PANEL_HEADER = ("country", "year", "value")
 ALIAS_HEADER = ("source_name", "iso3")
+_BLOCK = 1024  # rows per formatted block of every CSV renderer
 
 
 def _quote(field: str) -> str:
@@ -46,42 +49,62 @@ def _is_gdp_like(indicator: str) -> bool:
     return "gdp" in indicator.lower()
 
 
-def _is_valid(value: float, positive: bool) -> bool:
-    """The value rule: finite, and strictly positive when ``positive``."""
-    return math.isfinite(value) and (value > 0 or not positive)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class IndicatorPanel:
-    """Sparse mapping (country, year) -> value of one indicator.
+    """One indicator's observations as read-only columns sorted by (country, year).
 
-    Keying ``observations`` by the pair enforces uniqueness by construction.
+    Built from three row-aligned columns (country, year, value) in any order.
+    ``codes`` holds the distinct country codes ascending, and row k is
+    ``codes[country[k]]`` in ``years[k]`` with ``values[k]``. ``years`` is
+    int64, or an object column of Python ints when a year does not fit int64.
     """
 
     indicator: str
-    observations: Mapping[tuple[str, int], float]
+    codes: tuple[str, ...]
+    country: np.ndarray
+    years: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        positive = _is_gdp_like(self.indicator)
-        values = np.fromiter(self.observations.values(), float, len(self.observations))
-        ok = np.isfinite(values)
-        if positive:
-            ok &= values > 0
-        if ok.all():
-            return
-        # only the message needs the first bad value in insertion order
-        for (country, year), value in self.observations.items():
-            if not _is_valid(value, positive):
-                kind = "nonpositive" if math.isfinite(value) else "non-finite"
-                raise DataError(
-                    f"{kind} {self.indicator} value {value!r} for ({country}, {year})"
-                )
+    def __init__(self, indicator: str, countries: Sequence[str], years: Sequence[int],
+                 values: Sequence[float]) -> None:
+        n = len(countries)
+        if not len(years) == len(values) == n:
+            raise AlignmentError(f"columns differ in length: {n} countries, "
+                                 f"{len(years)} years, {len(values)} values")
+        values = np.array(values, dtype=float)
+        bad = ~np.isfinite(values)
+        if _is_gdp_like(indicator):
+            bad |= values <= 0
+        if bad.any():  # name the first bad value in input order
+            k = int(bad.argmax())
+            kind = "nonpositive" if math.isfinite(values[k]) else "non-finite"
+            raise DataError(
+                f"{kind} {indicator} value {float(values[k])!r} for ({countries[k]}, {years[k]})"
+            )
+        try:
+            years = np.array(years, dtype=np.int64)
+        except OverflowError:  # numpy compares and sorts Python ints in an object column
+            years = np.array(years, dtype=object)
+        codes = sorted(set(countries))
+        index = {code: i for i, code in enumerate(codes)}
+        country = np.fromiter(map(index.__getitem__, countries), np.intp, n)
+        order = np.lexsort((years, country))  # stable: equal keys keep input order
+        country, years, values = country[order], years[order], values[order]
+        repeat = np.flatnonzero((country[1:] == country[:-1]) & (years[1:] == years[:-1])) + 1
+        if repeat.size:  # name the earliest row in input order whose key came before
+            k = repeat[order[repeat].argmin()]
+            raise DuplicateObservationError(
+                f"duplicate observation for (country={codes[country[k]]}, "
+                f"year={years[k]}, indicator={indicator})"
+            )
+        for column in (country, years, values):
+            column.flags.writeable = False
+        for name, field in [("indicator", indicator), ("codes", tuple(codes)),
+                            ("country", country), ("years", years), ("values", values)]:
+            object.__setattr__(self, name, field)
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    def years(self) -> list[int]:
-        return sorted({y for _, y in self.observations})
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -111,6 +134,9 @@ class BalancedPanel:
                 raise DataError(f"country codes must ascend strictly; {b!r} follows {a!r}")
         if not np.all(np.isfinite(self.values)):
             raise DataError("balanced panel contains non-finite values")
+        values = np.array(self.values)  # a read-only copy; the caller's array stays its own
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n_countries(self) -> int:
@@ -182,7 +208,7 @@ def load_panel(
     and counted; so are rows with a malformed year, a blank country, or the
     wrong field count, and nonpositive values of gdp-like indicators. The
     skip count is returned alongside the panel. Duplicate (country, year)
-    rows for the indicator are a hard error.
+    rows for the indicator are a hard error, raised once the whole file is read.
     """
     with _csv_rows(source) as reader:
         header = next(reader, None)
@@ -192,8 +218,11 @@ def load_panel(
             )
         positive = _is_gdp_like(indicator)
         alias = (aliases or {}).get
-        obs: dict[tuple[str, int], float] = {}
+        countries: list[str] = []
+        years: list[int] = []
+        values: list[float] = []
         skipped = 0
+        interned: dict[str | int, str | int] = {}  # rows share one object per code and year
         for row in reader:
             if len(row) == 3 and (country := alias(c := row[0].strip(), c)):
                 try:
@@ -201,20 +230,16 @@ def load_panel(
                 except ValueError:
                     pass
                 else:
-                    if _is_valid(value, positive):
-                        key = (country, year)
-                        if key in obs:
-                            raise DuplicateObservationError(
-                                f"duplicate observation for (country={country}, "
-                                f"year={year}, indicator={indicator})"
-                            )
-                        obs[key] = value
+                    if math.isfinite(value) and (value > 0 or not positive):  # the value rule
+                        countries.append(interned.setdefault(country, country))
+                        years.append(interned.setdefault(year, year))
+                        values.append(value)
                         continue
             # every rejected row lands here, including a whitespace-only row that an
             # alias for "" let through; blank lines are not data rows, so not counted
             if any(cell.strip() for cell in row):
                 skipped += 1
-        return IndicatorPanel(indicator, obs), skipped
+    return IndicatorPanel(indicator, countries, years, values), skipped
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:
@@ -222,16 +247,16 @@ def serialize_panel(panel: IndicatorPanel) -> str:
 
     Values are written with ``repr`` and codes quoted where CSV needs it, so
     reloading reproduces the exact observation set (shortest round-trip
-    representation).
+    representation). Rows are formatted ``_BLOCK`` at a time from the columns.
     """
-    by_country: dict[str, dict[int, float]] = {}
-    for (c, y), v in panel.observations.items():
-        by_country.setdefault(c, {})[y] = v
-    lines = [",".join(PANEL_HEADER) + "\n"]
-    for c in sorted(by_country):
-        years, field = by_country[c], _quote(c)
-        lines += [f"{field},{y},{years[y]!r}\n" for y in sorted(years)]
-    return "".join(lines)
+    codes = [_quote(code) for code in panel.codes]
+    blocks = [",".join(PANEL_HEADER) + "\n"]
+    for start in range(0, len(panel), _BLOCK):
+        rows = (panel.country[start : start + _BLOCK].tolist(),
+                panel.years[start : start + _BLOCK].tolist(),
+                panel.values[start : start + _BLOCK].tolist())
+        blocks.append("".join([f"{codes[c]},{y},{v!r}\n" for c, y, v in zip(*rows)]))
+    return "".join(blocks)
 
 
 def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPanel:
@@ -242,17 +267,17 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
     start, end = int(years[0]), int(years[1])
     if start > end:
         raise ParameterError(f"empty year range {start}:{end}")
-    span = range(start, end + 1)
-    obs = panel.observations
-    # keys are unique: complete means end - start + 1 years in span (len(span) can overflow)
-    counts = Counter([c for c, y in obs if y in span])
-    complete = sorted(c for c, n in counts.items() if n == end - start + 1)
-    if not complete:
+    inside = (panel.years >= start) & (panel.years <= end)
+    # rows are unique and sorted by (country, year), so a complete country's rows in
+    # the span are one run of end - start + 1 years in order (len(span) can overflow)
+    complete = np.bincount(panel.country[inside], minlength=len(panel.codes)) == end - start + 1
+    if not complete.any():
         raise EmptyPanelError(
             f"no country has complete {panel.indicator} coverage for {start}-{end}"
         )
-    values = np.array([[obs[c, y] for y in span] for c in complete], dtype=float)
-    return BalancedPanel(countries=tuple(complete), years=span, values=values)
+    values = panel.values[inside & complete[panel.country]].reshape(-1, end - start + 1)
+    countries = tuple(panel.codes[i] for i in np.flatnonzero(complete).tolist())
+    return BalancedPanel(countries=countries, years=range(start, end + 1), values=values)
 
 
 def growth_rate(

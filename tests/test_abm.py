@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -331,7 +332,8 @@ def pool_calls(monkeypatch):
             calls[-1][1].extend(iterable)
             return map(fn, calls[-1][1])
 
-    monkeypatch.setattr(abm, "ThreadPoolExecutor", Recorder)
+    # the sweep imports the executor when it runs
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     return calls
 
 

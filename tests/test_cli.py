@@ -14,6 +14,7 @@ import pytest
 import econrank
 from econrank import cli, errors
 from econrank.cli import main
+from panel_mapping import observations
 
 
 def run(args, capsys=None):
@@ -671,7 +672,7 @@ class TestQuotedNames:
                     "--out", out]) == 0
         original, _ = econrank.load_panel(inputs[0], QUOTED_INDICATOR)
         reloaded, skipped = econrank.load_panel(out / "panel.csv", QUOTED_INDICATOR)
-        assert reloaded.observations == original.observations
+        assert observations(reloaded) == observations(original)
         assert len(reloaded) == len(QUOTED_NAMES) * 4
         assert skipped == 0
 

@@ -1,4 +1,4 @@
-"""The CLI run contract under fuzzed inputs, and the lazy import of numpy.random.
+"""The CLI run contract under fuzzed inputs, and the lazy imports of the CLI.
 
 Every run through ``cli.main`` ends with exit code 0, 1, 2 or 3. A failed run
 prints exactly one ``error: `` line on stderr and leaves ``--out`` as it found
@@ -183,9 +183,11 @@ def test_simulate_keeps_the_contract(data):
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # the sweep imports _seeds, and with it numpy.random, only when it runs
-    probe = ("import sys, econrank.cli; "
-             "print(sorted({'numpy.random', 'econrank._seeds'} & set(sys.modules)))")
+    # the sweep imports _seeds, and with it numpy.random, and concurrent.futures (which
+    # loads logging) only when it runs; secrets (which loads hashlib) is imported only
+    # to draw a missing sweep seed
+    lazy = {"numpy.random", "econrank._seeds", "concurrent", "logging", "secrets", "hashlib"}
+    probe = f"import sys, econrank.cli; print(sorted({lazy!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert result.stdout.strip() == "[]"

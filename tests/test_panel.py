@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from econrank import (
     serialize_panel,
 )
 from econrank.errors import (
+    AlignmentError,
     DataError,
     DomainError,
     DuplicateObservationError,
@@ -26,6 +28,7 @@ from econrank.errors import (
     MissingObservationError,
     ParameterError,
 )
+from panel_mapping import from_mapping, observations
 
 # ln(1.1), frozen from a 30-digit mpmath evaluation
 LN_1_1 = 0.0953101798043249
@@ -42,9 +45,9 @@ class TestLoadPanel:
         )
         assert len(panel) == 4
         assert skipped == 0
-        assert sorted({c for c, _ in panel.observations}) == ["HRV", "POL"]
-        assert panel.years() == [2010, 2011]
-        assert panel.observations["HRV", 2010] == 13.5
+        assert sorted({c for c, _ in observations(panel)}) == ["HRV", "POL"]
+        assert sorted(set(panel.years.tolist())) == [2010, 2011]
+        assert observations(panel)["HRV", 2010] == 13.5
 
     def test_empty_value_skipped_and_counted(self):
         panel, skipped = _load("country,year,value\nHRV,2010,\nPOL,2010,12.6\n")
@@ -71,13 +74,13 @@ class TestLoadPanel:
 
     def test_nonpositive_gdp_skipped(self):
         panel, skipped = _load("country,year,value\nHRV,2010,0\nPOL,2010,-3\nALB,2010,2\n")
-        assert sorted({c for c, _ in panel.observations}) == ["ALB"]
+        assert sorted({c for c, _ in observations(panel)}) == ["ALB"]
         assert skipped == 2
 
     def test_negative_value_kept_for_non_gdp_indicator(self):
         panel, skipped = _load("country,year,value\nHRV,2010,-0.25\n", "balance")
         assert skipped == 0
-        assert panel.observations["HRV", 2010] == -0.25
+        assert observations(panel)["HRV", 2010] == -0.25
 
     def test_duplicate_triple_is_hard_error(self):
         with pytest.raises(DuplicateObservationError) as exc:
@@ -97,7 +100,7 @@ class TestLoadPanel:
     def test_alias_mapping_applied(self):
         aliases = {"Croatia": "HRV"}
         panel, _ = _load("country,year,value\nCroatia,2010,13.5\n", aliases=aliases)
-        assert sorted({c for c, _ in panel.observations}) == ["HRV"]
+        assert sorted({c for c, _ in observations(panel)}) == ["HRV"]
 
     def test_alias_collision_raises_duplicate(self):
         aliases = {"Croatia": "HRV"}
@@ -128,7 +131,8 @@ class TestLoadPanel:
 
 
 def _panel(rows, indicator="gdp"):
-    return IndicatorPanel(indicator, {(c, y): float(v) for c, y, v in rows})
+    return IndicatorPanel(indicator, [c for c, _, _ in rows], [y for _, y, _ in rows],
+                          [float(v) for _, _, v in rows])
 
 
 class TestBalancedSubset:
@@ -170,7 +174,7 @@ class TestBalancedSubset:
             + [("CCC", 2003, 5)]
         )
         once = balanced_subset(panel, (2000, 2005))
-        again_source = IndicatorPanel(
+        again_source = from_mapping(
             "gdp", {(c, y): once.value(c, y) for c in once.countries for y in once.years}
         )
         twice = balanced_subset(again_source, (2000, 2005))
@@ -300,10 +304,10 @@ values = st.floats(
     )
 )
 def test_serialize_round_trip(obs):
-    panel = IndicatorPanel("gdp", obs)
+    panel = from_mapping("gdp", obs)
     reloaded, skipped = load_panel(io.StringIO(serialize_panel(panel)), "gdp")
     assert skipped == 0
-    assert dict(reloaded.observations) == dict(panel.observations)
+    assert observations(reloaded) == observations(panel)
 
 
 def test_serialize_sorted_by_country_then_year():
@@ -319,10 +323,10 @@ def test_serialize_sorted_by_country_then_year():
 
 def test_panel_rejects_non_finite_observation():
     with pytest.raises(DataError):
-        IndicatorPanel("idx", {("AAA", 2000): float("nan")})
+        IndicatorPanel("idx", ["AAA"], [2000], [float("nan")])
     # the same rule the loader skips by: gdp-like values must be positive
     with pytest.raises(DataError, match="nonpositive"):
-        IndicatorPanel("gdp", {("AAA", 2000): 0.0})
+        IndicatorPanel("gdp", ["AAA"], [2000], [0.0])
 
 
 def test_balanced_panel_all_values_finite_property():
@@ -376,12 +380,14 @@ def reference_load_panel(text, indicator, aliases=None):
 
 
 def _outcome(load):
-    """Observations in insertion order and the skip count, or the duplicate error."""
+    """Sorted (country, year, value) rows and the skip count, or the duplicate error."""
     try:
         obs, skipped = load()
     except DuplicateObservationError as exc:
         return "duplicate", str(exc)
-    return list(getattr(obs, "observations", obs).items()), skipped
+    if isinstance(obs, IndicatorPanel):
+        obs = observations(obs)
+    return sorted((c, y, v) for (c, y), v in obs.items()), skipped
 
 
 raw_countries = st.sampled_from(["HRV", " HRV ", "POL", "", "  ", "Croatia", "Atlantis"])
@@ -466,20 +472,20 @@ def test_ingest_then_reload_is_identity(obs, sources, blank_lines):
 
         panel, skipped = load_panel(raw, "cpi", aliases=load_alias_map(alias_file))
         assert skipped == 0
-        assert {k: v.hex() for k, v in panel.observations.items()} == {
+        assert {k: v.hex() for k, v in observations(panel).items()} == {
             k: v.hex() for k, v in obs.items()
         }
         dump.write_text(serialize_panel(panel), encoding="utf-8")
         reloaded, skipped = load_panel(dump, "cpi")
     assert skipped == 0
-    assert {k: v.hex() for k, v in reloaded.observations.items()} == {
+    assert {k: v.hex() for k, v in observations(reloaded).items()} == {
         k: v.hex() for k, v in obs.items()
     }
 
 
 def reference_serialize_panel(panel):
     """The canonical dump as one sort of every (country, year) key."""
-    obs = panel.observations
+    obs = observations(panel)
     rows = (f"{c},{y},{obs[c, y]!r}\n" for c, y in sorted(obs))
     return "country,year,value\n" + "".join(rows)
 
@@ -495,7 +501,7 @@ def reference_serialize_panel(panel):
     )
 )
 def test_serialize_matches_one_sort_of_all_keys(obs):
-    panel = IndicatorPanel("gdp", obs)
+    panel = from_mapping("gdp", obs)
     assert serialize_panel(panel) == reference_serialize_panel(panel)
 
 
@@ -511,7 +517,7 @@ def test_serialize_matches_one_sort_of_all_keys(obs):
 )
 def test_balanced_subset_keeps_exactly_the_complete_countries(obs):
     span = range(1998, 2003)  # observations reach outside the span on both sides
-    panel = IndicatorPanel("gdp", obs)
+    panel = from_mapping("gdp", obs)
     complete = sorted({c for c, _ in obs if all((c, y) in obs for y in span)})
     if not complete:
         with pytest.raises(EmptyPanelError):
@@ -534,10 +540,83 @@ def test_panel_reports_first_bad_value_in_insertion_order(values_in_order, indic
     bad = [(k, v) for k, v in enumerate(values_in_order)
            if not (math.isfinite(v) and (v > 0 or not positive))]
     if not bad:
-        IndicatorPanel(indicator, obs)
+        from_mapping(indicator, obs)
         return
     k, v = bad[0]
     kind = "nonpositive" if math.isfinite(v) else "non-finite"
     with pytest.raises(DataError) as exc:
-        IndicatorPanel(indicator, obs)
+        from_mapping(indicator, obs)
     assert str(exc.value) == f"{kind} {indicator} value {v!r} for (C{k}, {2000 + k})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["A", "A0", "AB", "B", "a", "Å"]),
+            # years beyond int64 make the years column an object column
+            st.integers(min_value=1990, max_value=1994) | st.sampled_from([-(10**20), 10**20]),
+        ),
+        max_size=30,
+    )
+)
+def test_columns_are_the_sorted_rows_of_any_input_order(keys):
+    rows = [(c, y, float(k + 1)) for k, (c, y) in enumerate(keys)]
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    repeats = [key for k, key in enumerate(keys) if key in keys[:k]]
+    if repeats:  # the earliest row in input order whose key came before
+        with pytest.raises(DuplicateObservationError) as exc:
+            IndicatorPanel("gdp", *columns)
+        (c, y), *_ = repeats
+        assert str(exc.value) == f"duplicate observation for (country={c}, year={y}, indicator=gdp)"
+        return
+    panel = IndicatorPanel("gdp", *columns)
+    assert panel.codes == tuple(sorted({c for c, _ in keys}))
+    codes = [panel.codes[i] for i in panel.country.tolist()]
+    assert list(zip(codes, panel.years.tolist(), panel.values.tolist())) == sorted(rows)
+
+
+def test_unequal_column_lengths_are_alignment_error():
+    with pytest.raises(AlignmentError, match="2 countries, 1 years, 2 values"):
+        IndicatorPanel("gdp", ["AAA", "BBB"], [2000], [1.0, 2.0])
+
+
+def test_panel_columns_are_read_only():
+    panel = _panel([("AAA", 2000, 1.0), ("AAA", 2001, 2.0)])
+    for column in (panel.country, panel.years, panel.values):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
+
+def test_balanced_values_are_read_only():
+    balanced = balanced_subset(_panel([("AAA", 2000, 1.0), ("AAA", 2001, 2.0)]), (2000, 2001))
+    with pytest.raises(ValueError, match="read-only"):
+        balanced.values[0, 0] = math.nan
+    assert np.all(np.isfinite(balanced.values))
+    source = np.ones((1, 1))
+    held = BalancedPanel(countries=("AAA",), years=(2000,), values=source)
+    source[0, 0] = 2.0  # the caller's array stays writable, and the panel keeps its copy
+    assert held.values[0, 0] == 1.0
+
+
+def test_load_then_serialize_peak_memory_per_observation(tmp_path):
+    # 1,000 countries x 60 years, every row kept
+    rng = np.random.default_rng(20260)
+    n_countries, n_years = 1_000, 60
+    gdp = rng.lognormal(8.0, 2.0, size=(n_countries, n_years)).tolist()
+    path = tmp_path / "gdp.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("country,year,value\n")
+        for i, row in enumerate(gdp):
+            handle.writelines(f"C{i:04d},{1951 + j},{v!r}\n" for j, v in enumerate(row))
+    n = n_countries * n_years
+    tracemalloc.start()
+    try:
+        panel, skipped = load_panel(path, "gdp")
+        text = serialize_panel(panel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(panel), skipped) == (n, 0)
+    assert text == path.read_text(encoding="utf-8")
+    assert peak / n < 250, f"{peak / n:.0f} B per observation"

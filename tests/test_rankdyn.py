@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from econrank import (
     BalancedPanel,
-    IndicatorPanel,
     balanced_subset,
     empirical_pdf,
     exceedance_probability,
@@ -21,6 +20,7 @@ from econrank import (
 )
 from econrank.errors import DegenerateSampleError, ParameterError
 from econrank.outputs import deltas_csv
+from panel_mapping import from_mapping
 from rank_records import records
 
 # 0.5*exp(-1.2), frozen from a 30-digit mpmath evaluation
@@ -43,7 +43,7 @@ def brute_force_rank(values: dict[str, float]) -> dict[str, int]:
 def make_balanced(values_by_year: dict[int, dict[str, float]]) -> BalancedPanel:
     obs = {(c, y): float(v) for y, row in values_by_year.items() for c, v in row.items()}
     years = sorted(values_by_year)
-    return balanced_subset(IndicatorPanel("gdp", obs), (years[0], years[-1]))
+    return balanced_subset(from_mapping("gdp", obs), (years[0], years[-1]))
 
 
 class TestRankSnapshot:
