@@ -15,7 +15,6 @@ The :mod:`econrank.cli` module exposes them as the ``econrank`` command.
 
 from .abm import (
     AbmParams,
-    CountryOutcome,
     Ensemble,
     SweepConfig,
     fit_model_regression,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbmParams",
     "BalancedPanel",
-    "CountryOutcome",
     "Ensemble",
     "IndicatorPanel",
     "LaplaceFit",

@@ -12,14 +12,17 @@ on the mismatches. A country's one random stream, the mismatch draws, is child
 fixed seed exactly doubles GDP. Sweep sub-seeds are derived per country index,
 making ensembles independent of execution order and thread count.
 
-``sweep`` returns an :class:`Ensemble` of float64 columns. It splits the
-country indices into one contiguous block per worker thread, which fills its
-rows of the mu, sigma and E columns with one reused mismatch buffer. Every
-country draws the same ``n_jobs`` mismatches and so costs the same, which
-makes equal blocks keep the workers equally busy. A block seeds its streams
-``_ROWS`` countries at a time: ``_seeds`` runs numpy's SeedSequence hash
-on all of them at once, giving the same PCG64 streams as a SeedSequence per
-stream at a tenth of the cost.
+Outcomes take one path: ``simulate_country`` and ``sweep`` compute the
+capacities E and pass them to ``_outcomes``, the one place that applies the
+output equations and builds an :class:`Ensemble` of float64 columns. That of
+``simulate_country``, the reference the sweep is tested against, has one row.
+``sweep`` splits the country indices into one contiguous block per worker
+thread, which fills its rows of the mu, sigma and E columns with one reused
+mismatch buffer. Every country draws the same ``n_jobs`` mismatches and so
+costs the same, which makes equal blocks keep the workers equally busy. A
+block seeds its streams ``_ROWS`` countries at a time: ``_seeds`` runs numpy's
+SeedSequence hash on all of them at once, giving the same PCG64 streams as a
+SeedSequence per stream at a tenth of the cost.
 
 The kernel fills a buffer of at most ``_LEAF`` mismatches at a time, so memory
 is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
@@ -96,24 +99,13 @@ class AbmParams:
         _integer(self, "seed", 0)
 
 
-@dataclass(frozen=True)
-class CountryOutcome:
-    """Aggregates of one simulated country.
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Model outcomes: equal-length float64 arrays, row i for country index i.
 
     A sigma = 0 economy is uncorrupt: its competitiveness proxy is the +inf
     sentinel when gamma > 0 and should be excluded from regressions.
     """
-
-    e_total: float
-    gdp_total: float
-    gdp_per_capita: float
-    gci_th: float
-    params: AbmParams
-
-
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """A sweep's outcomes: equal-length float64 arrays, row i for country index i."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -147,28 +139,29 @@ _LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
 _ROWS = 1 << 10  # countries seeded per hashing pass of a sweep block
 
 
-def simulate_country(params: AbmParams) -> CountryOutcome:
-    """Simulate one country and aggregate its outcome.
+def simulate_country(params: AbmParams) -> Ensemble:
+    """Simulate one country: its outcome as an :class:`Ensemble` of one row.
 
     The capacity E = sum(exp(-|mismatch|)) depends only on the mismatch
     stream, the same stream as ``SeedSequence(seed).spawn(2)[1]``.
     """
     skill_rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(1,)))
     buf = np.empty(min(params.n_jobs, _LEAF))
-    e_total = float(_capacity(skill_rng, params.sigma, buf, params.n_jobs))
-    gdp_total = params.mu * e_total
-    gdp_per_capita = gdp_total / params.n_jobs
-    if params.sigma == 0:
-        gci_th = math.inf if params.gamma > 0 else 1.0
-    else:
-        gci_th = gci_theoretical(params.sigma, params.gamma)
-    return CountryOutcome(
-        e_total=e_total,
-        gdp_total=gdp_total,
-        gdp_per_capita=gdp_per_capita,
-        gci_th=gci_th,
-        params=params,
-    )
+    e_total = _capacity(skill_rng, params.sigma, buf, params.n_jobs)
+    return _outcomes(np.array([params.mu]), np.array([params.sigma]), np.array([e_total]),
+                     params.n_jobs, params.gamma)
+
+
+def _outcomes(mu: np.ndarray, sigma: np.ndarray, e_total: np.ndarray, n_jobs: int,
+              gamma: float) -> Ensemble:
+    """The model's outputs per row: GDP = mu * E, gdp = GDP / n_jobs, proxy sigma^(-gamma)."""
+    uncorrupt = math.inf if gamma > 0 else 1.0  # the proxy of sigma = 0
+    # libm's scalar pow per country, and DomainError on overflow
+    gci_th = np.fromiter((uncorrupt if s == 0 else gci_theoretical(s, gamma)
+                          for s in sigma.tolist()), float, len(sigma))
+    with np.errstate(over="ignore"):  # fit_power_law rejects the infinite outputs
+        gdp_total = mu * e_total
+    return Ensemble(mu, sigma, e_total, gdp_total, gdp_total / n_jobs, gci_th)
 
 
 def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -> float:
@@ -244,11 +237,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
 
     with ThreadPoolExecutor(max_workers=k) as pool:
         list(pool.map(partial(_simulate_block, config, mu, sigma, e_total), blocks))
-    # libm's scalar pow per country, as simulate_country has it, and DomainError on overflow
-    gci_th = np.fromiter((gci_theoretical(s, config.gamma) for s in sigma.tolist()), float, n)
-    with np.errstate(over="ignore"):  # fit_power_law rejects the infinite outputs
-        gdp_total = mu * e_total
-    return Ensemble(mu, sigma, e_total, gdp_total, gdp_total / config.n_jobs, gci_th)
+    return _outcomes(mu, sigma, e_total, config.n_jobs, config.gamma)
 
 
 def fit_model_regression(ensemble: Ensemble) -> PowerLawFit:

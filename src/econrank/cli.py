@@ -53,7 +53,7 @@ def _load_exclusions(path: str | None) -> set[str]:
     if not path:
         return set()
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     return {ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")}

@@ -39,20 +39,13 @@ _FITLINE_POINTS = 100  # rows of every fit-line CSV
 
 
 def json_ready(obj: Any) -> Any:
-    """Recursively round floats to 12 significant digits; non-finite -> None."""
+    """Recursively round floats (np.float64 too) to 12 significant digits, non-finite to None."""
     if isinstance(obj, dict):
         return {k: json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
-    if isinstance(obj, (bool, str, int)) or obj is None:
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if not math.isfinite(f):
-            return None
-        return float(format(f, ".12g"))
+    if isinstance(obj, float):
+        return float(format(obj, ".12g")) if math.isfinite(obj) else None
     return obj
 
 
@@ -107,8 +100,9 @@ def ttest_json(result: TTestResult) -> str:
 def deltas_csv(sample: RankChangeSample) -> str:
     """One row per delta in ``deltas`` order: country, window start and end year, delta."""
     n = len(sample.countries)
-    starts = [t0 for t0, _ in sample.windows for _ in range(n)]
-    ends = [t1 for _, t1 in sample.windows for _ in range(n)]
+    # one str per window year, shared by that window's rows: an int per row formats slower
+    starts = [year for t0, _ in sample.windows for year in [str(t0)] * n]
+    ends = [year for _, t1 in sample.windows for year in [str(t1)] * n]
     columns = (sample.countries * len(sample.windows), starts, ends, sample.deltas)
     return render_csv(("country", "start_year", "end_year", "delta"), columns)
 

@@ -142,27 +142,39 @@ def test_config_normalised_or_parameter_error(**fields):
 class TestSimulateCountry:
     @pytest.mark.parametrize("n_jobs", [1000, 3 * LEAF + 5])
     def test_zero_sigma_is_exact(self, n_jobs):
-        outcome = simulate_country(params(sigma=0.0, mu=10.0, n_jobs=n_jobs))
+        p = params(sigma=0.0, mu=10.0, n_jobs=n_jobs)
+        outcome = simulate_country(p)
         assert outcome.e_total == float(n_jobs)
         assert outcome.gdp_total == 10.0 * n_jobs
         assert outcome.gdp_per_capita == 10.0
-        assert outcome.params.sigma == 0
+        assert p.sigma == 0 and outcome.sigma == 0
 
     def test_zero_sigma_gci_sentinel(self):
-        flagged = simulate_country(params(sigma=0.0, gamma=0.1))
-        assert flagged.params.sigma == 0
-        assert math.isinf(flagged.gci_th)
+        p = params(sigma=0.0, gamma=0.1)
+        flagged = simulate_country(p)
+        assert p.sigma == 0 and flagged.sigma == 0
+        assert math.isinf(flagged.gci_th[0]) and flagged.gci_th[0] > 0
         plain = simulate_country(params(sigma=0.0, gamma=0.0))
         assert plain.gci_th == 1.0
 
     def test_identity_relations_exact(self):
-        outcome = simulate_country(params())
-        assert outcome.gdp_total == outcome.params.mu * outcome.e_total
-        assert outcome.gdp_per_capita == outcome.gdp_total / outcome.params.n_jobs
-        assert 0 < outcome.e_total <= outcome.params.n_jobs
+        p = params()
+        outcome = simulate_country(p)
+        assert outcome.gdp_total == p.mu * outcome.e_total
+        assert outcome.gdp_per_capita == outcome.gdp_total / p.n_jobs
+        assert 0 < outcome.e_total <= p.n_jobs
 
     def test_deterministic_given_seed(self):
-        assert simulate_country(params()) == simulate_country(params())
+        assert same_columns(simulate_country(params()), simulate_country(params()))
+
+    def test_outcome_is_one_row_ensemble(self):
+        outcome = simulate_country(params())
+        assert isinstance(outcome, Ensemble)
+        for f in dataclasses.fields(Ensemble):
+            column = getattr(outcome, f.name)
+            assert isinstance(column, np.ndarray), f.name
+            assert column.dtype == np.float64 and column.shape == (1,), f.name
+        assert outcome.mu == 10.0 and outcome.sigma == 1.0
 
     # Chunk boundaries around the kernel's leaf size; exact equality fails if
     # numpy's pairwise-sum split ever stops matching the kernel's.
@@ -291,12 +303,9 @@ def head(ensemble: Ensemble, n: int) -> Ensemble:
 
 
 def ensemble_of(outcomes) -> Ensemble:
-    """The columns of ``simulate_country`` outcomes."""
-    return Ensemble(
-        *(np.array([getattr(o.params, name) for o in outcomes]) for name in ("mu", "sigma")),
-        *(np.array([getattr(o, name) for o in outcomes])
-          for name in ("e_total", "gdp_total", "gdp_per_capita", "gci_th")),
-    )
+    """The one-row ensembles of ``simulate_country``, concatenated in order."""
+    return Ensemble(*(np.concatenate([getattr(o, f.name) for o in outcomes])
+                      for f in dataclasses.fields(Ensemble)))
 
 
 def country_params(config: SweepConfig, index: int) -> AbmParams:
@@ -383,8 +392,7 @@ class TestSweep:
 
     def test_single_country_consistent_with_simulate(self):
         config = small_config(n_countries=1)
-        outcome = simulate_country(country_params(config, 0))
-        assert same_columns(sweep(config), ensemble_of([outcome]))
+        assert same_columns(sweep(config), simulate_country(country_params(config, 0)))
 
     # Seeds of 1 to 5 words (32 bits each) and blocks seeded in several passes.
     @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**127 + 1, 2**130 + 7])
@@ -481,8 +489,9 @@ class TestModelRegression:
     def test_non_finite_gci_rejected(self):
         outcome = simulate_country(params(sigma=0.0, gamma=0.5))
         with pytest.raises(DomainError):
-            fit_model_regression(ensemble_of([outcome]))
+            fit_model_regression(outcome)
 
     def test_empty_ensemble_rejected(self):
+        empty = Ensemble(*(np.empty(0) for _ in dataclasses.fields(Ensemble)))
         with pytest.raises(ParameterError):
-            fit_model_regression(ensemble_of([]))
+            fit_model_regression(empty)

@@ -235,6 +235,16 @@ class TestCrossSection:
         assert points["BRA"] == "1"  # shown but not fitted
         assert points["USA"] == "0"
 
+    def test_exclusion_file_may_start_with_bom(self, toy_gdp_csv, toy_gci_csv, tmp_path):
+        # the BOM must not end up in the first code, as the panel loaders strip it too
+        for name, content in (("plain", b"ALB\n"), ("bom", b"\xef\xbb\xbfALB\n")):
+            exclude = tmp_path / f"{name}.txt"
+            exclude.write_bytes(content)
+            assert self.run_default(toy_gdp_csv, toy_gci_csv, tmp_path / name,
+                                    ("--exclude", exclude)) == 0
+            parameters = read_json(tmp_path / name / "manifest.json")["parameters"]
+            assert (parameters["excluded"], parameters["n_fitted"]) == (["ALB"], 4), name
+
     def test_relative_growth_flag(self, toy_gdp_csv, toy_gci_csv, tmp_path):
         out_log = tmp_path / "log"
         out_rel = tmp_path / "rel"
