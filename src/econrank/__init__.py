@@ -11,81 +11,38 @@ Four analysis layers share one CSV panel format:
   sweeps ensembles of synthetic countries.
 
 The :mod:`econrank.cli` module exposes them as the ``econrank`` command.
+Submodules and the names below load on first access (PEP 562), so
+``import econrank`` loads no numpy.
 """
 
-from .abm import (
-    AbmParams,
-    Ensemble,
-    SweepConfig,
-    fit_model_regression,
-    gci_theoretical,
-    simulate_country,
-    sweep,
-)
-from .panel import (
-    BalancedPanel,
-    IndicatorPanel,
-    balanced_subset,
-    growth_rate,
-    load_alias_map,
-    load_panel,
-    serialize_panel,
-)
-from .rankdyn import (
-    LaplaceFit,
-    RankChangeSample,
-    empirical_pdf,
-    exceedance_probability,
-    fit_laplace_mle,
-    laplace_density,
-    rank_changes,
-    rank_snapshot,
-    sample_discrete_laplace,
-)
-from .xsection import (
-    LinearFit,
-    PowerLawFit,
-    TTestResult,
-    fit_power_law,
-    ols_linear,
-    relative_competitiveness,
-    split_by_sign,
-    two_sample_t,
-)
+import importlib
+from typing import Any
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbmParams",
-    "BalancedPanel",
-    "Ensemble",
-    "IndicatorPanel",
-    "LaplaceFit",
-    "LinearFit",
-    "PowerLawFit",
-    "RankChangeSample",
-    "SweepConfig",
-    "TTestResult",
-    "balanced_subset",
-    "empirical_pdf",
-    "exceedance_probability",
-    "fit_laplace_mle",
-    "fit_model_regression",
-    "fit_power_law",
-    "gci_theoretical",
-    "growth_rate",
-    "laplace_density",
-    "load_alias_map",
-    "load_panel",
-    "ols_linear",
-    "rank_changes",
-    "rank_snapshot",
-    "relative_competitiveness",
-    "sample_discrete_laplace",
-    "serialize_panel",
-    "simulate_country",
-    "split_by_sign",
-    "sweep",
-    "two_sample_t",
-    "__version__",
-]
+# every public name -> the submodule defining it; each submodule maps to itself
+_SOURCE = {
+    **{m: m for m in ("abm", "cli", "errors", "outputs", "panel", "rankdyn", "xsection")},
+    **dict.fromkeys(("AbmParams", "Ensemble", "SweepConfig", "fit_model_regression",
+                     "gci_theoretical", "simulate_country", "sweep"), "abm"),
+    **dict.fromkeys(("BalancedPanel", "IndicatorPanel", "balanced_subset", "growth_rate",
+                     "load_alias_map", "load_panel", "serialize_panel"), "panel"),
+    **dict.fromkeys(("LaplaceFit", "RankChangeSample", "empirical_pdf", "exceedance_probability",
+                     "fit_laplace_mle", "laplace_density", "rank_changes", "rank_snapshot",
+                     "sample_discrete_laplace"), "rankdyn"),
+    **dict.fromkeys(("LinearFit", "PowerLawFit", "TTestResult", "fit_power_law", "ols_linear",
+                     "relative_competitiveness", "split_by_sign", "two_sample_t"), "xsection"),
+}
+
+__all__ = [*sorted(name for name, module in _SOURCE.items() if name != module), "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SOURCE[name]}")
+    return module if name == _SOURCE[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCE})

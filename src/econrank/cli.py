@@ -18,11 +18,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, abm, outputs, panel, rankdyn, xsection
+from . import __version__, outputs, panel
 from .errors import DataError, EconRankError, ParameterError
+
+if TYPE_CHECKING:  # each command imports the analysis module it runs, so ingest loads none
+    from . import abm
 
 # input-file flags recorded in the manifest, in order, where the command has them
 _INPUT_FLAGS = ("input", "input_y", "alias", "alias_y", "exclude", "config")
@@ -71,6 +75,8 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 
 
 def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
+    from . import rankdyn
+
     pnl, skipped = _load(args.input, args.indicator, args.alias)
     if not len(pnl):
         raise DataError(f"no observations for indicator {args.indicator!r}")
@@ -99,6 +105,8 @@ def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 
 
 def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
+    from . import xsection
+
     x_panel, x_skipped = _load(args.input, args.indicator, args.alias)
     y_panel, y_skipped = _load(args.input_y, args.indicator_y, args.alias_y)
     t0, t1 = _parse_years(args.years)
@@ -163,7 +171,9 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 
 def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
     """The config at ``path``, its seed replaced by ``seed`` when given."""
-    with open(path, "r", encoding="utf-8") as handle:
+    from . import abm
+
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             raw = json.load(handle)
         except (ValueError, RecursionError) as exc:  # also undecodable, over-long, too deep
@@ -185,6 +195,8 @@ def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
 
 
 def _run_simulate(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
+    from . import abm
+
     config = _read_sweep_config(args.config, args.seed)
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)
@@ -285,7 +297,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(f"wrote {len(files)} files to {args.out}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

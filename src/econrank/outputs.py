@@ -25,15 +25,17 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from .abm import Ensemble
 from .errors import ParameterError
 from .panel import _BLOCK, _quote
-from .rankdyn import LaplaceFit, RankChangeSample, empirical_pdf, laplace_density
-from .xsection import LinearFit, PowerLawFit, TTestResult
+
+if TYPE_CHECKING:  # a command loads only the analysis modules it runs
+    from .abm import Ensemble
+    from .rankdyn import LaplaceFit, RankChangeSample
+    from .xsection import LinearFit, PowerLawFit, TTestResult
 
 _FITLINE_POINTS = 100  # rows of every fit-line CSV
 
@@ -116,6 +118,8 @@ def ensemble_csv(ensemble: Ensemble) -> str:
 
 def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
     """Empirical density and model density per integer bin."""
+    from .rankdyn import empirical_pdf, laplace_density
+
     centers, densities = zip(*empirical_pdf(sample))
     model = [laplace_density(fit.decay, c) for c in centers]
     return render_csv(("bin", "density", "model_density"), (centers, densities, model))

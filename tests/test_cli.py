@@ -449,6 +449,20 @@ def test_simulate_outputs_match_golden_bytes(threads, fig7_config, tmp_path):
     assert digests == SIMULATE_GOLDEN
 
 
+def test_config_may_start_with_bom(tmp_path):
+    # as --input, --alias and --exclude files may; the BOM is not part of the JSON
+    config = json.dumps(dict(n_countries=20, n_jobs=1_000, mu_range=[5.0, 20.0],
+                             sigma_range=[0.5, 20.0], gamma=0.1, seed=7)).encode()
+    data = {}
+    for name, content in (("plain", config), ("bom", b"\xef\xbb\xbf" + config)):
+        (tmp_path / f"{name}.json").write_bytes(content)
+        assert run(["simulate", "--config", tmp_path / f"{name}.json", "--threads", 1,
+                    "--out", tmp_path / name]) == 0
+        data[name] = {file: (tmp_path / name / file).read_bytes()
+                      for file in ("ensemble.csv", "model_fit.json", "fitline.csv")}
+    assert data["bom"] == data["plain"]
+
+
 @pytest.mark.parametrize(
     "flag, content, code",
     [

@@ -1,8 +1,9 @@
-"""The CLI run contract under fuzzed inputs, and the lazy imports of the CLI.
+"""The CLI run contract under fuzzed inputs, and how a CLI process starts.
 
 Every run through ``cli.main`` ends with exit code 0, 1, 2 or 3. A failed run
 prints exactly one ``error: `` line on stderr and leaves ``--out`` as it found
-it; a successful run leaves exactly the files its manifest lists.
+it; a successful run leaves exactly the files its manifest lists. A CLI process
+loads only the modules its command runs, and numpy's BLAS on one thread.
 """
 
 import contextlib
@@ -14,9 +15,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import econrank
 from econrank.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -182,12 +185,49 @@ def test_simulate_keeps_the_contract(data):
                         out, before)
 
 
+def run_probe(probe: str, **env: str) -> str:
+    """Stdout of a fresh interpreter running ``probe`` with econrank from ``src``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env={**env, "PYTHONPATH": str(SRC)})
+    return result.stdout.strip()
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # the sweep imports _seeds, and with it numpy.random, and concurrent.futures (which
     # loads logging) only when it runs; secrets (which loads hashlib) is imported only
-    # to draw a missing sweep seed
-    lazy = {"numpy.random", "econrank._seeds", "concurrent", "logging", "secrets", "hashlib"}
-    probe = f"import sys, econrank.cli; print(sorted({lazy!r} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert result.stdout.strip() == "[]"
+    # to draw a missing sweep seed; each command imports the analysis modules it runs
+    lazy = {"numpy.random", "econrank._seeds", "concurrent", "logging", "secrets", "hashlib",
+            "econrank.abm", "econrank.rankdyn", "econrank.xsection"}
+    assert run_probe(f"import sys, econrank.cli; print(sorted({lazy!r} & set(sys.modules)))") \
+        == "[]"
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    assert run_probe("import sys, econrank; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "1"]), ("3", ["3"])],
+                         ids=["unset", "preset"])
+def test_the_cli_process_runs_blas_on_one_thread_unless_set(preset, expected):
+    # OpenBLAS sizes its thread pool when numpy loads; the entry sets the default first
+    probe = (
+        "import os, runpy, sys\n"
+        "sys.argv = ['econrank', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('econrank', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "import numpy\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    )
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    fields = run_probe(probe, **env).splitlines()[-1].split()  # the line after --version's
+    assert fields[: len(expected)] == expected  # a preset pool's size is the host's
+
+
+def test_star_import_and_dir_list_every_exported_name():
+    namespace: dict = {}
+    exec("from econrank import *", namespace)
+    assert set(econrank.__all__) <= set(namespace) and set(econrank.__all__) <= set(dir(econrank))
