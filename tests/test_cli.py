@@ -165,8 +165,8 @@ def test_over_wide_year_span_exits_2(command, route, toy_gdp_csv, toy_gci_csv, t
     assert not out.exists()
 
 
-# SHA-256 of every data file of the toy-panel runs below. These commands do
-# no BLAS or RNG work, so the digests hold on every platform.
+# SHA-256 of every data file of the toy-panel runs below. ingest and
+# rank-dynamics do no BLAS or RNG work, so their digests hold on every platform.
 TOY_GOLDEN = {
     ("ingest", "panel.csv"):
         "c10d35297e14b48c6f069deec2eef8f34ce12caf8e53d8386b80857521afb613",
@@ -199,6 +199,69 @@ def test_toy_outputs_match_golden_bytes(toy_gdp_csv, tmp_path):
         for name, file in TOY_GOLDEN
     }
     assert digests == TOY_GOLDEN
+
+
+# cross-section's fit takes np.log and dot products over the 5 toy points, so its
+# digests also assume this platform's numpy rounds those as it did when recorded.
+CROSS_SECTION_GOLDEN = {
+    ("default", "fit.json"):
+        "9f47714b950a0872208819bf9cfec5bddca00c12fe83aa618dc94105e9ff0202",
+    ("default", "dscores.csv"):
+        "be71830a4a99803f1863017143da2a9f42baadb05461c4f0b20a5fe87249ab54",
+    ("default", "ttest.json"):
+        "b11d4877f84716a1a014684c931ea78f307ffdabc25ca02cda91b05566decaa6",
+    ("default", "growth_vs_d.csv"):
+        "ced19fa8fc2dd6cc92262014bf1fec5aba1da094c94f619d4f9fc5bbc530b97a",
+    ("default", "points.csv"):
+        "ff802ec4be2a1bd28b2adbe884e63f79d068cd2266810732a8f9ba6d94037e42",
+    ("default", "fitline.csv"):
+        "dea789c9b170cc2739973ac5034959781ae616efb0b1e4483584bbe4828e46a7",
+    ("default", "growth_fitline.csv"):
+        "ce95377704e99e6c13e570e97da6b7b2bf262ab15585be15a5d79b1f77c723f7",
+    ("relative", "fit.json"):
+        "9f47714b950a0872208819bf9cfec5bddca00c12fe83aa618dc94105e9ff0202",
+    ("relative", "dscores.csv"):
+        "be71830a4a99803f1863017143da2a9f42baadb05461c4f0b20a5fe87249ab54",
+    ("relative", "ttest.json"):
+        "50b576f937a7ae43ff556dad5525470eb4dbc3d7f0a615c9c2ac66252f27d841",
+    ("relative", "growth_vs_d.csv"):
+        "4d17943ae5ecf59520be0ac150ee5ba407b7b4fda286baaaf07cc235ae223ed7",
+    ("relative", "points.csv"):
+        "ff802ec4be2a1bd28b2adbe884e63f79d068cd2266810732a8f9ba6d94037e42",
+    ("relative", "fitline.csv"):
+        "dea789c9b170cc2739973ac5034959781ae616efb0b1e4483584bbe4828e46a7",
+    ("relative", "growth_fitline.csv"):
+        "124b28c5118cd87908361780da5c73adcbd2591d270c1518f42c205cf7355d90",
+    ("exclude", "fit.json"):
+        "a33d189d41b421fe2e086be636553bdcd1e342b257680eb45e687acd525a0f5a",
+    ("exclude", "dscores.csv"):
+        "adbf0aef0b83cfd0541bd39dd4e8b238ff8ed114c4023a24792958de2242f0a3",
+    ("exclude", "ttest.json"):
+        "dfaccd27c020e58f6965ca2ea98ed9ae5512a16b91e1cac684a56af6702ef6d9",
+    ("exclude", "growth_vs_d.csv"):
+        "716dc2240d2ae74a0efd7f624a7789d92cd58b3242e0b43ce914085467eafcbe",
+    ("exclude", "points.csv"):
+        "5d73d098b7ebcd7802d7e3510180c02cc023bff8436d27856795612e4ad010cc",
+    ("exclude", "fitline.csv"):
+        "f365bd14561a03ca1458356c81ff78772715be83a02a14ba149a64cdc0a320e9",
+    ("exclude", "growth_fitline.csv"):
+        "4455997b8138495d5460d595d3bb4d4c08d7eed9ae1d8992c61c769e44c7e0e6",
+}
+
+
+def test_toy_cross_section_matches_golden_bytes(toy_gdp_csv, toy_gci_csv, tmp_path):
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("BRA\n")
+    runs = {"default": [], "relative": ["--growth", "relative"],
+            "exclude": ["--exclude", exclude]}
+    for name, extra in runs.items():
+        assert run(["cross-section", "--input", toy_gdp_csv, "--input-y", toy_gci_csv,
+                    "--years", "2008:2011", "--out", tmp_path / name, *extra]) == 0
+    digests = {
+        (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+        for name, file in CROSS_SECTION_GOLDEN
+    }
+    assert digests == CROSS_SECTION_GOLDEN
 
 
 class TestCrossSection:
@@ -283,6 +346,48 @@ class TestCrossSection:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "AAA" in err[0]
         assert not out.exists()
+
+    @staticmethod
+    def write_panels(tmp_path, x_rows, y_rows):
+        """x rows (code, 2000 value, 2001 value) and y rows (code, 2001 value) as CSVs."""
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        x.write_text("country,year,value\n" + "".join(
+            f"{c},2000,{a!r}\n{c},2001,{b!r}\n" for c, a, b in x_rows))
+        y.write_text("country,year,value\n" + "".join(f"{c},2001,{g}\n" for c, g in y_rows))
+        return x, y
+
+    def test_growth_covers_only_the_fitted_rows(self, tmp_path):
+        # a non-gdp indicator may be 0 or negative; only the fitted rows need positive growth
+        fitted = [("AAA", 2.0, 3.0, 4.1), ("BBB", 2.0, 3.0, 3.2), ("CCC", 4.0, 5.0, 4.5),
+                  ("DDD", 6.0, 8.0, 3.9), ("EEE", 3.0, 4.0, 4.4)]
+        x, y = self.write_panels(
+            tmp_path,
+            [(c, a, b) for c, a, b, _ in fitted] + [("XXX", -2.0, 3.0), ("ZZZ", 0.0, 5.0)],
+            [(c, g) for c, *_, g in fitted] + [("XXX", 3.5)],  # ZZZ has no y value
+        )
+        exclude = tmp_path / "exclude.txt"
+        exclude.write_text("XXX\n")
+        out = tmp_path / "out"
+        assert run(["cross-section", "--input", x, "--indicator", "score", "--input-y", y,
+                    "--years", "2000:2001", "--exclude", exclude, "--out", out]) == 0
+        codes = [c for c, *_ in fitted]
+        assert [r["country"] for r in read_rows(out / "growth_vs_d.csv")] == codes
+        points = {r["country"]: r["excluded"] for r in read_rows(out / "points.csv")}
+        assert points == {**dict.fromkeys(codes, "0"), "XXX": "1"}
+
+    def test_one_year_growth_window_exits_1(self, tmp_path, capsys):
+        x, y = self.write_panels(
+            tmp_path, [(c, 2.0 + k, 3.0 + k) for k, c in enumerate("ABCDE")],
+            [(c, 3.0 + k % 3) for k, c in enumerate("ABCDE")],
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("untouched\n")
+        assert run(["cross-section", "--input", x, "--input-y", y, "--years", "2001:2001",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"keep.txt": "untouched\n"}
 
     def test_no_common_country_exits_2(self, toy_gdp_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
