@@ -134,7 +134,7 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     y = balanced_y.values[[row_y[c] for c in countries], 0]
     fit = xsection.fit_power_law(np.column_stack((x[keep], y[keep])), labels=fitted)
     d = fit.sample[:, 2]
-    g = [panel.growth_rate(balanced_x, c, t0, t1, method=args.growth) for c in fitted]
+    g = panel.growth_rate(balanced_x, np.array(rows_x)[keep], method=args.growth)
     ttest = xsection.two_sample_t(*xsection.split_by_sign(d, g))
     growth_fit = xsection.ols_linear(np.column_stack((d, g)))
 

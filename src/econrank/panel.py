@@ -142,12 +142,6 @@ class BalancedPanel:
     def n_countries(self) -> int:
         return len(self.countries)
 
-    def country_index(self, country: str) -> int:
-        i = bisect.bisect_left(self.countries, country)
-        if i == len(self.countries) or self.countries[i] != country:
-            raise MissingObservationError(f"country {country!r} not in panel")
-        return i
-
     def year_index(self, year: int) -> int:
         try:
             return self.years.index(year)
@@ -155,7 +149,10 @@ class BalancedPanel:
             raise MissingObservationError(f"year {year} not in panel") from None
 
     def value(self, country: str, year: int) -> float:
-        return float(self.values[self.country_index(country), self.year_index(year)])
+        i = bisect.bisect_left(self.countries, country)
+        if i == len(self.countries) or self.countries[i] != country:
+            raise MissingObservationError(f"country {country!r} not in panel")
+        return float(self.values[i, self.year_index(year)])
 
 
 @contextlib.contextmanager
@@ -280,31 +277,26 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
     return BalancedPanel(countries=countries, years=range(start, end + 1), values=values)
 
 
-def growth_rate(
-    panel: BalancedPanel,
-    country: str,
-    t0: int,
-    t1: int,
-    method: str = "log",
-) -> float:
-    """Growth of a country's value from ``t0`` to ``t1``.
+def growth_rate(panel: BalancedPanel, rows: Sequence[int], method: str = "log") -> np.ndarray:
+    """Growth of the countries at positions ``rows`` from the panel's first year to its last.
 
-    ``method='log'`` returns ln(v1/v0); ``method='relative'`` returns
-    (v1 - v0)/v0. Values must be strictly positive, and v1/v0 must neither
-    overflow nor, for log growth, underflow to 0.
+    ``method='log'`` gives ln(v1/v0) and ``method='relative'`` (v1 - v0)/v0. Values must
+    be strictly positive, and v1/v0 must neither overflow nor, for log growth, underflow
+    to 0; the DomainError names the first bad country in ``rows`` order.
     """
-    if t0 >= t1:
-        raise ParameterError(f"growth window must satisfy t0 < t1, got {t0}:{t1}")
+    if len(panel.years) < 2:
+        raise ParameterError(f"growth needs a window of two years or more, got {len(panel.years)}")
     if method not in ("log", "relative"):
         raise ParameterError(f"unknown growth method {method!r}")
-    v0 = panel.value(country, t0)
-    v1 = panel.value(country, t1)
-    if v0 <= 0 or v1 <= 0:
-        raise DomainError(
-            f"growth of {country} needs positive values, got {v0!r} -> {v1!r}"
-        )
-    growth = math.log(v1 / v0 or math.nan) if method == "log" else (v1 - v0) / v0
-    if not math.isfinite(growth):  # v1/v0 overflowed, or underflowed to 0 under the log
-        raise DomainError(f"growth of {country} needs v1/v0 in float range, got {v0!r} -> {v1!r}")
+    v0, v1 = panel.values[rows, 0], panel.values[rows, -1]
+    with np.errstate(all="ignore"):  # the first bad row is named below
+        growth = (v1 - v0) / v0 if method == "relative" else v1 / v0
+    if method == "log":  # libm's log of each ratio: np.log may differ in the last bit
+        growth = np.array([math.log(r) if r > 0 else math.nan for r in growth.tolist()])
+    bad = (v0 <= 0) | (v1 <= 0) | ~np.isfinite(growth)
+    if bad.any():
+        k = int(bad.argmax())
+        a, b = float(v0[k]), float(v1[k])
+        need = "positive values" if min(a, b) <= 0 else "v1/v0 in float range"
+        raise DomainError(f"growth of {panel.countries[rows[k]]} needs {need}, got {a!r} -> {b!r}")
     return growth
-

@@ -73,13 +73,16 @@ FUZZ_VALUES = ["1.5", "2", "-1", "0", "nan", "-inf", "1e308", "1e-320", "", "abc
 
 
 @st.composite
-def panel_csvs(draw) -> bytes:
+def panel_csvs(draw, nonpositive: bool = False) -> bytes:
     """A small complete panel with fuzzed rows spliced in.
 
     Fuzzed rows have wrong field counts, NUL bytes, stray quotes, huge years,
-    repeats of other rows and, in a few files, bytes that are not UTF-8.
+    repeats of other rows and, in a few files, bytes that are not UTF-8. With
+    ``nonpositive``, up to two codes hold 0 or a negative value in the first year.
     """
-    rows = [f"{c},{y},{draw(st.floats(0.5, 1e6))!r}" for c in CODES for y in YEARS]
+    low = draw(st.sets(st.sampled_from(CODES), max_size=2)) if nonpositive else set()
+    value = {False: st.floats(0.5, 1e6), True: st.sampled_from([0.0, -1.5])}
+    rows = [f"{c},{y},{draw(value[c in low and y == YEARS[0]])!r}" for c in CODES for y in YEARS]
     field = st.one_of(st.sampled_from(FUZZ_COUNTRIES), st.sampled_from(FUZZ_YEARS),
                       st.sampled_from(FUZZ_VALUES))
     fuzzed = st.one_of(
@@ -108,8 +111,8 @@ def test_panel_commands_keep_the_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         x, y = root / "x.csv", root / "y.csv"
-        x.write_bytes(data.draw(panel_csvs(), label="x"))
         command = data.draw(st.sampled_from(["ingest", "rank-dynamics", "cross-section"]))
+        x.write_bytes(data.draw(panel_csvs(command == "cross-section"), label="x"))
         if command == "ingest":
             argv = ["ingest", "--input", x, "--indicator", "gdp"]
         elif command == "rank-dynamics":
@@ -119,8 +122,16 @@ def test_panel_commands_keep_the_contract(data):
                 argv.append("--non-overlapping")
         else:
             y.write_bytes(data.draw(panel_csvs(), label="y"))
+            # a non-gdp x indicator keeps 0 and negative values, which growth must reject
+            # only in the fitted rows; --exclude removes rows from the fit
             argv = ["cross-section", "--input", x, "--input-y", y, "--years", "2000:2003",
+                    "--indicator", data.draw(st.sampled_from(["gdp", "score"])),
                     "--growth", data.draw(st.sampled_from(["log", "relative"]))]
+            if data.draw(st.booleans()):
+                exclude = root / "exclude.txt"
+                exclude.write_text("".join(f"{c}\n" for c in data.draw(
+                    st.lists(st.sampled_from(CODES), max_size=4, unique=True), label="exclude")))
+                argv += ["--exclude", exclude]
         out, before = data.draw(out_dirs(root))
         assert_contract([*argv, "--out", out], out, before)
 

@@ -200,6 +200,10 @@ class TestBalancedLookup:
         with pytest.raises(MissingObservationError):
             self.panel.value(country, 2000)
 
+    def test_missing_year_is_lookup_error(self):
+        with pytest.raises(MissingObservationError):
+            self.panel.value("BBB", 2002)
+
 
 class TestBalancedLayout:
     def test_gapped_years_are_data_error(self):
@@ -230,26 +234,25 @@ class TestGrowthRate:
     def test_log_growth_matches_oracle(self):
         panel = _panel([("AAA", 2000, 100.0), ("AAA", 2001, 110.0)])
         balanced = balanced_subset(panel, (2000, 2001))
-        assert growth_rate(balanced, "AAA", 2000, 2001) == pytest.approx(
-            LN_1_1, abs=1e-12
-        )
+        (rate,) = growth_rate(balanced, [0])
+        assert rate == pytest.approx(LN_1_1, abs=1e-12)
 
     def test_equal_endpoints_give_zero(self):
         panel = _panel([("AAA", 2000, 42.0), ("AAA", 2001, 42.0)])
         balanced = balanced_subset(panel, (2000, 2001))
-        assert growth_rate(balanced, "AAA", 2000, 2001) == 0.0
+        assert growth_rate(balanced, [0]).tolist() == [0.0]
 
     def test_relative_method(self):
         panel = _panel([("AAA", 2000, 100.0), ("AAA", 2001, 110.0)])
         balanced = balanced_subset(panel, (2000, 2001))
-        rel = growth_rate(balanced, "AAA", 2000, 2001, method="relative")
+        (rel,) = growth_rate(balanced, [0], method="relative")
         assert rel == pytest.approx(0.1, abs=1e-12)
 
     def test_nonpositive_value_is_domain_error(self):
         panel = _panel([("AAA", 2000, 5.0), ("AAA", 2001, 0.0)], "idx")
         balanced = balanced_subset(panel, (2000, 2001))
-        with pytest.raises(DomainError):
-            growth_rate(balanced, "AAA", 2000, 2001)
+        with pytest.raises(DomainError, match="AAA needs positive values"):
+            growth_rate(balanced, [0])
 
     @pytest.mark.parametrize(
         "v0, v1, method",
@@ -258,34 +261,57 @@ class TestGrowthRate:
     def test_growth_outside_float_range_is_domain_error(self, v0, v1, method):
         # v1/v0 overflows to inf, or underflows to 0 where log growth takes its log
         balanced = balanced_subset(_panel([("AAA", 2000, v0), ("AAA", 2001, v1)]), (2000, 2001))
-        with pytest.raises(DomainError, match="AAA"):
-            growth_rate(balanced, "AAA", 2000, 2001, method=method)
+        with pytest.raises(DomainError, match="AAA needs v1/v0 in float range"):
+            growth_rate(balanced, [0], method=method)
 
     def test_relative_fall_to_subnormal_is_finite(self):
         balanced = balanced_subset(_panel([("AAA", 2000, 1e308), ("AAA", 2001, 1e-320)]),
                                    (2000, 2001))
-        assert growth_rate(balanced, "AAA", 2000, 2001, method="relative") == -1.0
+        assert growth_rate(balanced, [0], method="relative").tolist() == [-1.0]
 
-    def test_missing_year_is_lookup_error(self):
-        panel = _panel([("AAA", 2000, 5.0), ("AAA", 2001, 6.0)])
-        balanced = balanced_subset(panel, (2000, 2001))
-        with pytest.raises(MissingObservationError):
-            growth_rate(balanced, "AAA", 2000, 2002)
-
-    def test_reversed_window_is_parameter_error(self):
-        panel = _panel([("AAA", 2000, 5.0), ("AAA", 2001, 6.0)])
-        balanced = balanced_subset(panel, (2000, 2001))
+    def test_one_year_span_is_parameter_error(self):
+        balanced = balanced_subset(_panel([("AAA", 2000, 5.0), ("AAA", 2001, 6.0)]),
+                                   (2001, 2001))
         with pytest.raises(ParameterError):
-            growth_rate(balanced, "AAA", 2001, 2000)
+            growth_rate(balanced, [0])
+
+    def test_unknown_method_is_parameter_error(self):
+        balanced = balanced_subset(_panel([("AAA", 2000, 5.0), ("AAA", 2001, 6.0)]),
+                                   (2000, 2001))
+        with pytest.raises(ParameterError, match="'linear'"):
+            growth_rate(balanced, [0], method="linear")
 
     def test_growth_rates_covers_every_country(self):
         panel = _panel(
             [("AAA", 2000, 1), ("AAA", 2001, 2), ("BBB", 2000, 3), ("BBB", 2001, 4)]
         )
         balanced = balanced_subset(panel, (2000, 2001))
-        rates = {c: growth_rate(balanced, c, 2000, 2001) for c in balanced.countries}
+        rates = dict(zip(balanced.countries, growth_rate(balanced, range(2)).tolist()))
         assert set(rates) == {"AAA", "BBB"}
         assert rates["AAA"] == pytest.approx(math.log(2.0))
+        assert rates["BBB"] == pytest.approx(math.log(4 / 3))
+
+    def test_rows_order_sets_the_output_order(self):
+        panel = _panel([("AAA", 2000, 1), ("AAA", 2001, 2), ("BBB", 2000, 3), ("BBB", 2001, 4),
+                        ("CCC", 2000, 5), ("CCC", 2001, 5)])
+        balanced = balanced_subset(panel, (2000, 2001))
+        assert growth_rate(balanced, [2, 0]).tolist() == [0.0, math.log(2.0)]
+
+    def test_first_bad_row_in_rows_order_is_named(self):
+        # CCC fails the float-range rule and AAA the positivity rule; rows lists CCC first
+        panel = _panel([("AAA", 2000, -1.0), ("AAA", 2001, 2.0), ("BBB", 2000, 3.0),
+                        ("BBB", 2001, 4.0), ("CCC", 2000, 1e-320), ("CCC", 2001, 1e308)], "idx")
+        balanced = balanced_subset(panel, (2000, 2001))
+        with pytest.raises(DomainError, match="CCC needs v1/v0 in float range"):
+            growth_rate(balanced, [1, 2, 0])
+        with pytest.raises(DomainError, match="AAA needs positive values"):
+            growth_rate(balanced, [0, 1, 2])
+
+    def test_bad_row_outside_rows_raises_nothing(self):
+        panel = _panel([("AAA", 2000, 0.0), ("AAA", 2001, 2.0), ("BBB", 2000, 3.0),
+                        ("BBB", 2001, 6.0)], "idx")
+        balanced = balanced_subset(panel, (2000, 2001))
+        assert growth_rate(balanced, [1], method="relative").tolist() == [1.0]
 
 
 codes = st.sampled_from(["ALB", "BRA", "CHN", "DEU", "HRV", "POL", "SGP", "USA"])
@@ -598,6 +624,18 @@ def test_balanced_values_are_read_only():
     source[0, 0] = 2.0  # the caller's array stays writable, and the panel keeps its copy
     assert held.values[0, 0] == 1.0
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(values, values), min_size=1, max_size=8), st.data())
+def test_growth_column_matches_the_scalar_rule(pairs, data):
+    # the column equals the per-country arithmetic bit for bit, in rows order
+    balanced = BalancedPanel(countries=tuple(f"C{i}" for i in range(len(pairs))),
+                             years=(2000, 2001), values=np.array(pairs))
+    rows = data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=8), label="rows")
+    for method, scalar in [("log", lambda a, b: math.log(b / a)),
+                           ("relative", lambda a, b: (b - a) / a)]:
+        assert growth_rate(balanced, rows, method).tolist() == [scalar(*pairs[i]) for i in rows]
 
 def test_load_then_serialize_peak_memory_per_observation(tmp_path):
     # 1,000 countries x 60 years, every row kept
