@@ -50,7 +50,7 @@ class DomainError(NumericalError):
 
 
 class DegenerateSampleError(NumericalError):
-    """The sample carries no usable variation (all-zero deltas, zero variance)."""
+    """The sample is too small or carries no usable variation (all-zero deltas, zero variance)."""
 
 
 class SingularDesignError(NumericalError):

@@ -1,10 +1,10 @@
 """Deterministic CSV/JSON rendering and plot-ready file emission.
 
-Every data CSV comes from one columnar renderer, :func:`render_csv`, with
-floats at 12 significant digits, so reruns with identical inputs are
-byte-identical; fields holding a comma, quote, CR or LF are quoted (RFC 4180).
-JSON floats are rounded the same way. The canonical panel dump is the one
-exception (exact repr, see panel).
+Every CSV row is formatted by one block loop, :func:`_format_rows`. Data CSVs
+(most through :func:`render_csv`) and JSON write floats at 12 significant
+digits, so reruns with identical inputs are byte-identical; the canonical
+panel dump (see panel) writes each value's exact ``%r``. Fields holding a
+comma, quote, CR or LF are quoted (RFC 4180).
 
 Commands assemble every output as an in-memory string first and write only
 after the whole pipeline has succeeded, so a failing run leaves no partial
@@ -25,12 +25,11 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .panel import _BLOCK, _quote
 
 if TYPE_CHECKING:  # a command loads only the analysis modules it runs
     from .abm import Ensemble
@@ -38,6 +37,22 @@ if TYPE_CHECKING:  # a command loads only the analysis modules it runs
     from .xsection import LinearFit, PowerLawFit, TTestResult
 
 _FITLINE_POINTS = 100  # rows of every fit-line CSV
+_BLOCK = 1024  # rows per formatted block of every CSV
+
+
+def _quote(field: str) -> str:
+    """``field`` as one CSV field: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    if any(ch in field for ch in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _format_rows(row: str, columns: Sequence[Sequence[Any]]) -> Iterator[str]:
+    """``row % cells`` for each row of equal-length ``columns``, ``_BLOCK`` rows per string."""
+    for start in range(0, max(map(len, columns), default=0), _BLOCK):
+        part = (col[start : start + _BLOCK] for col in columns)  # one block's values at a time
+        part = (p.tolist() if isinstance(p, np.ndarray) else p for p in part)
+        yield "".join(map(row.__mod__, zip(*part, strict=True)))  # unequal lengths: ValueError
 
 
 def json_ready(obj: Any) -> Any:
@@ -55,8 +70,7 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     """CSV text of ``header`` over equal-length ``columns`` (sequences or numpy arrays).
 
     A column whose first value is a float is written ``%.12g`` (as ``format(v, ".12g")``),
-    any other with ``%s``. Rows are formatted ``_BLOCK`` at a time from column slices,
-    so only one block's Python values exist at once; unequal lengths raise ValueError.
+    any other with ``%s``; unequal lengths raise ValueError.
     """
     cols, formats = [], []
     for col in columns:
@@ -65,13 +79,8 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
             col = [_quote(v) for v in col]
         cols.append(col)
         formats.append("%.12g" if isinstance(first, float) else "%s")
-    row = ",".join(formats) + "\n"
-    blocks = [",".join(map(_quote, header)) + "\n"]
-    for start in range(0, max(map(len, cols), default=0), _BLOCK):
-        part = (col[start : start + _BLOCK] for col in cols)
-        part = (p.tolist() if isinstance(p, np.ndarray) else p for p in part)
-        blocks.append("".join(map(row.__mod__, zip(*part, strict=True))))
-    return "".join(blocks)
+    rows = _format_rows(",".join(formats) + "\n", cols)
+    return ",".join(map(_quote, header)) + "\n" + "".join(rows)
 
 
 def render_json(payload: dict[str, Any]) -> str:
@@ -101,12 +110,12 @@ def ttest_json(result: TTestResult) -> str:
 
 def deltas_csv(sample: RankChangeSample) -> str:
     """One row per delta in ``deltas`` order: country, window start and end year, delta."""
-    n = len(sample.countries)
-    # one str per window year, shared by that window's rows: an int per row formats slower
-    starts = [year for t0, _ in sample.windows for year in [str(t0)] * n]
-    ends = [year for _, t1 in sample.windows for year in [str(t1)] * n]
-    columns = (sample.countries * len(sample.windows), starts, ends, sample.deltas)
-    return render_csv(("country", "start_year", "end_year", "delta"), columns)
+    codes = [_quote(code) for code in sample.countries]
+    n = len(codes)
+    blocks = ["country,start_year,end_year,delta\n"]
+    for k, (t0, t1) in enumerate(sample.windows):  # the window's years are fixed in its row
+        blocks += _format_rows(f"%s,{t0},{t1},%s\n", (codes, sample.deltas[k * n : (k + 1) * n]))
+    return "".join(blocks)
 
 
 def ensemble_csv(ensemble: Ensemble) -> str:

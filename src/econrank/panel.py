@@ -7,7 +7,8 @@ year) pair; its constructor owns the value and duplicate rules. A
 countries that have a value for every year of a requested range. Every
 value is finite, and values of gdp-like indicators are strictly positive.
 Both are immutable after construction (their arrays are read-only) and
-safe to share across threads.
+safe to share across threads. :func:`serialize_panel` writes each value's
+exact ``%r`` through the row writer that every CSV shares (see outputs).
 """
 
 from __future__ import annotations
@@ -31,17 +32,10 @@ from .errors import (
     MissingObservationError,
     ParameterError,
 )
+from .outputs import _format_rows, _quote
 
 PANEL_HEADER = ("country", "year", "value")
 ALIAS_HEADER = ("source_name", "iso3")
-_BLOCK = 1024  # rows per formatted block of every CSV renderer
-
-
-def _quote(field: str) -> str:
-    """``field`` as one CSV field: quoted, inner quotes doubled, if it holds , " CR or LF."""
-    if any(ch in field for ch in ',"\r\n'):
-        return '"' + field.replace('"', '""') + '"'
-    return field
 
 
 def _is_gdp_like(indicator: str) -> bool:
@@ -156,17 +150,24 @@ class BalancedPanel:
 
 
 @contextlib.contextmanager
-def _csv_rows(source: str | Path | IO[str]) -> Iterator[Iterator[list[str]]]:
-    """CSV rows of ``source``; undecodable text or an oversized field is a DataError."""
+def _csv_rows(
+    source: str | Path | IO[str], header: tuple[str, ...]
+) -> Iterator[Iterator[list[str]]]:
+    """Rows of ``source`` after its ``header``; a bad header or unreadable text is a DataError."""
     if isinstance(source, (str, Path)):
         source = open(source, "r", encoding="utf-8-sig", newline="")
     else:
         source = contextlib.nullcontext(source)
     with source as stream:
+        name = getattr(stream, "name", "CSV input")
         try:
-            yield csv.reader(stream)
+            reader = csv.reader(stream)
+            first = next(reader, None)
+            if first is None or tuple(h.strip().lower() for h in first) != header:
+                raise DataError(f"header of {name} must be {','.join(header)!r}, got {first!r}")
+            yield reader
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"cannot read {getattr(stream, 'name', 'CSV input')}: {exc}") from None
+            raise DataError(f"cannot read {name}: {exc}") from None
 
 
 def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
@@ -174,12 +175,7 @@ def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
 
     A ``source_name`` may repeat only with the same ``iso3``.
     """
-    with _csv_rows(source) as reader:
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != ALIAS_HEADER:
-            raise DataError(
-                f"alias file header must be {','.join(ALIAS_HEADER)!r}, got {header!r}"
-            )
+    with _csv_rows(source, ALIAS_HEADER) as reader:
         aliases: dict[str, str] = {}
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
@@ -207,12 +203,7 @@ def load_panel(
     skip count is returned alongside the panel. Duplicate (country, year)
     rows for the indicator are a hard error, raised once the whole file is read.
     """
-    with _csv_rows(source) as reader:
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != PANEL_HEADER:
-            raise DataError(
-                f"header must be {','.join(PANEL_HEADER)!r}, got {header!r}"
-            )
+    with _csv_rows(source, PANEL_HEADER) as reader:
         positive = _is_gdp_like(indicator)
         alias = (aliases or {}).get
         countries: list[str] = []
@@ -244,16 +235,11 @@ def serialize_panel(panel: IndicatorPanel) -> str:
 
     Values are written with ``repr`` and codes quoted where CSV needs it, so
     reloading reproduces the exact observation set (shortest round-trip
-    representation). Rows are formatted ``_BLOCK`` at a time from the columns.
+    representation).
     """
-    codes = [_quote(code) for code in panel.codes]
-    blocks = [",".join(PANEL_HEADER) + "\n"]
-    for start in range(0, len(panel), _BLOCK):
-        rows = (panel.country[start : start + _BLOCK].tolist(),
-                panel.years[start : start + _BLOCK].tolist(),
-                panel.values[start : start + _BLOCK].tolist())
-        blocks.append("".join([f"{codes[c]},{y},{v!r}\n" for c, y, v in zip(*rows)]))
-    return "".join(blocks)
+    codes = np.array([_quote(code) for code in panel.codes], dtype=object)[panel.country]
+    rows = _format_rows("%s,%s,%r\n", (codes, panel.years, panel.values))
+    return ",".join(PANEL_HEADER) + "\n" + "".join(rows)
 
 
 def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPanel:

@@ -121,7 +121,7 @@ def fit_laplace_mle(sample: RankChangeSample | Sequence[int] | np.ndarray) -> La
     deltas = _as_delta_array(sample)
     n = int(deltas.size)
     if n < 2:
-        raise ParameterError(f"need at least 2 rank changes, got {n}")
+        raise DegenerateSampleError(f"need at least 2 rank changes, got {n}")
     total_abs = int(np.abs(deltas).sum())
     if total_abs == 0:
         raise DegenerateSampleError(

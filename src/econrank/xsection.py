@@ -70,7 +70,7 @@ def _ols(
     """OLS of y on x with intercept: slope, intercept, slope stderr, residuals, centred x, y."""
     n = x.size
     if n < 3:
-        raise ParameterError(f"need at least 3 points, got {n}")
+        raise DegenerateSampleError(f"need at least 3 points, got {n}")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -164,9 +164,7 @@ def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     xb = np.asarray(b, dtype=float)
     n_a, n_b = xa.size, xb.size
     if n_a < 2 or n_b < 2:
-        raise ParameterError(
-            f"each group needs at least 2 values, got {n_a} and {n_b}"
-        )
+        raise DegenerateSampleError(f"each group needs at least 2 values, got {n_a} and {n_b}")
     mean_a, mean_b = float(xa.mean()), float(xb.mean())
     df = n_a + n_b - 2
     pooled_var = (

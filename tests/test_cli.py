@@ -138,6 +138,17 @@ class TestRankDynamics:
         assert "infinite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_delta_exits_3(self, tmp_path, capsys):
+        # one country over 11 years gives one 10-year window and so one delta
+        one = tmp_path / "one.csv"
+        one.write_text("country,year,value\n" + "".join(f"AAA,{y},{y - 1990}\n"
+                                                        for y in range(2000, 2011)))
+        out = tmp_path / "out"
+        assert run(["rank-dynamics", "--input", one, "--indicator", "gdp", "--out", out]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "got 1" in err[0]
+        assert not out.exists()
+
     def test_bad_years_argument_exits_1(self, toy_gdp_csv, tmp_path, capsys):
         assert run(["rank-dynamics", "--input", toy_gdp_csv, "--indicator", "gdp",
                     "--years", "2000-2006", "--out", tmp_path / "out"]) == 1
@@ -323,6 +334,25 @@ class TestCrossSection:
                 math.exp(log_rows[country]) - 1, abs=1e-9
             )
 
+    @pytest.mark.parametrize(
+        "excluded, message",
+        [(["ALB", "BRA"], "each group needs at least 2 values, got 2 and 1"),
+         (["ALB", "BRA", "CHN"], "need at least 3 points, got 2"),
+         (["ALB", "BRA", "CHN", "DEU", "USA"], "need at least 3 points, got 0")],
+        ids=["one_negative_score", "two_points", "no_points"],
+    )
+    def test_too_small_sample_exits_3(self, excluded, message, toy_gdp_csv, toy_gci_csv,
+                                      tmp_path, capsys):
+        exclude = tmp_path / "exclude.txt"
+        exclude.write_text("".join(f"{c}\n" for c in excluded))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("untouched\n")
+        assert self.run_default(toy_gdp_csv, toy_gci_csv, out, ("--exclude", exclude)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: {message}"
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"keep.txt": "untouched\n"}
+
     def test_year_outside_window_exits_1(self, toy_gdp_csv, toy_gci_csv, tmp_path):
         assert self.run_default(toy_gdp_csv, toy_gci_csv, tmp_path / "out",
                                 ("--year", "2000")) == 1
@@ -489,6 +519,15 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out", out]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "n_countries" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_countries", [1, 2])
+    def test_too_few_countries_to_fit_exits_3(self, n_countries, tmp_path, capsys):
+        config = self.write_config(tmp_path, n_countries=n_countries)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--threads", 1, "--out", out]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: need at least 3 points, got {n_countries}"]
         assert not out.exists()
 
     def test_constant_sigma_exits_3(self, tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,7 @@ from econrank.errors import (
     MissingObservationError,
     ParameterError,
 )
+from econrank.outputs import _BLOCK
 from panel_mapping import from_mapping, observations
 
 # ln(1.1), frozen from a 30-digit mpmath evaluation
@@ -128,6 +130,15 @@ class TestLoadPanel:
         path.write_text("name,code\nCroatia,HRV\n")
         with pytest.raises(DataError):
             load_alias_map(path)
+
+    @pytest.mark.parametrize("text", ["", "iso,yr,val\n", "country,year\n"])
+    def test_header_error_names_the_file(self, text, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        for load, header in [(lambda p: load_panel(p, "gdp"), "country,year,value"),
+                             (load_alias_map, "source_name,iso3")]:
+            with pytest.raises(DataError, match=re.escape(f"header of {path} must be '{header}'")):
+                load(path)
 
 
 def _panel(rows, indicator="gdp"):
@@ -510,9 +521,10 @@ def test_ingest_then_reload_is_identity(obs, sources, blank_lines):
 
 
 def reference_serialize_panel(panel):
-    """The canonical dump as one sort of every (country, year) key."""
+    """The canonical dump as one sort of every (country, year) key, codes quoted where needed."""
     obs = observations(panel)
-    rows = (f"{c},{y},{obs[c, y]!r}\n" for c, y in sorted(obs))
+    code = {c: _quoted(c) if set(c) & set(',"\r\n') else c for c, _ in obs}
+    rows = (f"{code[c]},{y},{obs[c, y]!r}\n" for c, y in sorted(obs))
     return "country,year,value\n" + "".join(rows)
 
 
@@ -528,6 +540,18 @@ def reference_serialize_panel(panel):
 )
 def test_serialize_matches_one_sort_of_all_keys(obs):
     panel = from_mapping("gdp", obs)
+    assert serialize_panel(panel) == reference_serialize_panel(panel)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_serialize_across_block_boundaries(n):
+    codes = ["Korea, Rep.", 'Q"x', "L\nF", "C\rR", "AAA", "\u00c5"]
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    rows = range(n)[::-1]  # the panel sorts them
+    panel = IndicatorPanel("cpi", [codes[k % len(codes)] for k in rows],
+                           [1000 + k // len(codes) for k in rows], values.tolist())
+    assert len(panel) == n
     assert serialize_panel(panel) == reference_serialize_panel(panel)
 
 

@@ -19,7 +19,8 @@ from econrank import (
     sample_discrete_laplace,
 )
 from econrank.errors import DegenerateSampleError, ParameterError
-from econrank.outputs import deltas_csv
+from econrank.outputs import _BLOCK, deltas_csv
+from econrank.rankdyn import RankChangeSample
 from panel_mapping import from_mapping
 from rank_records import records
 
@@ -215,6 +216,24 @@ def test_deltas_csv_renders_the_records(data):
                            for r in [header, *rows])
 
 
+@pytest.mark.parametrize(
+    "n_countries, n_windows",
+    [(_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK + 1, 1),  # one window on each side of a block
+     (341, 3), (512, 2), (205, 5),  # _BLOCK - 1, _BLOCK and _BLOCK + 1 rows over windows
+     (_BLOCK + 76, 2)],  # windows of more than one block each
+)
+def test_deltas_csv_across_block_boundaries(n_countries, n_windows):
+    marks = ["", ",", '"', "\n", "\u00c5"]  # codes that need quoting, and plain ones
+    codes = tuple(sorted(f"C{i:04d}{marks[i % len(marks)]}" for i in range(n_countries)))
+    deltas = np.random.default_rng(n_countries).integers(-50, 51, n_countries * n_windows)
+    windows = tuple((1990 + k, 1993 + k) for k in range(n_windows))
+    sample = RankChangeSample(deltas=deltas, windows=windows, countries=codes)
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        [("country", "start_year", "end_year", "delta"), *records(sample)])
+    assert deltas_csv(sample) == expected.getvalue()
+
+
 class TestLaplaceMle:
     def test_closed_form_example(self):
         fit = fit_laplace_mle([2, -2, 2, -2])
@@ -227,8 +246,8 @@ class TestLaplaceMle:
         with pytest.raises(DegenerateSampleError):
             fit_laplace_mle([0, 0, 0])
 
-    def test_single_delta_is_parameter_error(self):
-        with pytest.raises(ParameterError):
+    def test_single_delta_is_degenerate(self):
+        with pytest.raises(DegenerateSampleError):
             fit_laplace_mle([3])
 
     def test_non_integer_deltas_rejected(self):

@@ -85,8 +85,8 @@ class TestFitPowerLaw:
         with pytest.raises(SingularDesignError, match="y never varies"):
             fit_power_law([(1.0, 14.75), (2.0, 14.75), (3.0, 14.75)])
 
-    def test_too_few_points(self):
-        with pytest.raises(ParameterError):
+    def test_too_few_points_is_degenerate(self):
+        with pytest.raises(DegenerateSampleError):
             fit_power_law([(1.0, 1.0), (2.0, 2.0)])
 
     def test_residual_mean_zero_and_corr_squared_is_r2(self):
@@ -242,10 +242,10 @@ class TestSplitBySign:
         with pytest.raises(AlignmentError):
             split_by_sign(np.array([0.1, -0.2]), [1.0])
 
-    def test_all_positive_gives_empty_negative_group(self):
+    def test_all_positive_gives_empty_negative_group_degenerate(self):
         pos, neg = split_by_sign([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
         assert neg == []
-        with pytest.raises(ParameterError):
+        with pytest.raises(DegenerateSampleError):
             two_sample_t(pos, neg)
 
     def test_groups_keep_row_order(self):
@@ -290,8 +290,8 @@ class TestTwoSampleT:
             assert result.t == pytest.approx(pooled_t_textbook(a, b), abs=1e-10)
             assert result.df == len(a) + len(b) - 2
 
-    def test_small_group_is_parameter_error(self):
-        with pytest.raises(ParameterError):
+    def test_small_group_is_degenerate(self):
+        with pytest.raises(DegenerateSampleError):
             two_sample_t([1.0], [1.0, 2.0])
 
     def test_zero_pooled_variance_degenerate(self):
