@@ -77,11 +77,11 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import rankdyn
 
+    years = _parse_years(args.years) if args.years else None  # usage errors before any read
     pnl, skipped = _load(args.input, args.indicator, args.alias)
     if not len(pnl):
         raise DataError(f"no observations for indicator {args.indicator!r}")
-    span = (int(pnl.years.min()), int(pnl.years.max()))
-    years = _parse_years(args.years) if args.years else span
+    years = years or (int(pnl.years.min()), int(pnl.years.max()))
     balanced = panel.balanced_subset(pnl, years)
     overlapping = not args.non_overlapping
     sample = rankdyn.rank_changes(balanced, args.window, overlapping=overlapping)
@@ -107,14 +107,14 @@ def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import xsection
 
-    x_panel, x_skipped = _load(args.input, args.indicator, args.alias)
-    y_panel, y_skipped = _load(args.input_y, args.indicator_y, args.alias_y)
-    t0, t1 = _parse_years(args.years)
+    t0, t1 = _parse_years(args.years)  # usage errors before any read
     year = args.year if args.year is not None else t1
     if not (t0 <= year <= t1):
         raise ParameterError(
             f"--year {year} must lie inside the growth window {t0}:{t1}"
         )
+    x_panel, x_skipped = _load(args.input, args.indicator, args.alias)
+    y_panel, y_skipped = _load(args.input_y, args.indicator_y, args.alias_y)
     balanced_x = panel.balanced_subset(x_panel, (t0, t1))
     balanced_y = panel.balanced_subset(y_panel, (year, year))
     # x's codes ascend, so the shared codes in x's row order are sorted

@@ -2,13 +2,17 @@
 
 An :class:`IndicatorPanel` holds the sparse observations of one indicator
 as row-aligned columns sorted by (country, year), one row per (country,
-year) pair; its constructor owns the value and duplicate rules. A
-:class:`BalancedPanel` is the dense countries x years matrix of the
-countries that have a value for every year of a requested range. Every
-value is finite, and values of gdp-like indicators are strictly positive.
+year) pair; one builder, shared by its constructor and the loader, owns
+the value and duplicate rules. A :class:`BalancedPanel` is the dense
+countries x years matrix of the countries that have a value for every year
+of a requested range. Every value is finite, and values of gdp-like
+indicators are strictly positive.
 Both are immutable after construction (their arrays are read-only) and
-safe to share across threads. :func:`serialize_panel` writes each value's
-exact ``%r`` through the row writer that every CSV shares (see outputs).
+safe to share across threads. :func:`load_panel` reads a CSV in blocks of
+whole lines: numpy's C tokenizer parses the plain ``code,year,value`` lines
+and the row rules read the rest, with the same outcome for every row.
+:func:`serialize_panel` writes each value's exact ``%r`` through the row
+writer that every CSV shares (see outputs).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from itertools import chain, compress
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +70,16 @@ class IndicatorPanel:
         if not len(years) == len(values) == n:
             raise AlignmentError(f"columns differ in length: {n} countries, "
                                  f"{len(years)} years, {len(values)} values")
-        values = np.array(values, dtype=float)
+        codes = sorted(set(countries))
+        index = {code: i for i, code in enumerate(codes)}
+        self._build(indicator, codes, np.fromiter(map(index.__getitem__, countries), np.intp, n),
+                    _year_column(years), np.array(values, dtype=float))
+
+    def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
+               values: np.ndarray) -> IndicatorPanel:
+        """Fill the columns from rows ``codes[country[k]]``, ``years[k]``, ``values[k]`` in
+        input order, ``codes`` ascending, taking over the arrays: the value rule, the sort
+        and the duplicate rule."""
         bad = ~np.isfinite(values)
         if _is_gdp_like(indicator):
             bad |= values <= 0
@@ -73,20 +87,16 @@ class IndicatorPanel:
             k = int(bad.argmax())
             kind = "nonpositive" if math.isfinite(values[k]) else "non-finite"
             raise DataError(
-                f"{kind} {indicator} value {float(values[k])!r} for ({countries[k]}, {years[k]})"
+                f"{kind} {indicator} value {float(values[k])!r} for ({codes[country[k]]}, {years[k]})"
             )
-        try:
-            years = np.array(years, dtype=np.int64)
-        except OverflowError:  # numpy compares and sorts Python ints in an object column
-            years = np.array(years, dtype=object)
-        codes = sorted(set(countries))
-        index = {code: i for i, code in enumerate(codes)}
-        country = np.fromiter(map(index.__getitem__, countries), np.intp, n)
-        order = np.lexsort((years, country))  # stable: equal keys keep input order
-        country, years, values = country[order], years[order], values[order]
+        order = None  # rows that already ascend by (country, year) skip the sort
+        if not ((country[1:] > country[:-1])
+                | (country[1:] == country[:-1]) & (years[1:] >= years[:-1])).all():
+            order = np.lexsort((years, country))  # stable: equal keys keep input order
+            country, years, values = country[order], years[order], values[order]
         repeat = np.flatnonzero((country[1:] == country[:-1]) & (years[1:] == years[:-1])) + 1
         if repeat.size:  # name the earliest row in input order whose key came before
-            k = repeat[order[repeat].argmin()]
+            k = repeat[0] if order is None else repeat[order[repeat].argmin()]
             raise DuplicateObservationError(
                 f"duplicate observation for (country={codes[country[k]]}, "
                 f"year={years[k]}, indicator={indicator})"
@@ -96,6 +106,7 @@ class IndicatorPanel:
         for name, field in [("indicator", indicator), ("codes", tuple(codes)),
                             ("country", country), ("years", years), ("values", values)]:
             object.__setattr__(self, name, field)
+        return self
 
     def __len__(self) -> int:
         return len(self.values)
@@ -150,10 +161,8 @@ class BalancedPanel:
 
 
 @contextlib.contextmanager
-def _csv_rows(
-    source: str | Path | IO[str], header: tuple[str, ...]
-) -> Iterator[Iterator[list[str]]]:
-    """Rows of ``source`` after its ``header``; a bad header or unreadable text is a DataError."""
+def _csv_body(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterator[IO[str]]:
+    """``source`` read past its ``header``; a bad header or unreadable text is a DataError."""
     if isinstance(source, (str, Path)):
         source = open(source, "r", encoding="utf-8-sig", newline="")
     else:
@@ -161,11 +170,10 @@ def _csv_rows(
     with source as stream:
         name = getattr(stream, "name", "CSV input")
         try:
-            reader = csv.reader(stream)
-            first = next(reader, None)
+            first = next(csv.reader(stream), None)
             if first is None or tuple(h.strip().lower() for h in first) != header:
                 raise DataError(f"header of {name} must be {','.join(header)!r}, got {first!r}")
-            yield reader
+            yield stream
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read {name}: {exc}") from None
 
@@ -175,9 +183,9 @@ def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
 
     A ``source_name`` may repeat only with the same ``iso3``.
     """
-    with _csv_rows(source, ALIAS_HEADER) as reader:
+    with _csv_body(source, ALIAS_HEADER) as stream:
         aliases: dict[str, str] = {}
-        for row in reader:
+        for row in csv.reader(stream):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2:
@@ -188,6 +196,106 @@ def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
                     f"alias {name!r} maps to both {aliases[name]!r} and {iso3!r}"
                 )
         return aliases
+
+
+def _year_column(years: Sequence[int]) -> np.ndarray:
+    try:
+        return np.array(years, dtype=np.int64)
+    except OverflowError:  # numpy compares and sorts Python ints in an object column
+        return np.array(years, dtype=object)
+
+
+def _row_rules(rows: Iterable[list[str]], alias: Callable[[str, str], str], positive: bool,
+               ids: dict[str, int]) -> tuple[tuple[np.ndarray, ...], int]:
+    """The row rules, one CSV row at a time: (position in ``rows``, code id, year, value)
+    columns of the kept rows, new codes added to ``ids``, and the count of skipped rows."""
+    kept, skipped = [], 0
+    for k, row in enumerate(rows):
+        if len(row) == 3 and (country := alias(c := row[0].strip(), c)):
+            try:
+                year, value = int(row[1]), float(row[2])
+            except ValueError:
+                pass
+            else:
+                if math.isfinite(value) and (value > 0 or not positive):  # the value rule
+                    kept.append((k, ids.setdefault(country, len(ids)), year, value))
+                    continue
+        # every rejected row lands here, including a whitespace-only row that an
+        # alias for "" let through; blank lines are not data rows, so not counted
+        if any(cell.strip() for cell in row):
+            skipped += 1
+    line, code, year, value = ([row[i] for row in kept] for i in range(4))
+    return (np.array(line, np.intp), np.array(code, np.intp), _year_column(year),
+            np.array(value, dtype=float)), skipped
+
+
+def _plain_lines(text: np.ndarray) -> np.ndarray:
+    """Which newline-ended lines of the bytes ``text`` (no quote, no CR) are plain.
+
+    A plain line is ``code,year,value``: a code of 1-16 bytes in 0x21-0x7E, a year of
+    1-18 ASCII digits, and a value of at most 32 characters, an optional ``-`` then ASCII
+    digits with at most one ``.``, one digit at least. The row rules strip nothing there,
+    and numpy's tokenizer reads year and value as ``int`` and ``float`` do.
+    """
+    ends, commas = np.flatnonzero(text == 10), np.flatnonzero(text == 44)
+    k = np.searchsorted(commas, ends)
+    plain = np.diff(k, prepend=0) == 2
+    plain[np.searchsorted(ends, np.flatnonzero((text - 33 > 93) & (text != 10)))] = False
+    two = np.flatnonzero(plain)  # lines of two commas and no byte outside 0x21-0x7E
+    start = np.where(two > 0, ends[two - 1] + 1, 0)
+    end, c1, c2 = ends[two], commas[k[two] - 2], commas[k[two] - 1]
+    # of the bytes other than digits, commas and newlines (uint8 arithmetic wraps), only
+    # the value's leading '-' and one '.' after it may follow the first comma
+    at = np.concatenate(([-1] * 3, np.flatnonzero((text - 48 > 9) & (text != 44) & (text != 10))))
+    last = at[np.searchsorted(at, end) - [[1], [2], [3]]]  # each line's last three, or -1
+    sign = (text[c2 + 1] == 45).astype(int)
+    point = (last[0] > c2) & (text[last[0]] == 46)
+    code, year, value = c1 - start, c2 - c1 - 1, end - c2 - 1
+    plain[two] = ((code >= 1) & (code <= 16) & (year >= 1) & (year <= 18) & (value <= 32)
+                  & ((last > c1).sum(axis=0) == sign + point) & (value > sign + point))
+    return plain
+
+
+_PLAIN = np.dtype([("code", "S16"), ("year", np.int64), ("value", np.float64)])
+_BLOCK_CHARS = 1 << 16  # characters of whole lines read per block
+
+
+def _read_block(lines: list[str], rest: IO[str], alias: Callable[[str, str], str],
+                positive: bool, ids: dict[str, int],
+                known: dict[bytes, int]) -> tuple[list[np.ndarray], int]:
+    """The kept rows of the block ``lines`` as (code id, year, value) columns in line order,
+    and the skip count; ``known`` keeps each plain code's id by its bytes (-1: aliased to
+    ""). A block that holds a quote or CR, or whose lines end elsewhere than at each
+    newline, only csv reads right: csv reads it and the ``rest`` of the file."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or len(plain := _plain_lines(np.frombuffer(
+            (text if text.endswith("\n") else text + "\n").encode("utf-8", "surrogatepass"),
+            np.uint8))) != len(lines):
+        (_, *columns), skipped = _row_rules(csv.reader(chain(lines, rest)), alias, positive, ids)
+        return columns, skipped
+    (line, *columns), skipped = _row_rules(
+        csv.reader(compress(lines, (~plain).tolist())), alias, positive, ids)
+    table = np.zeros(0, _PLAIN)
+    if plain.any():
+        table = np.loadtxt(compress(lines, plain.tolist()), _PLAIN, delimiter=",",
+                           comments=None, ndmin=1)
+    where = np.flatnonzero(plain)
+    if positive:  # the value rule
+        where, table = where[table["value"] > 0], table[table["value"] > 0]
+    # code ids: a row's 16 code bytes are its first two 8-byte words, and when no code
+    # runs past 8 bytes the first word alone is an exact key, far quicker to sort
+    words = table.view(np.uint64).reshape(-1, 4)
+    names, inverse = np.unique(table["code"] if words[:, 1].any() else words[:, 0],
+                               return_inverse=True)
+    names = names.view(f"S{names.itemsize}").tolist()
+    for raw in [raw for raw in names if raw not in known]:  # once per code and file
+        known[raw] = ids.setdefault(to, len(ids)) if (to := alias(c := raw.decode(), c)) else -1
+    code = np.fromiter(map(known.__getitem__, names), np.intp, len(names))[inverse]
+    keep = code >= 0
+    skipped += int(plain.sum() - keep.sum())  # by the value rule or an alias for ""
+    order = np.argsort(np.concatenate((where[keep], np.flatnonzero(~plain)[line])), kind="stable")
+    return [np.concatenate(pair)[order] for pair in zip(
+        (code[keep], table["year"][keep], table["value"][keep]), columns)], skipped
 
 
 def load_panel(
@@ -202,32 +310,32 @@ def load_panel(
     wrong field count, and nonpositive values of gdp-like indicators. The
     skip count is returned alongside the panel. Duplicate (country, year)
     rows for the indicator are a hard error, raised once the whole file is read.
+
+    The file is read in blocks of whole lines. numpy's C tokenizer parses a
+    block's plain lines (see ``_plain_lines``) and the row rules read each other
+    line; from the first block that holds a quote or a CR, csv reads the rest.
+    Either way a row has the same outcome, so the panel, the skip count and any
+    error are those of the row rules applied to every row in order.
     """
-    with _csv_rows(source, PANEL_HEADER) as reader:
-        positive = _is_gdp_like(indicator)
-        alias = (aliases or {}).get
-        countries: list[str] = []
-        years: list[int] = []
-        values: list[float] = []
-        skipped = 0
-        interned: dict[str | int, str | int] = {}  # rows share one object per code and year
-        for row in reader:
-            if len(row) == 3 and (country := alias(c := row[0].strip(), c)):
-                try:
-                    year, value = int(row[1]), float(row[2])
-                except ValueError:
-                    pass
-                else:
-                    if math.isfinite(value) and (value > 0 or not positive):  # the value rule
-                        countries.append(interned.setdefault(country, country))
-                        years.append(interned.setdefault(year, year))
-                        values.append(value)
-                        continue
-            # every rejected row lands here, including a whitespace-only row that an
-            # alias for "" let through; blank lines are not data rows, so not counted
-            if any(cell.strip() for cell in row):
-                skipped += 1
-    return IndicatorPanel(indicator, countries, years, values), skipped
+    positive = _is_gdp_like(indicator)
+    alias = (aliases or {}).get
+    ids: dict[str, int] = {}  # an id per kept code, in order of first appearance
+    known: dict[bytes, int] = {}
+    parts = [[np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0)]]
+    skipped = 0
+    with _csv_body(source, PANEL_HEADER) as stream:
+        while lines := stream.readlines(_BLOCK_CHARS):
+            columns, n = _read_block(lines, stream, alias, positive, ids, known)
+            parts.append(columns)
+            skipped += n
+    code, years, values = (np.concatenate(column) for column in zip(*parts))
+    del parts  # free the blocks' columns before the build, which may sort a copy
+    codes = sorted(ids)
+    rank = np.zeros(len(ids), np.intp)
+    rank[[ids[c] for c in codes]] = np.arange(len(codes))
+    code = rank[code]  # and the ids column with them
+    panel = IndicatorPanel.__new__(IndicatorPanel)
+    return panel._build(indicator, codes, code, years, values), skipped
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:

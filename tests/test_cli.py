@@ -635,6 +635,26 @@ def test_unreadable_file_exits_with_one_line(flag, content, code, toy_gdp_csv, t
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rank-dynamics", "--indicator", "gdp", "--years", "2000-2006"], "--years"),
+        (["cross-section", "--years", "2008:2011", "--year", "1999"], "--year 1999"),
+    ],
+    ids=["rank_dynamics_years", "cross_section_year"],
+)
+def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_path, capsys):
+    # the input is not UTF-8, so reading it would be a data error (exit 2)
+    bad = tmp_path / "bad_file"
+    bad.write_bytes(b"country,year,value\nAL\xffB,2000,1.0\n")
+    inputs = ["--input", bad] + (["--input-y", bad] if argv[0] == "cross-section" else [])
+    out = tmp_path / "out"
+    assert run([*argv, *inputs, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_new_or_temporary_files(

@@ -30,6 +30,7 @@ from econrank.errors import (
     ParameterError,
 )
 from econrank.outputs import _BLOCK
+from econrank.panel import _BLOCK_CHARS, _plain_lines
 from panel_mapping import from_mapping, observations
 
 # ln(1.1), frozen from a 30-digit mpmath evaluation
@@ -427,11 +428,28 @@ def _outcome(load):
     return sorted((c, y, v) for (c, y), v in obs.items()), skipped
 
 
-raw_countries = st.sampled_from(["HRV", " HRV ", "POL", "", "  ", "Croatia", "Atlantis"])
-raw_years = st.sampled_from(["1990", " 1990 ", "+1990", "1_990", "1990x", "1991", "", "-7"])
+@st.composite
+def long_decimals(draw, signs=("", "-")):
+    """15-26 digits with a point anywhere or none, after one of ``signs``."""
+    digits = draw(st.text("0123456789", min_size=15, max_size=26))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    number = digits if point is None else digits[:point] + "." + digits[point:]
+    return draw(st.sampled_from(signs)) + number
+
+
+# cells of plain lines (see econrank.panel._plain_lines), and cells just outside that grammar
+plain_countries = st.sampled_from(["HRV", "POL", "Q" * 9, "K" * 15, "K" * 16, "#HRV"])
+plain_years = st.sampled_from(["1990", "1991", "0001990"]) | st.integers(
+    10**16, 10**18 - 1).map(str)
+plain_values = st.sampled_from(["12.5", "-2.5", "0", "-0", "5.", ".5", "-.5"]) | long_decimals()
+raw_countries = st.sampled_from(["HRV", " HRV ", "POL", "", "  ", "Croatia", "Atlantis"]) | \
+    st.sampled_from(["K" * 17, "H\tRV", "H\x1cRV", "\u00c5land", '"HRV"', "Q" * 9])
+raw_years = st.sampled_from(["1990", " 1990 ", "+1990", "1_990", "1990x", "1991", "", "-7"]) | \
+    st.sampled_from(["00001990", "+0", "1_9"]) | st.integers(10**18, 10**20 - 1).map(str)
 raw_values = st.sampled_from(
     ["12.5", " 3 ", "1e3", "1_000.5", "nan", "inf", "-inf", "0", "-0", "-2.5", "", "n/a"]
-)
+) | st.sampled_from(["+1.5", "1e5", "..", "5\x1c", "-", ".", "-.", ".-5", "1-2", "1" * 33]) | \
+    long_decimals(signs=("+",)) | long_decimals().map(lambda v: v + "e5")
 blank_cells = st.sampled_from(["", " ", "\t"])
 raw_rows = st.one_of(
     st.just([]),  # empty line
@@ -442,7 +460,7 @@ raw_rows = st.one_of(
     st.tuples(raw_countries, raw_years, raw_values).map(list),
     st.tuples(raw_countries, raw_years, raw_values).map(list),
     st.tuples(raw_countries, raw_years, raw_values, raw_values).map(list),
-)
+) | st.tuples(plain_countries, plain_years, plain_values).map(list)  # half the rows plain
 raw_aliases = st.none() | st.dictionaries(
     st.sampled_from(["Croatia", "Atlantis", "", "POL", "HRV"]),
     st.sampled_from(["HRV", "POL", "", "ZZZ"]),
@@ -460,6 +478,50 @@ def test_load_panel_matches_reference_loader(rows, aliases, indicator):
     assert _outcome(lambda: _load(text, indicator, aliases=aliases)) == _outcome(
         lambda: reference_load_panel(text, indicator, aliases)
     )
+
+
+@pytest.mark.parametrize("repeats", [(), ("before",), ("after",), ("before", "after")])
+def test_rows_across_a_block_edge_match_reference_loader(repeats):
+    # 30,000 lines of 19 characters, many blocks of lines, in no (country, year) order
+    lines = [f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}\n" for i in range(30_000)]
+    edge = -(-_BLOCK_CHARS // len(lines[0]))  # lines in the first block
+    for k in (edge - 1, edge):  # a malformed row on each side of the edge
+        lines[k] = lines[k][:-4] + "x00\n"
+    if "before" in repeats:  # the key of line 0 again, just before the edge
+        lines[edge - 2] = lines[0][:11] + lines[edge - 2][11:]
+    if "after" in repeats:  # the key of a line just before the edge again, just after it
+        lines[edge + 1] = lines[edge - 3][:11] + lines[edge + 1][11:]
+    text = "country,year,value\n" + "".join(lines)
+    outcome = _outcome(lambda: _load(text, "gdp"))
+    assert outcome == _outcome(lambda: reference_load_panel(text, "gdp"))
+    if repeats:
+        assert outcome[0] == "duplicate"
+    else:
+        assert outcome[1] == 2
+
+
+def test_plain_values_load_bit_identical_to_float():
+    rng = np.random.default_rng(2012)
+    n = 10**5
+    digits = rng.integers(0, 10, size=(n, 25)).astype(str)
+    texts = []
+    for k in range(n):
+        if k % 2:  # the shortest repr of a float written without an exponent
+            texts.append(repr(float(rng.choice([-1, 1]) * 10 ** rng.uniform(-4, 16))))
+        else:  # 1-25 digits, a point anywhere or none, an optional minus
+            number = "".join(digits[k, : rng.integers(1, 26)])
+            point = int(rng.integers(-1, len(number) + 1))
+            if point >= 0:
+                number = number[:point] + "." + number[point:]
+            texts.append(("-" if rng.random() < 0.3 else "") + number)
+    text = "country,year,value\n" + "".join(
+        f"C{k // 100:04d},{1900 + k % 100},{v}\n" for k, v in enumerate(texts))
+    body = np.frombuffer(text.encode()[len("country,year,value\n"):], np.uint8)
+    assert _plain_lines(body).all()  # every row goes through numpy's tokenizer
+    panel, skipped = _load(text, "cpi")
+    assert skipped == 0 and len(panel) == n
+    expected = np.array([float(v) for v in texts])
+    assert np.array_equal(panel.values.view(np.uint64), expected.view(np.uint64))
 
 
 # names as load_panel keeps them (stripped, non-empty), often holding CSV specials
