@@ -2,15 +2,13 @@
 
 An :class:`IndicatorPanel` holds the sparse observations of one indicator
 as row-aligned columns sorted by (country, year), one row per (country,
-year) pair; one builder, shared by its constructor and the loader, owns
-the value and duplicate rules. A :class:`BalancedPanel` is the dense
-countries x years matrix of the countries that have a value for every year
-of a requested range. Every value is finite, and values of gdp-like
-indicators are strictly positive.
-Both are immutable after construction (their arrays are read-only) and
-safe to share across threads. :func:`load_panel` reads a CSV in blocks of
-whole lines: numpy's C tokenizer parses the plain ``code,year,value`` lines
-and the row rules read the rest, with the same outcome for every row.
+year) pair; one builder, shared by its constructor and the loader, owns the
+value and duplicate rules. A :class:`BalancedPanel` is the dense countries x
+years matrix of the countries that have a value for every year of a requested
+range. Every value is finite, and values of gdp-like indicators are strictly
+positive. Both are immutable after construction (their arrays are read-only)
+and safe to share across threads. :func:`load_panel` parses plain lines with
+numpy's C tokenizer and the rest by the row rules, to the same outcome.
 :func:`serialize_panel` writes each value's exact ``%r`` through the row
 writer that every CSV shares (see outputs).
 """
@@ -23,8 +21,8 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import chain, compress
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress, islice
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +35,7 @@ from .errors import (
     MissingObservationError,
     ParameterError,
 )
-from .outputs import _format_rows, _quote
+from .outputs import _BLOCK, _format_rows, _quote
 
 PANEL_HEADER = ("country", "year", "value")
 ALIAS_HEADER = ("source_name", "iso3")
@@ -77,18 +75,16 @@ class IndicatorPanel:
 
     def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
                values: np.ndarray) -> IndicatorPanel:
-        """Fill the columns from rows ``codes[country[k]]``, ``years[k]``, ``values[k]`` in
-        input order, ``codes`` ascending, taking over the arrays: the value rule, the sort
-        and the duplicate rule."""
+        """Take over the columns of rows ``codes[country[k]]``, ``years[k]``, ``values[k]``
+        in input order (``codes`` ascending); apply the value, sort and duplicate rules."""
         bad = ~np.isfinite(values)
         if _is_gdp_like(indicator):
             bad |= values <= 0
         if bad.any():  # name the first bad value in input order
             k = int(bad.argmax())
             kind = "nonpositive" if math.isfinite(values[k]) else "non-finite"
-            raise DataError(
-                f"{kind} {indicator} value {float(values[k])!r} for ({codes[country[k]]}, {years[k]})"
-            )
+            raise DataError(f"{kind} {indicator} value {float(values[k])!r} for "
+                            f"({codes[country[k]]}, {years[k]})")
         order = None  # rows that already ascend by (country, year) skip the sort
         if not ((country[1:] > country[:-1])
                 | (country[1:] == country[:-1]) & (years[1:] >= years[:-1])).all():
@@ -205,37 +201,29 @@ def _year_column(years: Sequence[int]) -> np.ndarray:
         return np.array(years, dtype=object)
 
 
-def _row_rules(rows: Iterable[list[str]], alias: Callable[[str, str], str], positive: bool,
-               ids: dict[str, int]) -> tuple[tuple[np.ndarray, ...], int]:
-    """The row rules, one CSV row at a time: (position in ``rows``, code id, year, value)
-    columns of the kept rows, new codes added to ``ids``, and the count of skipped rows."""
+def _row_rules(rows: Iterable[list[str]], ids: dict[str, int]) -> tuple[list[np.ndarray], int]:
+    """The row rules but for aliases and the sign of the value: the (position in ``rows``,
+    code id, year, value) columns of the rows kept, new stripped codes given ids, skips."""
     kept, skipped = [], 0
     for k, row in enumerate(rows):
-        if len(row) == 3 and (country := alias(c := row[0].strip(), c)):
-            try:
-                year, value = int(row[1]), float(row[2])
-            except ValueError:
-                pass
-            else:
-                if math.isfinite(value) and (value > 0 or not positive):  # the value rule
-                    kept.append((k, ids.setdefault(country, len(ids)), year, value))
-                    continue
-        # every rejected row lands here, including a whitespace-only row that an
-        # alias for "" let through; blank lines are not data rows, so not counted
-        if any(cell.strip() for cell in row):
+        try:
+            year, value = int(row[1]), float(row[2])
+        except (IndexError, ValueError):
+            value = math.nan
+        if len(row) == 3 and math.isfinite(value):
+            kept.append((k, ids.setdefault(row[0].strip(), len(ids)), year, value))
+        elif any(cell.strip() for cell in row):  # blank lines are not data rows, so not counted
             skipped += 1
     line, code, year, value = ([row[i] for row in kept] for i in range(4))
-    return (np.array(line, np.intp), np.array(code, np.intp), _year_column(year),
-            np.array(value, dtype=float)), skipped
+    return [np.array(line, np.intp), np.array(code, np.intp), _year_column(year),
+            np.array(value, dtype=float)], skipped
 
 
 def _plain_lines(text: np.ndarray) -> np.ndarray:
-    """Which newline-ended lines of the bytes ``text`` (no quote, no CR) are plain.
-
-    A plain line is ``code,year,value``: a code of 1-16 bytes in 0x21-0x7E, a year of
-    1-18 ASCII digits, and a value of at most 32 characters, an optional ``-`` then ASCII
-    digits with at most one ``.``, one digit at least. The row rules strip nothing there,
-    and numpy's tokenizer reads year and value as ``int`` and ``float`` do.
+    """Which newline-ended lines of the bytes ``text`` (no quote, no CR) are plain: a
+    code of 1-16 bytes in 0x21-0x7E, a year of 1-18 ASCII digits, and a value of at most
+    32 characters, an optional ``-`` then digits with at most one ``.``, one digit at least.
+    The row rules strip nothing there; numpy reads year and value as ``int`` and ``float``.
     """
     ends, commas = np.flatnonzero(text == 10), np.flatnonzero(text == 44)
     k = np.searchsorted(commas, ends)
@@ -260,42 +248,30 @@ _PLAIN = np.dtype([("code", "S16"), ("year", np.int64), ("value", np.float64)])
 _BLOCK_CHARS = 1 << 16  # characters of whole lines read per block
 
 
-def _read_block(lines: list[str], rest: IO[str], alias: Callable[[str, str], str],
-                positive: bool, ids: dict[str, int],
-                known: dict[bytes, int]) -> tuple[list[np.ndarray], int]:
-    """The kept rows of the block ``lines`` as (code id, year, value) columns in line order,
-    and the skip count; ``known`` keeps each plain code's id by its bytes (-1: aliased to
-    ""). A block that holds a quote or CR, or whose lines end elsewhere than at each
-    newline, only csv reads right: csv reads it and the ``rest`` of the file."""
-    text = "".join(lines)
-    if '"' in text or "\r" in text or len(plain := _plain_lines(np.frombuffer(
+def _blocks(stream: IO[str], ids: dict[str, int]) -> Iterator[tuple[list[np.ndarray], int]]:
+    """Per block of whole lines, the (code id, year, value) columns of the rows kept, in line
+    order, and the skip count. From a block with a quote or CR, or lines that end elsewhere
+    than at each newline, csv reads the rest, ``_BLOCK`` rows at a time, as it would all."""
+    while lines := stream.readlines(_BLOCK_CHARS):
+        text = "".join(lines)
+        plain = None if '"' in text or "\r" in text else _plain_lines(np.frombuffer(
             (text if text.endswith("\n") else text + "\n").encode("utf-8", "surrogatepass"),
-            np.uint8))) != len(lines):
-        (_, *columns), skipped = _row_rules(csv.reader(chain(lines, rest)), alias, positive, ids)
-        return columns, skipped
-    (line, *columns), skipped = _row_rules(
-        csv.reader(compress(lines, (~plain).tolist())), alias, positive, ids)
-    table = np.zeros(0, _PLAIN)
-    if plain.any():
-        table = np.loadtxt(compress(lines, plain.tolist()), _PLAIN, delimiter=",",
-                           comments=None, ndmin=1)
-    where = np.flatnonzero(plain)
-    if positive:  # the value rule
-        where, table = where[table["value"] > 0], table[table["value"] > 0]
-    # code ids: a row's 16 code bytes are its first two 8-byte words, and when no code
-    # runs past 8 bytes the first word alone is an exact key, far quicker to sort
-    words = table.view(np.uint64).reshape(-1, 4)
-    names, inverse = np.unique(table["code"] if words[:, 1].any() else words[:, 0],
-                               return_inverse=True)
-    names = names.view(f"S{names.itemsize}").tolist()
-    for raw in [raw for raw in names if raw not in known]:  # once per code and file
-        known[raw] = ids.setdefault(to, len(ids)) if (to := alias(c := raw.decode(), c)) else -1
-    code = np.fromiter(map(known.__getitem__, names), np.intp, len(names))[inverse]
-    keep = code >= 0
-    skipped += int(plain.sum() - keep.sum())  # by the value rule or an alias for ""
-    order = np.argsort(np.concatenate((where[keep], np.flatnonzero(~plain)[line])), kind="stable")
-    return [np.concatenate(pair)[order] for pair in zip(
-        (code[keep], table["year"][keep], table["value"][keep]), columns)], skipped
+            np.uint8))
+        if plain is None or len(plain) != len(lines):
+            rows = csv.reader(chain(lines, stream))
+            while chunk := list(islice(rows, _BLOCK)):
+                (_, *columns), skipped = _row_rules(chunk, ids)
+                yield columns, skipped
+            return
+        (line, *columns), skipped = _row_rules(csv.reader(compress(lines, (~plain).tolist())), ids)
+        table = np.zeros(0, _PLAIN) if not plain.any() else np.loadtxt(
+            compress(lines, plain.tolist()), _PLAIN, delimiter=",", comments=None, ndmin=1)
+        names, inverse = np.unique(table["code"], return_inverse=True)
+        code = np.array([ids.setdefault(name.decode(), len(ids)) for name in names.tolist()],
+                        np.intp)[inverse]
+        order = np.argsort(np.concatenate((np.flatnonzero(plain), np.flatnonzero(~plain)[line])))
+        yield [np.concatenate(pair)[order] for pair in zip(
+            (code, table["year"], table["value"]), columns)], skipped
 
 
 def load_panel(
@@ -311,31 +287,26 @@ def load_panel(
     skip count is returned alongside the panel. Duplicate (country, year)
     rows for the indicator are a hard error, raised once the whole file is read.
 
-    The file is read in blocks of whole lines. numpy's C tokenizer parses a
-    block's plain lines (see ``_plain_lines``) and the row rules read each other
-    line; from the first block that holds a quote or a CR, csv reads the rest.
-    Either way a row has the same outcome, so the panel, the skip count and any
-    error are those of the row rules applied to every row in order.
+    Read in blocks of whole lines, plain lines (see ``_plain_lines``) go through
+    numpy's C tokenizer and the rest through the row rules, with the same outcome.
     """
-    positive = _is_gdp_like(indicator)
-    alias = (aliases or {}).get
-    ids: dict[str, int] = {}  # an id per kept code, in order of first appearance
-    known: dict[bytes, int] = {}
-    parts = [[np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0)]]
-    skipped = 0
+    ids: dict[str, int] = {}  # an id per distinct code as read, aliases aside
+    parts, skipped = [_row_rules((), ids)[0][1:]], 0
     with _csv_body(source, PANEL_HEADER) as stream:
-        while lines := stream.readlines(_BLOCK_CHARS):
-            columns, n = _read_block(lines, stream, alias, positive, ids, known)
+        for columns, n in _blocks(stream, ids):
             parts.append(columns)
             skipped += n
-    code, years, values = (np.concatenate(column) for column in zip(*parts))
+    country, years, values = (np.concatenate(column) for column in zip(*parts))
     del parts  # free the blocks' columns before the build, which may sort a copy
-    codes = sorted(ids)
-    rank = np.zeros(len(ids), np.intp)
-    rank[[ids[c] for c in codes]] = np.arange(len(codes))
-    code = rank[code]  # and the ids column with them
-    panel = IndicatorPanel.__new__(IndicatorPanel)
-    return panel._build(indicator, codes, code, years, values), skipped
+    named = [(aliases or {}).get(c, c) for c in ids]  # aliases apply once per distinct code
+    codes = sorted(set(named) - {""})
+    index = {c: i for i, c in enumerate(codes)}
+    country = np.array([index.get(c, -1) for c in named], np.intp)[country]  # -1: aliased to ""
+    keep = (country >= 0) & ((values > 0) | (not _is_gdp_like(indicator)))  # and the sign rule
+    skipped += len(keep) - int(keep.sum())
+    country, years, values = country[keep], years[keep], values[keep]
+    return IndicatorPanel.__new__(IndicatorPanel)._build(
+        indicator, codes, country, years, values), skipped
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:

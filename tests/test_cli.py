@@ -635,7 +635,6 @@ def test_unreadable_file_exits_with_one_line(flag, content, code, toy_gdp_csv, t
     assert not out.exists()
 
 
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -654,6 +653,7 @@ def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_pat
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not out.exists()
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("existing", [False, True])

@@ -500,6 +500,31 @@ def test_rows_across_a_block_edge_match_reference_loader(repeats):
         assert outcome[1] == 2
 
 
+@pytest.mark.parametrize("repeats", [(), ("after",)])
+@pytest.mark.parametrize("form", ["crlf", "quoted"])
+def test_rows_across_a_csv_chunk_edge_match_reference_loader(form, repeats):
+    # csv reads the rest of the file from the first block that holds a CR or a quote,
+    # _BLOCK rows at a time: CRLF ends from the first block on, a quote in the second
+    lines = [f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}\n" for i in range(30_000)]
+    start = 0 if form == "crlf" else -(-_BLOCK_CHARS // len(lines[0]))
+    if form == "crlf":
+        lines = [line[:-1] + "\r\n" for line in lines]
+    else:
+        lines[start + 5] = '"' + lines[start + 5][:5] + '"' + lines[start + 5][5:]
+    edge = start + _BLOCK  # the first row of csv's second chunk
+    for k in (edge - 1, edge):  # a malformed row on each side of the edge
+        lines[k] = lines[k].replace(",", ",x", 1)
+    if "after" in repeats:  # the key of a row just before the edge again, just after it
+        lines[edge + 1] = lines[edge - 3][:11] + lines[edge + 1][11:]
+    text = "country,year,value\n" + "".join(lines)
+    outcome = _outcome(lambda: _load(text, "gdp"))
+    assert outcome == _outcome(lambda: reference_load_panel(text, "gdp"))
+    if repeats:
+        assert outcome[0] == "duplicate"
+    else:
+        assert outcome[1] == 2
+
+
 def test_plain_values_load_bit_identical_to_float():
     rng = np.random.default_rng(2012)
     n = 10**5
@@ -743,4 +768,25 @@ def test_load_then_serialize_peak_memory_per_observation(tmp_path):
         tracemalloc.stop()
     assert (len(panel), skipped) == (n, 0)
     assert text == path.read_text(encoding="utf-8")
+    assert peak / n < 250, f"{peak / n:.0f} B per observation"
+
+
+def test_load_crlf_then_serialize_peak_memory_per_observation(tmp_path):
+    # the same panel with CRLF line ends, which csv and the row rules read in bounded chunks
+    rng = np.random.default_rng(20260)
+    gdp = rng.lognormal(8.0, 2.0, size=(1_000, 60)).tolist()
+    body = "country,year,value\n" + "".join(
+        f"C{i:04d},{1951 + j},{v!r}\n" for i, row in enumerate(gdp) for j, v in enumerate(row))
+    path = tmp_path / "gdp.csv"
+    path.write_bytes(body.replace("\n", "\r\n").encode("utf-8"))
+    n = 1_000 * 60
+    tracemalloc.start()
+    try:
+        panel, skipped = load_panel(path, "gdp")
+        text = serialize_panel(panel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(panel), skipped) == (n, 0)
+    assert text == body
     assert peak / n < 250, f"{peak / n:.0f} B per observation"
