@@ -20,9 +20,14 @@ output equations and builds an :class:`Ensemble` of float64 columns. That of
 thread, which fills its rows of the mu, sigma and E columns with one reused
 mismatch buffer. Every country draws the same ``n_jobs`` mismatches and so
 costs the same, which makes equal blocks keep the workers equally busy. A
-block seeds its streams ``_ROWS`` countries at a time: ``_seeds`` runs numpy's
-SeedSequence hash on all of them at once, giving the same PCG64 streams as a
-SeedSequence per stream at a tenth of the cost.
+block seeds its streams ``_ROWS`` countries at a time. Building a
+``SeedSequence`` and a ``PCG64`` from it costs about 20 us of Python per
+stream, while the hash itself is a few integer operations: ``_seed_states``
+runs that hash as uint32 array operations over all of them at once and
+returns, row for row, what ``SeedSequence(...).generate_state(4, np.uint64)``
+returns, the only thing PCG64 reads from a seed sequence. The streams are
+therefore numpy's own, and numpy keeps SeedSequence and PCG64 output stable
+across versions.
 
 The kernel fills a buffer of at most ``_LEAF`` mismatches at a time, so memory
 is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, ParameterError
 from .xsection import PowerLawFit, fit_power_law
@@ -192,6 +198,56 @@ def gci_theoretical(sigma: float, gamma: float) -> float:
         raise DomainError(f"sigma^(-gamma) overflows for sigma={sigma}, gamma={gamma}") from None
 
 
+class _HashedSeed(ISeedSequence):
+    """A seed sequence whose PCG64 seed, ``generate_state(4, np.uint64)``, is precomputed."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _hashed_stream(state: np.ndarray) -> np.random.Generator:
+    """The ``default_rng`` of a seed sequence whose PCG64 seed is ``state``."""
+    return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+
+
+def _seed_states(words: list, n: int) -> np.ndarray:
+    """Row r is ``SeedSequence(...).generate_state(4, np.uint64)`` for entropy ``words``.
+
+    ``words`` is what SeedSequence assembles: the seed's 32-bit words padded
+    with zeros to 4, then the spawn key's; each an int or an array of n rows.
+    The steps are numpy's (``mix_entropy`` and ``generate_state``).
+    """
+    const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray, mult: int = 0x931E8875) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * 0xCA01F9DD - y * 0x4973F715
+        return result ^ result >> 16
+
+    # arrays, never numpy scalars: uint32 arithmetic must wrap without a warning
+    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (n,)) for w in words]
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = 0x8B51F9DD
+    state = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _simulate_block(config: SweepConfig, mu: np.ndarray, sigma: np.ndarray,
                     e_total: np.ndarray, block: range) -> None:
     """Fill rows ``block``, each country derived independently of all others.
@@ -200,25 +256,21 @@ def _simulate_block(config: SweepConfig, mu: np.ndarray, sigma: np.ndarray,
     ``index`` of the config seed, within ranges ``SweepConfig`` checked, and
     its mismatches from child 1 of that seed, as ``simulate_country`` does.
     """
-    # numpy loads numpy.random on first use; importing it with econrank would
-    # slow every command, not only simulate
-    from ._seeds import hashed_stream, seed_states
-
     buf = np.empty(min(config.n_jobs, _LEAF))
     seed = config.seed  # as 32-bit words, zero-padded to 4, then the index
     seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 128), 32)]
     for start in range(block.start, block.stop, _ROWS):
         rows = range(start, min(start + _ROWS, block.stop))
         draws = []
-        for index, state in zip(rows, seed_states([*seed_words, np.array(rows)], len(rows))):
-            rng = hashed_stream(state)
+        for index, state in zip(rows, _seed_states([*seed_words, np.array(rows)], len(rows))):
+            rng = _hashed_stream(state)
             mu[index] = rng.uniform(*config.mu_range)
             sigma[index] = rng.uniform(*config.sigma_range)
             draws.append(rng.integers(0, 2**63))
         seeds = np.array(draws, dtype=np.uint64)
         words = [seeds & 0xFFFFFFFF, seeds >> 32, 0, 0, 1]  # 2 words, padded, then key 1
-        for index, state in zip(rows, seed_states(words, len(rows))):
-            e_total[index] = _capacity(hashed_stream(state), sigma[index], buf, config.n_jobs)
+        for index, state in zip(rows, _seed_states(words, len(rows))):
+            e_total[index] = _capacity(_hashed_stream(state), sigma[index], buf, config.n_jobs)
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:

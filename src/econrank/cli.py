@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -119,22 +120,22 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     balanced_y = panel.balanced_subset(y_panel, (year, year))
     # x's codes ascend, so the shared codes in x's row order are sorted
     row_y = {c: i for i, c in enumerate(balanced_y.countries)}
-    rows_x = [i for i, c in enumerate(balanced_x.countries) if c in row_y]
-    if not rows_x:
+    rows_x = np.array([i for i, c in enumerate(balanced_x.countries) if c in row_y], np.intp)
+    if not rows_x.size:
         raise DataError(
             f"no country has both {args.indicator!r} over {t0}-{t1} "
             f"and {args.indicator_y!r} in {year}"
         )
     excluded = _load_exclusions(args.exclude)
-    countries = [balanced_x.countries[i] for i in rows_x]
-    fitted = [c for c in countries if c not in excluded]
-
+    countries = [balanced_x.countries[i] for i in rows_x.tolist()]
     keep = np.array([c not in excluded for c in countries])
-    x = balanced_x.values[rows_x, year - t0]
+    fitted = list(compress(countries, keep))
+
+    x = balanced_x.values[rows_x, balanced_x.year_index(year)]
     y = balanced_y.values[[row_y[c] for c in countries], 0]
     fit = xsection.fit_power_law(np.column_stack((x[keep], y[keep])), labels=fitted)
     d = fit.sample[:, 2]
-    g = panel.growth_rate(balanced_x, np.array(rows_x)[keep], method=args.growth)
+    g = panel.growth_rate(balanced_x, rows_x[keep], method=args.growth)
     ttest = xsection.two_sample_t(*xsection.split_by_sign(d, g))
     growth_fit = xsection.ols_linear(np.column_stack((d, g)))
 
@@ -184,14 +185,10 @@ def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
         import secrets  # here, not with the CLI: it loads hashlib and with it libcrypto
 
         raw["seed"] = secrets.randbits(63) if seed is None else seed  # recorded in the manifest
-    names = {field.name for field in dataclasses.fields(abm.SweepConfig)}
-    unknown = set(raw) - names
-    if unknown:
-        raise ParameterError(f"unknown config fields: {sorted(unknown)}")
-    missing = names - set(raw)
-    if missing:
-        raise ParameterError(f"config is missing fields: {sorted(missing)}")
-    return abm.SweepConfig(**raw)
+    try:
+        return abm.SweepConfig(**raw)
+    except TypeError as exc:  # a field missing or unknown: its signature is the field rule
+        raise ParameterError(f"config {path!r}: {exc}") from None
 
 
 def _run_simulate(args: argparse.Namespace) -> tuple[dict[str, str], dict]:

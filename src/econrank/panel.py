@@ -266,9 +266,11 @@ def _blocks(stream: IO[str], ids: dict[str, int]) -> Iterator[tuple[list[np.ndar
         (line, *columns), skipped = _row_rules(csv.reader(compress(lines, (~plain).tolist())), ids)
         table = np.zeros(0, _PLAIN) if not plain.any() else np.loadtxt(
             compress(lines, plain.tolist()), _PLAIN, delimiter=",", comments=None, ndmin=1)
-        names, inverse = np.unique(table["code"], return_inverse=True)
-        code = np.array([ids.setdefault(name.decode(), len(ids)) for name in names.tolist()],
-                        np.intp)[inverse]
+        codes = table["code"]  # a code's rows often come in a run: look up only its first
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1]))[:len(codes)])
+        code = np.repeat(np.array([ids.setdefault(name.decode(), len(ids))
+                                   for name in codes[first].tolist()], np.intp),
+                         np.diff(first, append=len(codes)))
         order = np.argsort(np.concatenate((np.flatnonzero(plain), np.flatnonzero(~plain)[line])))
         yield [np.concatenate(pair)[order] for pair in zip(
             (code, table["year"], table["value"]), columns)], skipped

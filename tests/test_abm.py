@@ -22,7 +22,7 @@ from econrank import (
     simulate_country,
     sweep,
 )
-from econrank import _seeds, abm, cli
+from econrank import abm, cli
 from econrank.abm import _LEAF as LEAF
 from econrank.errors import DomainError, ParameterError, SingularDesignError
 from workforce_reference import draw_workforce
@@ -249,7 +249,7 @@ def test_seed_states_match_seed_sequence(seed, keys):
     while seed >> 32 * len(words):
         words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
     words += [0] * (4 - len(words))  # SeedSequence pads the entropy of a spawned child
-    states = _seeds.seed_states([*words, np.array(keys)], len(keys))
+    states = abm._seed_states([*words, np.array(keys)], len(keys))
     expected = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
                 for k in keys]
     assert np.array_equal(states, expected)

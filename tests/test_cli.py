@@ -1,18 +1,25 @@
+import contextlib
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import econrank
-from econrank import cli, errors
+from econrank import cli, errors, xsection
 from econrank.cli import main
 from panel_mapping import observations
 
@@ -426,6 +433,108 @@ class TestCrossSection:
                     "--years", "2008:2011", "--out", tmp_path / "out"]) == 2
 
 
+XS_CODES = tuple(c * 3 for c in "ABCDEFGHIJ")
+XS_YEARS = range(2000, 2004)
+
+
+@st.composite
+def cross_section_inputs(draw):
+    """Two panels as {code: {year: value}}, a growth window, a fit year and an exclusion set.
+
+    Each panel lacks some codes and some years of others; the exclusion set may name
+    codes neither panel holds; a row that cannot be fitted, being excluded or in one
+    panel only, may hold a nonpositive value.
+    """
+    t1 = draw(st.integers(2001, 2003), label="t1")
+    year = draw(st.integers(2000, t1), label="year")
+    held = XS_CODES[:draw(st.integers(0, len(XS_CODES)), label="n_codes")]
+    codes = [set(held) - draw(st.sets(st.sampled_from(XS_CODES), max_size=4), label=name)
+             for name in ("dropped_x", "dropped_y")]
+    excluded = draw(st.sets(st.sampled_from([*XS_CODES, "ZZZ"]), max_size=3), label="excluded")
+    unfitted = excluded | (codes[0] ^ codes[1])
+    positive = st.floats(0.5, 1e4)
+
+    def panel(codes, name):
+        gaps = draw(st.sets(st.tuples(st.sampled_from(XS_CODES), st.sampled_from(XS_YEARS)),
+                            max_size=3), label=name)
+        return {c: {t: draw(positive | st.sampled_from([0.0, -1.5]) if c in unfitted
+                            else positive) for t in XS_YEARS if (c, t) not in gaps}
+                for c in sorted(codes)}
+
+    return panel(codes[0], "gaps_x"), panel(codes[1], "gaps_y"), t1, year, excluded
+
+
+def cross_section_reference(x, y, x_name, t1, year, excluded, growth):
+    """The points rows and each fitted code's growth, keyed by code, or the error to raise.
+
+    The fit and the group statistics are the library's, run on the rows chosen here.
+    """
+    if "gdp" in x_name:  # the loader skips nonpositive values of gdp-like indicators
+        x = {c: {t: v for t, v in obs.items() if v > 0} for c, obs in x.items()}
+    complete_x = {c for c, obs in x.items() if all(t in obs for t in range(2000, t1 + 1))}
+    complete_y = {c for c, obs in y.items() if year in obs}
+    if not complete_x or not complete_y:
+        raise errors.EmptyPanelError
+    shared = sorted(complete_x & complete_y)
+    if not shared:
+        raise errors.DataError
+    points = [(c, x[c][year], y[c][year], int(c in excluded)) for c in shared]
+    fitted = [c for c in shared if c not in excluded]
+    fit = xsection.fit_power_law([(x[c][year], y[c][year]) for c in fitted], labels=fitted)
+    ends = {c: (x[c][2000], x[c][t1]) for c in fitted}
+    g = {c: math.log(b / a) if growth == "log" else (b - a) / a for c, (a, b) in ends.items()}
+    d, column = fit.sample[:, 2], np.array([g[c] for c in fitted])
+    xsection.two_sample_t(*xsection.split_by_sign(d, column))
+    xsection.ols_linear(np.column_stack((d, column)))
+    return points, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=cross_section_inputs(), x_name=st.sampled_from(["gdp", "score"]),
+       growth=st.sampled_from(["log", "relative"]))
+def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
+    x, y, t1, year, excluded = inputs
+    try:
+        expected = cross_section_reference(x, y, x_name, t1, year, excluded, growth)
+    except errors.EconRankError as exc:
+        expected = type(exc)
+    raised = []
+    run_cross_section = cli._run_cross_section
+
+    def runner(args):
+        try:
+            return run_cross_section(args)
+        except errors.EconRankError as exc:
+            raised.append(type(exc))
+            raise
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, obs in (("x.csv", x), ("y.csv", y)):
+            (root / name).write_text("country,year,value\n" + "".join(
+                f"{c},{t},{v!r}\n" for c, values in obs.items() for t, v in values.items()))
+        (root / "exclude.txt").write_text("".join(f"{c}\n" for c in excluded))
+        err = io.StringIO()
+        with mock.patch.object(cli, "_run_cross_section", runner), \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["cross-section", "--input", root / "x.csv", "--indicator", x_name,
+                        "--input-y", root / "y.csv", "--indicator-y", "score_y",
+                        "--years", f"2000:{t1}", "--year", year, "--growth", growth,
+                        "--exclude", root / "exclude.txt", "--out", root / "out"])
+        if isinstance(expected, type):
+            assert (code, raised) == (expected.exit_code, [expected])
+            assert len(err.getvalue().splitlines()) == 1
+            return
+        assert (code, raised, err.getvalue()) == (0, [], "")
+        points, g = expected
+        with open(root / "out" / "points.csv", newline="") as handle:
+            assert list(csv.reader(handle))[1:] == [
+                [c, f"{a:.12g}", f"{b:.12g}", str(e)] for c, a, b, e in points]
+        with open(root / "out" / "growth_vs_d.csv", newline="") as handle:
+            assert [(r[0], r[2]) for r in list(csv.reader(handle))[1:]] == [
+                (c, f"{v:.12g}") for c, v in g.items()]
+
+
 class TestSimulate:
     def write_config(self, tmp_path, **overrides):
         config = dict(n_countries=60, n_jobs=400, mu_range=[5.0, 20.0],
@@ -479,6 +588,17 @@ class TestSimulate:
     def test_unknown_config_field_exits_1(self, tmp_path, capsys):
         config = self.write_config(tmp_path, extra_field=3)
         assert run(["simulate", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'extra_field'" in err[0]
+
+    def test_missing_config_field_exits_1(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        del raw["sigma_range"]
+        config.write_text(json.dumps(raw))
+        assert run(["simulate", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'sigma_range'" in err[0]
 
     def test_invalid_json_exits_1(self, tmp_path):
         config = tmp_path / "broken.json"

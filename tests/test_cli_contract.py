@@ -210,10 +210,10 @@ def run_probe(probe: str, **env: str) -> str:
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # the sweep imports _seeds, and with it numpy.random, and concurrent.futures (which
-    # loads logging) only when it runs; secrets (which loads hashlib) is imported only
-    # to draw a missing sweep seed; each command imports the analysis modules it runs
-    lazy = {"numpy.random", "econrank._seeds", "concurrent", "logging", "secrets", "hashlib",
+    # abm loads numpy.random, and the sweep concurrent.futures (which loads logging) only
+    # when it runs; secrets (which loads hashlib) is imported only to draw a missing sweep
+    # seed; each command imports the analysis modules it runs
+    lazy = {"numpy.random", "concurrent", "logging", "secrets", "hashlib",
             "econrank.abm", "econrank.rankdyn", "econrank.xsection"}
     assert run_probe(f"import sys, econrank.cli; print(sorted({lazy!r} & set(sys.modules)))") \
         == "[]"
