@@ -30,8 +30,9 @@ _SOURCE = {
     **dict.fromkeys(("LaplaceFit", "RankChangeSample", "empirical_pdf", "exceedance_probability",
                      "fit_laplace_mle", "laplace_density", "rank_changes", "rank_snapshot",
                      "sample_discrete_laplace"), "rankdyn"),
-    **dict.fromkeys(("LinearFit", "PowerLawFit", "TTestResult", "fit_power_law", "ols_linear",
-                     "relative_competitiveness", "split_by_sign", "two_sample_t"), "xsection"),
+    **dict.fromkeys(("CrossSection", "LinearFit", "PowerLawFit", "TTestResult", "cross_section",
+                     "fit_power_law", "ols_linear", "relative_competitiveness", "split_by_sign",
+                     "two_sample_t"), "xsection"),
 }
 
 __all__ = [*sorted(name for name, module in _SOURCE.items() if name != module), "__version__"]

@@ -1,13 +1,13 @@
-"""Command-line pipeline tying the library together.
+"""Command line: each command reads its inputs, calls the library and writes its files.
 
-Subcommands: ``ingest``, ``rank-dynamics``, ``cross-section``, ``simulate``.
-Every command writes its outputs plus a ``manifest.json`` under ``--out`` and
-nowhere else, and removes there the files the previous manifest listed that it
-did not produce again; its manifest records the runner's parameters and the
-command's ``_INPUT_FLAGS``. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical/degenerate error (``EconRankError.exit_code``). Reruns with
-identical inputs, parameters, and seed produce byte-identical data files; only
-the manifest timestamp varies.
+Subcommands: ``ingest``, ``rank-dynamics``, ``cross-section`` (``xsection.cross_section``)
+and ``simulate``; a usage error in the flags alone is raised before any input is read.
+Every command writes its outputs plus a ``manifest.json`` under ``--out`` and nowhere
+else, and removes there the files the previous manifest listed that it did not produce
+again; its manifest records the runner's parameters and the command's ``_INPUT_FLAGS``.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical/degenerate error
+(``EconRankError.exit_code``). Reruns with identical inputs, parameters, and seed produce
+byte-identical data files; only the manifest timestamp varies.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import dataclasses
 import json
 import os
 import sys
-from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__, outputs, panel
 from .errors import DataError, EconRankError, ParameterError
@@ -41,12 +38,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _parse_years(text: str) -> tuple[int, int]:
+def _parse_years(text: str, min_years: int = 1) -> tuple[int, int]:
     try:
-        a, b = text.split(":")
-        return int(a), int(b)
+        a, b = (int(t) for t in text.split(":"))
     except ValueError:
         raise ParameterError(f"--years must look like A:B, got {text!r}") from None
+    if b - a + 1 < min_years:
+        raise ParameterError(f"--years {text!r} must span at least {min_years} year(s)")
+    return a, b
 
 
 def _load(path: str, indicator: str, alias: str | None) -> tuple[panel.IndicatorPanel, int]:
@@ -79,6 +78,8 @@ def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import rankdyn
 
     years = _parse_years(args.years) if args.years else None  # usage errors before any read
+    if args.window < 1:
+        raise ParameterError(f"--window must be at least 1 year, got {args.window}")
     pnl, skipped = _load(args.input, args.indicator, args.alias)
     if not len(pnl):
         raise DataError(f"no observations for indicator {args.indicator!r}")
@@ -108,51 +109,31 @@ def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import xsection
 
-    t0, t1 = _parse_years(args.years)  # usage errors before any read
+    t0, t1 = _parse_years(args.years, min_years=2)  # usage errors before any read
     year = args.year if args.year is not None else t1
     if not (t0 <= year <= t1):
-        raise ParameterError(
-            f"--year {year} must lie inside the growth window {t0}:{t1}"
-        )
+        raise ParameterError(f"--year {year} must lie inside the growth window {t0}:{t1}")
     x_panel, x_skipped = _load(args.input, args.indicator, args.alias)
     y_panel, y_skipped = _load(args.input_y, args.indicator_y, args.alias_y)
+    excluded = _load_exclusions(args.exclude)
     balanced_x = panel.balanced_subset(x_panel, (t0, t1))
     balanced_y = panel.balanced_subset(y_panel, (year, year))
-    # x's codes ascend, so the shared codes in x's row order are sorted
-    row_y = {c: i for i, c in enumerate(balanced_y.countries)}
-    rows_x = np.array([i for i, c in enumerate(balanced_x.countries) if c in row_y], np.intp)
-    if not rows_x.size:
-        raise DataError(
-            f"no country has both {args.indicator!r} over {t0}-{t1} "
-            f"and {args.indicator_y!r} in {year}"
-        )
-    excluded = _load_exclusions(args.exclude)
-    countries = [balanced_x.countries[i] for i in rows_x.tolist()]
-    keep = np.array([c not in excluded for c in countries])
-    fitted = list(compress(countries, keep))
-
-    x = balanced_x.values[rows_x, balanced_x.year_index(year)]
-    y = balanced_y.values[[row_y[c] for c in countries], 0]
-    fit = xsection.fit_power_law(np.column_stack((x[keep], y[keep])), labels=fitted)
-    d = fit.sample[:, 2]
-    g = panel.growth_rate(balanced_x, rows_x[keep], method=args.growth)
-    ttest = xsection.two_sample_t(*xsection.split_by_sign(d, g))
-    growth_fit = xsection.ols_linear(np.column_stack((d, g)))
-
+    xs = xsection.cross_section(balanced_x, balanced_y, year, excluded, method=args.growth)
+    fit, keep, d, g = xs.fit, xs.keep, xs.fit.sample[:, 2], xs.growth
     x_name, y_name = args.indicator, args.indicator_y
     files = {
         "fit.json": outputs.power_law_fit_json(fit),
         "dscores.csv": outputs.render_csv(
-            ("country", x_name, y_name, "d"), (fitted, x[keep], y[keep], d)
+            ("country", x_name, y_name, "d"), (fit.labels, xs.x[keep], xs.y[keep], d)
         ),
-        "ttest.json": outputs.ttest_json(ttest),
-        "growth_vs_d.csv": outputs.render_csv(("country", "d", "growth"), (fitted, d, g)),
+        "ttest.json": outputs.ttest_json(xs.ttest),
+        "growth_vs_d.csv": outputs.render_csv(("country", "d", "growth"), (fit.labels, d, g)),
         "points.csv": outputs.render_csv(
-            ("country", x_name, y_name, "excluded"), (countries, x, y, (~keep).astype(int))
+            ("country", x_name, y_name, "excluded"), (xs.countries, xs.x, xs.y, (~keep).astype(int))
         ),
         "fitline.csv": outputs.power_law_fitline_csv(fit, header=(x_name, y_name)),
         "growth_fitline.csv": outputs.linear_fitline_csv(
-            growth_fit, d.min(), d.max(), header=("d", "growth")
+            xs.growth_fit, d.min(), d.max(), header=("d", "growth")
         ),
     }
     parameters = {
@@ -161,11 +142,11 @@ def _run_cross_section(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
         "year": year,
         "years": [t0, t1],
         "growth": args.growth,
-        "n_countries": len(countries),
-        "n_fitted": len(fitted),
-        "excluded": sorted(excluded & set(countries)),
+        "n_countries": len(xs.countries),
+        "n_fitted": len(fit.labels),
+        "excluded": sorted(excluded.intersection(xs.countries)),
         "rows_skipped": x_skipped + y_skipped,
-        "ttest_groups": [ttest.n_a, ttest.n_b],
+        "ttest_groups": [xs.ttest.n_a, xs.ttest.n_b],
     }
     return files, parameters
 

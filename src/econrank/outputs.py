@@ -29,8 +29,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-
 if TYPE_CHECKING:  # a command loads only the analysis modules it runs
     from .abm import Ensemble
     from .rankdyn import LaplaceFit, RankChangeSample
@@ -144,8 +142,6 @@ def power_law_fitline_csv(fit: PowerLawFit, header: Sequence[str]) -> str:
 
 def linear_fitline_csv(fit: LinearFit, x_min: float, x_max: float, header: Sequence[str]) -> str:
     """The fitted line at ``_FITLINE_POINTS`` evenly spaced x from ``x_min`` to ``x_max``."""
-    if not (x_min <= x_max):
-        raise ParameterError(f"empty fit-line range {x_min}..{x_max}")
     grid = np.linspace(x_min, x_max, _FITLINE_POINTS).tolist()
     return render_csv(header, (grid, [fit.predict(x) for x in grid]))
 

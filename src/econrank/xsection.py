@@ -4,18 +4,21 @@ A power-law fit is ordinary least squares of ln(y) on ln(x) with intercept.
 The per-point log-space residual is the relative-competitiveness score: a
 country above the fitted line outperforms its wealth peers. The scores split a
 row-aligned growth column into sign groups compared with a pooled-variance Student t.
+:func:`cross_section` runs all of it on two balanced panels aligned by country code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
+from . import panel
 from .errors import (
     AlignmentError,
+    DataError,
     DegenerateSampleError,
     DomainError,
     ParameterError,
@@ -57,6 +60,18 @@ class LinearFit:
 
     def predict(self, x: float) -> float:
         return self.intercept + self.slope * x
+
+
+@dataclass(frozen=True, eq=False)
+class CrossSection:
+    countries: tuple[str, ...]  # the codes both panels hold, ascending; one row each
+    x: np.ndarray  # x and y in the fit year
+    y: np.ndarray
+    keep: np.ndarray  # bool: not excluded, so fitted
+    growth: np.ndarray  # per kept row, over x's years
+    fit: PowerLawFit  # of the kept rows, labelled with their codes
+    ttest: TTestResult  # growth of nonnegative against negative residuals
+    growth_fit: LinearFit  # growth on residual
 
 
 def _columns(points: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -181,3 +196,25 @@ def ols_linear(points: Sequence[tuple[float, float]]) -> LinearFit:
     x, y = _columns(points)
     slope, intercept, stderr, *_ = _ols(x, y)
     return LinearFit(slope=slope, intercept=intercept, stderr_slope=stderr)
+
+
+def cross_section(x: panel.BalancedPanel, y: panel.BalancedPanel, year: int,
+                  excluded: Collection[str] = (), method: str = "log") -> CrossSection:
+    """Power-law fit of y on x in ``year`` over the codes both panels hold (compared as
+    ``str``) less ``excluded``, each fitted residual then tested against the growth of x.
+    """
+    row_y = {c: i for i, c in enumerate(y.countries)}
+    rows = np.array([i for i, c in enumerate(x.countries) if c in row_y], np.intp)
+    if not rows.size:
+        raise DataError(f"no country has both x over {x.years[0]}-{x.years[-1]} and y in {year}")
+    countries = tuple(x.countries[i] for i in rows.tolist())  # x's codes ascend
+    keep = np.array([c not in excluded for c in countries], dtype=bool)
+    x_col = x.values[rows, x.year_index(year)]
+    y_col = y.values[[row_y[c] for c in countries], y.year_index(year)]
+    fitted = [c for c in countries if c not in excluded]
+    fit = fit_power_law(np.column_stack((x_col[keep], y_col[keep])), labels=fitted)
+    d = fit.sample[:, 2]
+    growth = panel.growth_rate(x, rows[keep], method=method)
+    ttest = two_sample_t(*split_by_sign(d, growth))
+    growth_fit = ols_linear(np.column_stack((d, growth)))
+    return CrossSection(countries, x_col, y_col, keep, growth, fit, ttest, growth_fit)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -433,7 +434,9 @@ class TestCrossSection:
                     "--years", "2008:2011", "--out", tmp_path / "out"]) == 2
 
 
-XS_CODES = tuple(c * 3 for c in "ABCDEFGHIJ")
+# "AAA\x00" sits beside "AAA": the loader keeps them apart, and so must the alignment
+# (a numpy "<U" array would drop the trailing NUL and match the two)
+XS_CODES = ("AAA", "AAA\x00", *(c * 3 for c in "BCDEFGHIJ"))
 XS_YEARS = range(2000, 2004)
 
 
@@ -443,7 +446,7 @@ def cross_section_inputs(draw):
 
     Each panel lacks some codes and some years of others; the exclusion set may name
     codes neither panel holds; a row that cannot be fitted, being excluded or in one
-    panel only, may hold a nonpositive value.
+    panel only, may hold a nonpositive value; values often tie.
     """
     t1 = draw(st.integers(2001, 2003), label="t1")
     year = draw(st.integers(2000, t1), label="year")
@@ -452,7 +455,7 @@ def cross_section_inputs(draw):
              for name in ("dropped_x", "dropped_y")]
     excluded = draw(st.sets(st.sampled_from([*XS_CODES, "ZZZ"]), max_size=3), label="excluded")
     unfitted = excluded | (codes[0] ^ codes[1])
-    positive = st.floats(0.5, 1e4)
+    positive = st.floats(0.5, 1e4) | st.sampled_from([2.0, 300.0])
 
     def panel(codes, name):
         gaps = draw(st.sets(st.tuples(st.sampled_from(XS_CODES), st.sampled_from(XS_YEARS)),
@@ -465,7 +468,7 @@ def cross_section_inputs(draw):
 
 
 def cross_section_reference(x, y, x_name, t1, year, excluded, growth):
-    """The points rows and each fitted code's growth, keyed by code, or the error to raise.
+    """The points rows, each fitted code's growth, keyed by code, and the fit, or the error.
 
     The fit and the group statistics are the library's, run on the rows chosen here.
     """
@@ -486,7 +489,7 @@ def cross_section_reference(x, y, x_name, t1, year, excluded, growth):
     d, column = fit.sample[:, 2], np.array([g[c] for c in fitted])
     xsection.two_sample_t(*xsection.split_by_sign(d, column))
     xsection.ols_linear(np.column_stack((d, column)))
-    return points, g
+    return points, g, fit
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,6 +517,13 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
             (root / name).write_text("country,year,value\n" + "".join(
                 f"{c},{t},{v!r}\n" for c, values in obs.items() for t, v in values.items()))
         (root / "exclude.txt").write_text("".join(f"{c}\n" for c in excluded))
+        try:  # the library call, on the panels the command balances
+            balanced = [econrank.balanced_subset(econrank.load_panel(root / name, ind)[0], span)
+                        for name, ind, span in (("x.csv", x_name, (2000, t1)),
+                                                ("y.csv", "score_y", (year, year)))]
+            result = xsection.cross_section(*balanced, year, excluded, method=growth)
+        except errors.EconRankError as exc:
+            result = type(exc)
         err = io.StringIO()
         with mock.patch.object(cli, "_run_cross_section", runner), \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -522,17 +532,38 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
                         "--years", f"2000:{t1}", "--year", year, "--growth", growth,
                         "--exclude", root / "exclude.txt", "--out", root / "out"])
         if isinstance(expected, type):
-            assert (code, raised) == (expected.exit_code, [expected])
+            assert (code, raised, result) == (expected.exit_code, [expected], expected)
             assert len(err.getvalue().splitlines()) == 1
             return
         assert (code, raised, err.getvalue()) == (0, [], "")
-        points, g = expected
+        points, g, fit = expected
+        assert result.countries == tuple(c for c, _, _, _ in points)
+        assert result.x.tolist() == [a for _, a, _, _ in points]
+        assert result.y.tolist() == [b for _, _, b, _ in points]
+        assert result.keep.tolist() == [not e for _, _, _, e in points]
+        assert result.fit.labels == tuple(g)
+        assert result.growth.tolist() == list(g.values())
+        assert result.fit.sample[:, 2].tolist() == fit.sample[:, 2].tolist()
         with open(root / "out" / "points.csv", newline="") as handle:
             assert list(csv.reader(handle))[1:] == [
                 [c, f"{a:.12g}", f"{b:.12g}", str(e)] for c, a, b, e in points]
         with open(root / "out" / "growth_vs_d.csv", newline="") as handle:
             assert [(r[0], r[2]) for r in list(csv.reader(handle))[1:]] == [
                 (c, f"{v:.12g}") for c, v in g.items()]
+
+
+def test_trace_records_the_calls_cross_section_makes(toy_gdp_csv, toy_gci_csv, tmp_path):
+    # bench/spans.py patches module attributes: a call bound at import escapes its span
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.installed(econrank):
+        assert run(["cross-section", "--input", toy_gdp_csv, "--input-y", toy_gci_csv,
+                    "--out", tmp_path / "out"]) == 0
+    assert {"panel.growth_rate", "xsection.fit_power_law", "xsection.split_by_sign",
+            "xsection.two_sample_t", "xsection.ols_linear"} <= {s[0] for s in tracer.spans}
 
 
 class TestSimulate:
@@ -759,9 +790,13 @@ def test_unreadable_file_exits_with_one_line(flag, content, code, toy_gdp_csv, t
     "argv, message",
     [
         (["rank-dynamics", "--indicator", "gdp", "--years", "2000-2006"], "--years"),
+        (["rank-dynamics", "--indicator", "gdp", "--years", "2006:2000"], "--years"),
+        (["rank-dynamics", "--indicator", "gdp", "--window", "0"], "--window"),
         (["cross-section", "--years", "2008:2011", "--year", "1999"], "--year 1999"),
+        (["cross-section", "--years", "2011:2011"], "--years"),
     ],
-    ids=["rank_dynamics_years", "cross_section_year"],
+    ids=["rank_dynamics_years", "rank_dynamics_reversed_years", "rank_dynamics_window",
+         "cross_section_year", "cross_section_one_year"],
 )
 def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_path, capsys):
     # the input is not UTF-8, so reading it would be a data error (exit 2)
