@@ -296,4 +296,4 @@ def fit_model_regression(ensemble: Ensemble) -> PowerLawFit:
     """Power-law fit of the competitiveness proxy against per-capita output."""
     if not len(ensemble.mu):  # a sweep draws at least one country
         raise ParameterError("the ensemble holds no country to fit")
-    return fit_power_law(np.column_stack((ensemble.gdp_per_capita, ensemble.gci_th)))
+    return fit_power_law(ensemble.gdp_per_capita, ensemble.gci_th)

@@ -175,6 +175,10 @@ def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
 def _run_simulate(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import abm
 
+    if args.threads < 1:  # usage errors before any read
+        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
     config = _read_sweep_config(args.config, args.seed)
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)

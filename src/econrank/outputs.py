@@ -127,8 +127,8 @@ def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
     """Empirical density and model density per integer bin."""
     from .rankdyn import empirical_pdf, laplace_density
 
-    centers, densities = zip(*empirical_pdf(sample))
-    model = [laplace_density(fit.decay, c) for c in centers]
+    centers, densities = empirical_pdf(sample)
+    model = [laplace_density(fit.decay, c) for c in centers.tolist()]
     return render_csv(("bin", "density", "model_density"), (centers, densities, model))
 
 

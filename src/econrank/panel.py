@@ -108,7 +108,7 @@ class IndicatorPanel:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalancedPanel:
     """Dense countries x years value matrix with no gaps.
 

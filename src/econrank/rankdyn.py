@@ -18,7 +18,7 @@ from .errors import DegenerateSampleError, ParameterError
 from .panel import BalancedPanel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankChangeSample:
     """Pooled rank changes over every window of one length.
 
@@ -99,15 +99,12 @@ def rank_changes(
 
 
 def _as_delta_array(sample: RankChangeSample | Sequence[int] | np.ndarray) -> np.ndarray:
-    deltas = getattr(sample, "deltas", sample)
-    arr = np.asarray(deltas)
+    """The deltas as an int64 column; ParameterError for any other shape or a float column."""
+    arr = np.asarray(getattr(sample, "deltas", sample))
     if arr.ndim != 1:
         raise ParameterError("deltas must be one-dimensional")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(arr, rounded):
-            raise ParameterError("rank changes must be integers")
-        arr = rounded
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):  # [] is an empty float column
+        raise ParameterError(f"rank changes must be an integer column, got {arr.dtype}")
     return arr.astype(np.int64)
 
 
@@ -135,20 +132,18 @@ def fit_laplace_mle(sample: RankChangeSample | Sequence[int] | np.ndarray) -> La
 
 def empirical_pdf(
     sample: RankChangeSample | Sequence[int] | np.ndarray,
-) -> list[tuple[int, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Unit-width integer-bin density estimate over the observed delta range.
 
-    Returns (bin center, density) for every integer bin from min to max,
-    including empty interior bins. Densities sum to exactly 1.
+    Returns the columns (bin centers, densities) over every integer bin from min to max,
+    empty interior bins included. A density is count / n; they sum to 1 up to rounding.
     """
     deltas = _as_delta_array(sample)
     if deltas.size == 0:
         raise ParameterError("cannot build a pdf from an empty sample")
-    lo, hi = int(deltas.min()), int(deltas.max())
-    centers = np.arange(lo, hi + 1)
-    counts = np.bincount((deltas - lo).astype(np.intp), minlength=centers.size)
-    n = deltas.size
-    return [(int(c), int(k) / n) for c, k in zip(centers, counts)]
+    lo = int(deltas.min())
+    counts = np.bincount((deltas - lo).astype(np.intp))  # a bin for every value up to the max
+    return np.arange(lo, lo + counts.size), counts / deltas.size
 
 
 def laplace_density(decay: float, delta: int | float) -> float:

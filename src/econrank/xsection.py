@@ -74,9 +74,12 @@ class CrossSection:
     growth_fit: LinearFit  # growth on residual
 
 
-def _columns(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """The points as a C-contiguous (2, n) float array: x in row 0, y in row 1."""
-    return np.asarray(points, dtype=float).reshape(len(points), 2).T.copy()
+def _columns(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as 1-D float columns of one length, else AlignmentError; no float copy."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise AlignmentError(f"columns of shapes {x.shape} and {y.shape} are not row-aligned")
+    return x, y
 
 
 def _ols(
@@ -100,33 +103,31 @@ def _ols(
 
 
 def fit_power_law(
-    points: Sequence[tuple[float, float]],
-    labels: Sequence[str] | None = None,
+    x: Sequence[float], y: Sequence[float], labels: Sequence[str] | None = None
 ) -> PowerLawFit:
-    """Fit y = C * x^alpha by OLS in log-log space to (x, y) pairs or an (n, 2) array.
+    """Fit y = C * x^alpha by OLS in log-log space to the row-aligned columns ``x`` and ``y``.
 
     Both coordinates must be finite and strictly positive (the DomainError
     names the first bad point by its label, or its index without labels), and
     both must vary: a constant x or constant y leaves the slope or the
     correlation undefined. Any exclusions are applied by the caller before fitting.
     """
-    xy = _columns(points)
+    x, y = _columns(x, y)
     if labels is not None:
         labels = tuple(str(lab) for lab in labels)
-        if len(labels) != len(points):
-            raise ParameterError(f"{len(labels)} labels for {len(points)} points")
+        if len(labels) != len(x):
+            raise ParameterError(f"{len(labels)} labels for {len(x)} points")
         if len(set(labels)) != len(labels):
             raise ParameterError("labels must be unique")
-    bad = ~((0 < xy) & (xy < math.inf)).all(axis=0)  # nan fails both comparisons
+    bad = ~((0 < x) & (x < math.inf) & (0 < y) & (y < math.inf))  # nan fails both comparisons
     if bad.any():
         i = int(bad.argmax())
-        x, y = xy[:, i].tolist()
         label = str(i) if labels is None else labels[i]
         raise DomainError(
-            f"power-law fit needs finite positive coordinates, got ({x!r}, {y!r}) "
-            f"at {label!r}"
+            f"power-law fit needs finite positive coordinates, got ({float(x[i])!r}, "
+            f"{float(y[i])!r}) at {label!r}"
         )
-    lx, ly = np.log(xy, out=xy)
+    lx, ly = np.log(x), np.log(y)
     slope, intercept, stderr, residuals, dx, dy = _ols(lx, ly)
     syy = float(dy @ dy)
     if syy == 0.0 or ly.min() == ly.max():
@@ -157,17 +158,15 @@ def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
 
 def split_by_sign(
     d: Sequence[float], growth: Sequence[float]
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Partition growth values by the sign of the competitiveness score.
 
-    Row-aligned: ``d[i]`` scores the country of ``growth[i]``. Scores of exactly
-    zero join the positive group, and each group keeps row order.
+    Row-aligned columns: ``d[i]`` scores the country of ``growth[i]``. Scores of
+    exactly zero join the positive group, and each group keeps row order.
     """
-    if len(d) != len(growth):
-        raise AlignmentError(f"{len(d)} scores for {len(growth)} growth values")
-    values = np.asarray(growth, dtype=float)
-    positive = np.asarray(d, dtype=float) >= 0
-    return values[positive].tolist(), values[~positive].tolist()
+    d, growth = _columns(d, growth)
+    positive = d >= 0
+    return growth[positive], growth[~positive]
 
 
 def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
@@ -191,10 +190,9 @@ def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     return TTestResult(t=t, df=df, mean_a=mean_a, mean_b=mean_b, n_a=n_a, n_b=n_b)
 
 
-def ols_linear(points: Sequence[tuple[float, float]]) -> LinearFit:
-    """Plain OLS line with the standard error of the slope."""
-    x, y = _columns(points)
-    slope, intercept, stderr, *_ = _ols(x, y)
+def ols_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
+    """Plain OLS line of the column ``y`` on the column ``x``, with the slope's standard error."""
+    slope, intercept, stderr, *_ = _ols(*_columns(x, y))
     return LinearFit(slope=slope, intercept=intercept, stderr_slope=stderr)
 
 
@@ -212,9 +210,11 @@ def cross_section(x: panel.BalancedPanel, y: panel.BalancedPanel, year: int,
     x_col = x.values[rows, x.year_index(year)]
     y_col = y.values[[row_y[c] for c in countries], y.year_index(year)]
     fitted = [c for c in countries if c not in excluded]
-    fit = fit_power_law(np.column_stack((x_col[keep], y_col[keep])), labels=fitted)
+    fit = fit_power_law(x_col[keep], y_col[keep], labels=fitted)
     d = fit.sample[:, 2]
     growth = panel.growth_rate(x, rows[keep], method=method)
+    for column in (x_col, y_col, keep, growth):  # as read-only as the fit's own sample
+        column.flags.writeable = False
     ttest = two_sample_t(*split_by_sign(d, growth))
-    growth_fit = ols_linear(np.column_stack((d, growth)))
+    growth_fit = ols_linear(d, growth)
     return CrossSection(countries, x_col, y_col, keep, growth, fit, ttest, growth_fit)

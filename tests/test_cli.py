@@ -483,12 +483,13 @@ def cross_section_reference(x, y, x_name, t1, year, excluded, growth):
         raise errors.DataError
     points = [(c, x[c][year], y[c][year], int(c in excluded)) for c in shared]
     fitted = [c for c in shared if c not in excluded]
-    fit = xsection.fit_power_law([(x[c][year], y[c][year]) for c in fitted], labels=fitted)
+    fit = xsection.fit_power_law([x[c][year] for c in fitted], [y[c][year] for c in fitted],
+                                 labels=fitted)
     ends = {c: (x[c][2000], x[c][t1]) for c in fitted}
     g = {c: math.log(b / a) if growth == "log" else (b - a) / a for c, (a, b) in ends.items()}
     d, column = fit.sample[:, 2], np.array([g[c] for c in fitted])
     xsection.two_sample_t(*xsection.split_by_sign(d, column))
-    xsection.ols_linear(np.column_stack((d, column)))
+    xsection.ols_linear(d, column)
     return points, g, fit
 
 
@@ -794,15 +795,19 @@ def test_unreadable_file_exits_with_one_line(flag, content, code, toy_gdp_csv, t
         (["rank-dynamics", "--indicator", "gdp", "--window", "0"], "--window"),
         (["cross-section", "--years", "2008:2011", "--year", "1999"], "--year 1999"),
         (["cross-section", "--years", "2011:2011"], "--years"),
+        (["simulate", "--threads", "0"], "--threads"),
+        (["simulate", "--seed", "-1"], "--seed"),
     ],
     ids=["rank_dynamics_years", "rank_dynamics_reversed_years", "rank_dynamics_window",
-         "cross_section_year", "cross_section_one_year"],
+         "cross_section_year", "cross_section_one_year", "simulate_threads", "simulate_seed"],
 )
 def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_path, capsys):
-    # the input is not UTF-8, so reading it would be a data error (exit 2)
+    # the file is not UTF-8: read as an input it is a data error (exit 2), and as a
+    # config a usage error (exit 1) whose diagnostic names the config, not the flag
     bad = tmp_path / "bad_file"
     bad.write_bytes(b"country,year,value\nAL\xffB,2000,1.0\n")
-    inputs = ["--input", bad] + (["--input-y", bad] if argv[0] == "cross-section" else [])
+    inputs = {"rank-dynamics": ["--input", bad], "simulate": ["--config", bad],
+              "cross-section": ["--input", bad, "--input-y", bad]}[argv[0]]
     out = tmp_path / "out"
     assert run([*argv, *inputs, "--out", out]) == 1
     err = capsys.readouterr().err.splitlines()

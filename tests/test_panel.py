@@ -241,6 +241,11 @@ class TestBalancedLayout:
         with pytest.raises(DataError, match=message):
             BalancedPanel(countries=codes, years=(2000,), values=np.ones((len(codes), 1)))
 
+    def test_distinct_panels_compare_unequal_and_hash(self):
+        a, b = (BalancedPanel(("AAA", "BBB"), range(2000, 2002), np.ones((2, 2))) for _ in "ab")
+        assert a == a and (a == b) is False and a != b
+        assert len({a, b}) == 2 and hash(a) == hash(a)
+
 
 class TestGrowthRate:
     def test_log_growth_matches_oracle(self):

@@ -254,6 +254,19 @@ class TestLaplaceMle:
         with pytest.raises(ParameterError):
             fit_laplace_mle([1.5, -2.0])
 
+    def test_float_delta_column_rejected_even_when_integral(self):
+        for deltas in ([2.0, -2.0], np.array([2.0, -2.0, 1.0])):
+            with pytest.raises(ParameterError, match="integer column"):
+                fit_laplace_mle(deltas)
+            with pytest.raises(ParameterError, match="integer column"):
+                empirical_pdf(deltas)
+
+    def test_distinct_samples_compare_unequal_and_hash(self):
+        a, b = (RankChangeSample(np.array([1, -1]), ((2000, 2001),), ("AAA", "BBB"))
+                for _ in "ab")
+        assert a == a and (a == b) is False and a != b
+        assert len({a, b}) == 2 and hash(a) == hash(a)
+
     def test_recovers_generating_decay(self):
         deltas = sample_discrete_laplace(0.12, 100_000, seed=7)
         fit = fit_laplace_mle(deltas)
@@ -289,18 +302,20 @@ class TestLaplaceMle:
 
 class TestEmpiricalPdf:
     def test_counting_example(self):
-        assert empirical_pdf([0, 0, 1, -1]) == [(-1, 0.25), (0, 0.5), (1, 0.25)]
+        centers, densities = empirical_pdf([0, 0, 1, -1])
+        assert centers.tolist() == [-1, 0, 1] and densities.tolist() == [0.25, 0.5, 0.25]
 
     def test_densities_sum_to_one(self):
         deltas = sample_discrete_laplace(0.3, 5000, seed=11)
-        total = sum(density for _, density in empirical_pdf(deltas))
+        total = sum(empirical_pdf(deltas)[1].tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_single_delta(self):
-        assert empirical_pdf([5, 5]) == [(5, 1.0)]
+        centers, densities = empirical_pdf([5, 5])
+        assert centers.tolist() == [5] and densities.tolist() == [1.0]
 
     def test_interior_gaps_get_zero_density(self):
-        hist = dict(empirical_pdf([0, 3]))
+        hist = dict(zip(*(column.tolist() for column in empirical_pdf([0, 3]))))
         assert hist == {0: 0.5, 1: 0.0, 2: 0.0, 3: 0.5}
 
     def test_empty_sample_rejected(self):
@@ -314,7 +329,7 @@ class TestEmpiricalPdf:
         deltas = sample_discrete_laplace(0.12, n, seed=0)
         fit = fit_laplace_mle(deltas)
         checked = 0
-        for center, density in empirical_pdf(deltas):
+        for center, density in zip(*empirical_pdf(deltas)):
             q = laplace_density(fit.decay, center)
             if n * q < 10:
                 continue

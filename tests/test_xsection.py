@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from econrank import (
+    balanced_subset,
+    cross_section,
     fit_power_law,
+    load_panel,
     ols_linear,
     relative_competitiveness,
     split_by_sign,
@@ -46,8 +49,8 @@ def pooled_t_textbook(a, b):
 
 class TestFitPowerLaw:
     def test_noiseless_recovery_exact(self):
-        points = [(float(x), 2.0 * x**0.1) for x in range(1, 21)]
-        fit = fit_power_law(points)
+        x = np.arange(1.0, 21.0)
+        fit = fit_power_law(x, 2.0 * x**0.1)
         assert fit.alpha == pytest.approx(0.1, abs=1e-10)
         assert fit.ln_intercept == pytest.approx(math.log(2.0), abs=1e-10)
 
@@ -55,45 +58,46 @@ class TestFitPowerLaw:
         rng = np.random.default_rng(4)
         x = rng.uniform(1, 100, 100)
         y = np.exp(0.7 + 0.1 * np.log(x) + rng.normal(0, 0.05, 100))
-        fit = fit_power_law(list(zip(x, y)))
+        fit = fit_power_law(x, y)
         assert abs(fit.alpha - 0.1) < 3 * fit.stderr_alpha
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_coordinate_is_domain_error(self, bad):
-        for point in ((bad, 2.0), (2.0, bad)):
+        for x, y in (([1.0, bad, 3.0, 4.0], [1.0, 2.0, 5.0, 2.0]),
+                     ([1.0, 2.0, 3.0, 4.0], [1.0, bad, 5.0, 2.0])):
             with pytest.raises(DomainError, match="finite"):
-                fit_power_law([(1.0, 1.0), point, (3.0, 5.0), (4.0, 2.0)])
+                fit_power_law(x, y)
 
     def test_nonpositive_coordinate_is_domain_error(self):
         with pytest.raises(DomainError):
-            fit_power_law([(1.0, 2.0), (0.0, 3.0), (2.0, 4.0)])
+            fit_power_law([1.0, 0.0, 2.0], [2.0, 3.0, 4.0])
         with pytest.raises(DomainError):
-            fit_power_law([(1.0, 2.0), (2.0, -3.0), (3.0, 4.0)])
+            fit_power_law([1.0, 2.0, 3.0], [2.0, -3.0, 4.0])
 
     def test_constant_x_is_singular(self):
         with pytest.raises(SingularDesignError):
-            fit_power_law([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+            fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_constant_y_is_singular(self):
         with pytest.raises(SingularDesignError):
-            fit_power_law([(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)])
+            fit_power_law([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
     def test_constant_with_rounded_mean_is_singular(self):
         # the mean of three ln 14.75 is not ln 14.75, so the sum of squares is not 0
         with pytest.raises(SingularDesignError, match="x never varies"):
-            fit_power_law([(14.75, 1.0), (14.75, 2.0), (14.75, 3.0)])
+            fit_power_law([14.75, 14.75, 14.75], [1.0, 2.0, 3.0])
         with pytest.raises(SingularDesignError, match="y never varies"):
-            fit_power_law([(1.0, 14.75), (2.0, 14.75), (3.0, 14.75)])
+            fit_power_law([1.0, 2.0, 3.0], [14.75, 14.75, 14.75])
 
     def test_too_few_points_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            fit_power_law([(1.0, 1.0), (2.0, 2.0)])
+            fit_power_law([1.0, 2.0], [1.0, 2.0])
 
     def test_residual_mean_zero_and_corr_squared_is_r2(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0.5, 50, 40)
         y = np.exp(1.2 + 0.35 * np.log(x) + rng.normal(0, 0.2, 40))
-        fit = fit_power_law(list(zip(x, y)))
+        fit = fit_power_law(x, y)
         residuals = fit.sample[:, 2]
         assert abs(residuals.mean()) < 1e-10
         ly = np.log(y)
@@ -111,7 +115,7 @@ class TestFitPowerLaw:
                        + rng.normal(0, 0.3, n))
             if np.log(y).std() == 0:
                 continue
-            fit = fit_power_law(list(zip(x, y)))
+            fit = fit_power_law(x, y)
             slope, intercept, stderr = ols_normal_equations(np.log(x), np.log(y))
             assert fit.alpha == pytest.approx(slope, abs=1e-10)
             assert fit.ln_intercept == pytest.approx(intercept, abs=1e-10)
@@ -121,7 +125,7 @@ class TestFitPowerLaw:
         rng = np.random.default_rng(31)
         x = rng.uniform(1, 30, 25)
         y = np.exp(0.4 + 0.22 * np.log(x) + rng.normal(0, 0.1, 25))
-        fit = fit_power_law(list(zip(x, y)))
+        fit = fit_power_law(x, y)
         ref = scipy.stats.linregress(np.log(x), np.log(y))
         assert fit.alpha == pytest.approx(ref.slope, abs=1e-12)
         assert fit.correlation == pytest.approx(ref.rvalue, abs=1e-12)
@@ -129,23 +133,29 @@ class TestFitPowerLaw:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ParameterError):
-            fit_power_law(
-                [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], labels=["A", "A", "B"]
-            )
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], labels=["A", "A", "B"])
 
 
     def test_sample_is_read_only_columns(self):
         x = np.array([2.0, 5.0, 11.0, 23.0])
         y = np.array([1.5, 1.1, 2.5, 1.9])
-        fit = fit_power_law(list(zip(x, y)))
+        fit = fit_power_law(x, y)
         assert fit.labels is None
         assert fit.sample.dtype == np.float64 and fit.sample.shape == (4, 3)
         assert not fit.sample.flags.writeable
         assert fit.sample[:, 0].tolist() == np.log(x).tolist()
         assert fit.sample[:, 1].tolist() == np.log(y).tolist()
-        labelled = fit_power_law(np.column_stack((x, y)), labels=["A", "B", "C", "D"])
+        labelled = fit_power_law(x.tolist(), y.tolist(), labels=["A", "B", "C", "D"])
         assert labelled.labels == ("A", "B", "C", "D")
         assert labelled.sample.tolist() == fit.sample.tolist()
+
+
+@pytest.mark.parametrize("fit", [fit_power_law, ols_linear])
+def test_unequal_columns_are_alignment_error(fit):
+    with pytest.raises(AlignmentError):
+        fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+    with pytest.raises(AlignmentError):  # (n, 2) pairs are not a column
+        fit(np.ones((4, 2)), np.ones((4, 2)))
 
 
 any_float = st.one_of(st.floats(), st.floats(min_value=0.5, max_value=50.0))
@@ -156,6 +166,7 @@ any_float = st.one_of(st.floats(), st.floats(min_value=0.5, max_value=50.0))
 def test_domain_rule_matches_scalar_rule(points, labelled):
     # nan, +-inf, +-0.0, subnormals and negatives all come from st.floats()
     labels = [f"c{i}" for i in range(len(points))] if labelled else None
+    xs, ys = ([p[k] for p in points] for k in (0, 1))
     bad = [i for i, (x, y) in enumerate(points)
            if not (0 < x < math.inf and 0 < y < math.inf)]
     if bad:
@@ -163,15 +174,15 @@ def test_domain_rule_matches_scalar_rule(points, labelled):
         x, y = points[i]
         label = labels[i] if labelled else str(i)
         with pytest.raises(DomainError) as excinfo:
-            fit_power_law(points, labels=labels)
+            fit_power_law(xs, ys, labels=labels)
         assert str(excinfo.value).endswith(f"got ({x!r}, {y!r}) at {label!r}")
         return
     lx, ly = np.log(np.array(points)).T
     if np.all(lx == lx[0]) or np.all(ly == ly[0]):
         with pytest.raises(SingularDesignError):
-            fit_power_law(points, labels=labels)
+            fit_power_law(xs, ys, labels=labels)
         return
-    fit = fit_power_law(points, labels=labels)
+    fit = fit_power_law(xs, ys, labels=labels)
     assert fit.sample.shape == (len(points), 3)
     assert fit.labels == (None if labels is None else tuple(labels))
 
@@ -180,7 +191,7 @@ class TestRelativeCompetitiveness:
     def _fit(self, noise, labels=None):
         x = np.array([2.0, 5.0, 11.0, 23.0, 47.0])
         y = np.exp(0.5 + 0.1 * np.log(x) + np.asarray(noise))
-        return fit_power_law(list(zip(x, y)), labels=labels)
+        return fit_power_law(x, y, labels=labels)
 
     def test_point_on_line_has_zero_score(self):
         fit = self._fit([0.0, 0.0, 0.0, 0.0, 0.0])
@@ -198,7 +209,7 @@ class TestRelativeCompetitiveness:
         base = relative_competitiveness(self._fit(noise))
         x = np.array([2.0, 5.0, 11.0, 23.0, 47.0])
         y = np.exp(0.5 + 0.1 * np.log(x) + np.asarray(noise)) * 7.3
-        scaled = relative_competitiveness(fit_power_law(list(zip(x, y))))
+        scaled = relative_competitiveness(fit_power_law(x, y))
         for c in base:
             assert scaled[c] == pytest.approx(base[c], abs=1e-10)
 
@@ -206,8 +217,8 @@ class TestRelativeCompetitiveness:
         noise = [0.3, -0.2, 0.1, -0.4, 0.25]
         x = np.array([2.0, 5.0, 11.0, 23.0, 47.0])
         y = np.exp(0.5 + 0.1 * np.log(x) + np.asarray(noise))
-        fit = fit_power_law(list(zip(x, y)))
-        scaled_fit = fit_power_law(list(zip(x * 4.0, y)))
+        fit = fit_power_law(x, y)
+        scaled_fit = fit_power_law(x * 4.0, y)
         base = relative_competitiveness(fit)
         scaled = relative_competitiveness(scaled_fit)
         # slope unchanged, residuals unchanged: the intercept absorbs -alpha*ln c
@@ -230,11 +241,12 @@ class TestSplitBySign:
     def test_partition_sizes(self):
         pos, neg = split_by_sign([0.1, -0.2], [1.0, 2.0])
         assert (len(pos), len(neg)) == (1, 1)
-        assert pos == [1.0] and neg == [2.0]
+        assert pos.dtype == neg.dtype == np.float64
+        assert pos.tolist() == [1.0] and neg.tolist() == [2.0]
 
     def test_zero_score_joins_positive_group(self):
         pos, neg = split_by_sign([0.0, -0.2], [1.0, 2.0])
-        assert pos == [1.0]
+        assert pos.tolist() == [1.0]
 
     def test_length_mismatch_is_alignment_error(self):
         with pytest.raises(AlignmentError):
@@ -244,14 +256,14 @@ class TestSplitBySign:
 
     def test_all_positive_gives_empty_negative_group_degenerate(self):
         pos, neg = split_by_sign([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-        assert neg == []
+        assert neg.tolist() == []
         with pytest.raises(DegenerateSampleError):
             two_sample_t(pos, neg)
 
     def test_groups_keep_row_order(self):
         d = np.array([0.5, -0.1, 0.0, -0.3, 0.2])
         pos, neg = split_by_sign(d, [5.0, 4.0, 3.0, 2.0, 1.0])
-        assert pos == [5.0, 3.0, 1.0] and neg == [4.0, 2.0]
+        assert pos.tolist() == [5.0, 3.0, 1.0] and neg.tolist() == [4.0, 2.0]
 
 
 class TestTwoSampleT:
@@ -301,24 +313,25 @@ class TestTwoSampleT:
 
 class TestOlsLinear:
     def test_exact_line(self):
-        fit = ols_linear([(x, 3.0 * x + 1.0) for x in (0.0, 1.0, 2.0, 3.0)])
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        fit = ols_linear(x, 3.0 * x + 1.0)
         assert fit.slope == pytest.approx(3.0, abs=1e-12)
         assert fit.intercept == pytest.approx(1.0, abs=1e-12)
         assert fit.stderr_slope == pytest.approx(0.0, abs=1e-12)
 
     def test_singular_design(self):
         with pytest.raises(SingularDesignError):
-            ols_linear([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+            ols_linear([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
 
     def test_constant_x_with_rounded_mean_is_singular(self):
         with pytest.raises(SingularDesignError):
-            ols_linear([(0.1, 2.0), (0.1, 3.0), (0.1, 4.0)])
+            ols_linear([0.1, 0.1, 0.1], [2.0, 3.0, 4.0])
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(23)
         x = rng.uniform(-5, 5, 30)
         y = 0.54 * x + rng.normal(0, 0.2, 30)
-        fit = ols_linear(list(zip(x, y)))
+        fit = ols_linear(x, y)
         slope, intercept, stderr = ols_normal_equations(x, y)
         assert fit.slope == pytest.approx(slope, abs=1e-10)
         assert fit.intercept == pytest.approx(intercept, abs=1e-10)
@@ -328,8 +341,8 @@ class TestOlsLinear:
         rng = np.random.default_rng(29)
         x = rng.uniform(0.5, 40, 20)
         y = np.exp(0.9 + 0.15 * np.log(x) + rng.normal(0, 0.1, 20))
-        power = fit_power_law(list(zip(x, y)))
-        linear = ols_linear(list(zip(np.log(x), np.log(y))))
+        power = fit_power_law(x, y)
+        linear = ols_linear(np.log(x), np.log(y))
         assert linear.slope == pytest.approx(power.alpha, rel=1e-12)
         assert linear.intercept == pytest.approx(power.ln_intercept, rel=1e-12)
         assert linear.stderr_slope == pytest.approx(power.stderr_alpha, rel=1e-12)
@@ -345,5 +358,16 @@ def test_noisy_alpha_recovery_coverage(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(1, 100, 100)
     y = np.exp(0.7 + 0.1 * np.log(x) + rng.normal(0, 0.05, 100))
-    fit = fit_power_law(list(zip(x, y)))
+    fit = fit_power_law(x, y)
     assert abs(fit.alpha - 0.1) < 6 * fit.stderr_alpha
+
+
+def test_cross_section_columns_are_read_only(toy_gdp_csv, toy_gci_csv):
+    gdp, _ = load_panel(toy_gdp_csv, "gdp")
+    gci, _ = load_panel(toy_gci_csv, "gci")
+    xs = cross_section(balanced_subset(gdp, (2008, 2011)), balanced_subset(gci, (2011, 2011)),
+                       2011)
+    for name in ("x", "y", "keep", "growth"):
+        column = getattr(xs, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
