@@ -109,6 +109,7 @@ class AbmParams:
 class Ensemble:
     """Model outcomes: equal-length float64 arrays, row i for country index i.
 
+    The columns of a sweep or a ``simulate_country`` outcome are read-only.
     A sigma = 0 economy is uncorrupt: its competitiveness proxy is the +inf
     sentinel when gamma > 0 and should be excluded from regressions.
     """
@@ -167,7 +168,10 @@ def _outcomes(mu: np.ndarray, sigma: np.ndarray, e_total: np.ndarray, n_jobs: in
                           for s in sigma.tolist()), float, len(sigma))
     with np.errstate(over="ignore"):  # fit_power_law rejects the infinite outputs
         gdp_total = mu * e_total
-    return Ensemble(mu, sigma, e_total, gdp_total, gdp_total / n_jobs, gci_th)
+    columns = (mu, sigma, e_total, gdp_total, gdp_total / n_jobs, gci_th)
+    for column in columns:  # read-only, so no column can fall out of step with the others
+        column.flags.writeable = False
+    return Ensemble(*columns)
 
 
 def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -> float:

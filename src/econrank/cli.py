@@ -38,13 +38,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _parse_years(text: str, min_years: int = 1) -> tuple[int, int]:
+def _parse_years(text: str, min_years: int = 1, why: str = "") -> tuple[int, int]:
     try:
         a, b = (int(t) for t in text.split(":"))
     except ValueError:
         raise ParameterError(f"--years must look like A:B, got {text!r}") from None
     if b - a + 1 < min_years:
-        raise ParameterError(f"--years {text!r} must span at least {min_years} year(s)")
+        raise ParameterError(f"--years {text!r} must span at least {min_years} year(s){why}")
     return a, b
 
 
@@ -77,9 +77,10 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import rankdyn
 
-    years = _parse_years(args.years) if args.years else None  # usage errors before any read
-    if args.window < 1:
+    if args.window < 1:  # usage errors before any read
         raise ParameterError(f"--window must be at least 1 year, got {args.window}")
+    why = f" for --window {args.window}"
+    years = _parse_years(args.years, args.window + 1, why) if args.years else None
     pnl, skipped = _load(args.input, args.indicator, args.alias)
     if not len(pnl):
         raise DataError(f"no observations for indicator {args.indicator!r}")
@@ -87,10 +88,10 @@ def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     balanced = panel.balanced_subset(pnl, years)
     overlapping = not args.non_overlapping
     sample = rankdyn.rank_changes(balanced, args.window, overlapping=overlapping)
-    fit = rankdyn.fit_laplace_mle(sample)
+    fit = rankdyn.fit_laplace_mle(sample.deltas)
     files = {
         "deltas.csv": outputs.deltas_csv(sample),
-        "pdf.csv": outputs.pdf_csv(sample, fit),
+        "pdf.csv": outputs.pdf_csv(sample.deltas, fit),
         "fit.json": outputs.laplace_fit_json(fit),
     }
     parameters = {

@@ -123,11 +123,11 @@ def ensemble_csv(ensemble: Ensemble) -> str:
     return render_csv(header, (range(len(ensemble.mu)), *columns))
 
 
-def pdf_csv(sample: RankChangeSample, fit: LaplaceFit) -> str:
-    """Empirical density and model density per integer bin."""
+def pdf_csv(deltas: np.ndarray, fit: LaplaceFit) -> str:
+    """Empirical density of the delta column and model density per integer bin."""
     from .rankdyn import empirical_pdf, laplace_density
 
-    centers, densities = empirical_pdf(sample)
+    centers, densities = empirical_pdf(deltas)
     model = [laplace_density(fit.decay, c) for c in centers.tolist()]
     return render_csv(("bin", "density", "model_density"), (centers, densities, model))
 

@@ -22,8 +22,8 @@ from .panel import BalancedPanel
 class RankChangeSample:
     """Pooled rank changes over every window of one length.
 
-    ``deltas`` is a flat integer array, window-major with ``countries`` in
-    panel order inside each window.
+    ``deltas`` is a flat read-only int64 column, window-major with ``countries``
+    in panel order inside each window; the fits take it as it is.
     """
 
     deltas: np.ndarray
@@ -91,6 +91,7 @@ def rank_changes(
     step = 1 if overlapping else window
     starts = slice(0, len(panel.years) - window, step)
     deltas = (ranks[:, window::step] - ranks[:, starts]).T.ravel()
+    deltas.flags.writeable = False
     return RankChangeSample(
         deltas=deltas,
         windows=tuple((t, t + window) for t in panel.years[starts]),
@@ -98,24 +99,24 @@ def rank_changes(
     )
 
 
-def _as_delta_array(sample: RankChangeSample | Sequence[int] | np.ndarray) -> np.ndarray:
-    """The deltas as an int64 column; ParameterError for any other shape or a float column."""
-    arr = np.asarray(getattr(sample, "deltas", sample))
+def _as_delta_array(deltas: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``deltas`` as an int64 column, not a copy of one; ParameterError unless 1-D integer."""
+    arr = np.asarray(deltas)
     if arr.ndim != 1:
         raise ParameterError("deltas must be one-dimensional")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):  # [] is an empty float column
         raise ParameterError(f"rank changes must be an integer column, got {arr.dtype}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
-def fit_laplace_mle(sample: RankChangeSample | Sequence[int] | np.ndarray) -> LaplaceFit:
-    """Maximum-likelihood fit of P(d) = decay/2 * exp(-decay*|d|).
+def fit_laplace_mle(deltas: Sequence[int] | np.ndarray) -> LaplaceFit:
+    """Maximum-likelihood fit of P(d) = decay/2 * exp(-decay*|d|) to a delta column.
 
     decay = n / sum|d| and log-likelihood = n*ln(decay/2) - decay*sum|d|.
     The absolute sum is integer arithmetic, so the fit is independent of
-    the order of the deltas.
+    the order of the deltas. An int64 column is read in place.
     """
-    deltas = _as_delta_array(sample)
+    deltas = _as_delta_array(deltas)
     n = int(deltas.size)
     if n < 2:
         raise DegenerateSampleError(f"need at least 2 rank changes, got {n}")
@@ -130,19 +131,17 @@ def fit_laplace_mle(sample: RankChangeSample | Sequence[int] | np.ndarray) -> La
     return LaplaceFit(decay=decay, n=n, mean_abs=mean_abs, log_likelihood=log_likelihood)
 
 
-def empirical_pdf(
-    sample: RankChangeSample | Sequence[int] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-width integer-bin density estimate over the observed delta range.
+def empirical_pdf(deltas: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-width integer-bin density estimate of a delta column over its observed range.
 
     Returns the columns (bin centers, densities) over every integer bin from min to max,
     empty interior bins included. A density is count / n; they sum to 1 up to rounding.
     """
-    deltas = _as_delta_array(sample)
+    deltas = _as_delta_array(deltas)
     if deltas.size == 0:
         raise ParameterError("cannot build a pdf from an empty sample")
     lo = int(deltas.min())
-    counts = np.bincount((deltas - lo).astype(np.intp))  # a bin for every value up to the max
+    counts = np.bincount(deltas - lo)  # a bin for every value up to the max
     return np.arange(lo, lo + counts.size), counts / deltas.size
 
 
@@ -166,14 +165,14 @@ def sample_discrete_laplace(
     """Seeded integer draws from a rounded continuous double exponential.
 
     Inverse-CDF sampling of the continuous Laplace with the given decay,
-    rounded to the nearest integer. Used as the reproducible generator for
-    MLE recovery checks.
+    rounded to the nearest integer, from ``np.random.default_rng(seed)`` (a
+    Generator seed is used as it is). The generator of MLE recovery checks.
     """
     if decay <= 0:
         raise ParameterError(f"decay must be positive, got {decay}")
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = np.maximum(rng.random(n), np.finfo(float).tiny)  # avoid log(0) at u=0
     x = np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u))) / decay
     return np.rint(x).astype(np.int64)

@@ -275,6 +275,10 @@ class TestGciTheoretical:
         with pytest.raises(DomainError, match="overflow"):
             gci_theoretical(1e-300, 2.0)
 
+    def test_negative_gamma_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="gamma must be nonnegative, got -0.1"):
+            gci_theoretical(2.0, -0.1)
+
     def test_strictly_decreasing_for_positive_gamma(self):
         values = [gci_theoretical(s, 0.3) for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -349,6 +353,10 @@ def pool_calls(monkeypatch):
 class TestSweep:
     def test_same_seed_identical_ensemble(self):
         assert same_columns(sweep(small_config()), sweep(small_config()))
+
+    def test_zero_threads_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="threads must be >= 1, got 0"):
+            sweep(small_config(), threads=0)
 
     def test_thread_count_does_not_change_results(self):
         serial = sweep(small_config(), threads=1)
@@ -492,6 +500,18 @@ class TestModelRegression:
         outcome = simulate_country(params(sigma=0.0, gamma=0.5))
         with pytest.raises(DomainError):
             fit_model_regression(outcome)
+
+    def test_columns_are_read_only(self):
+        # a column written after the fact would leave gdp_total and the fit behind
+        swept = sweep(small_config(n_countries=3, n_jobs=10))
+        for ensemble in (swept, simulate_country(params())):
+            for field in dataclasses.fields(Ensemble):
+                column = getattr(ensemble, field.name)
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1.0
+        source = np.ones(1)
+        Ensemble(*(source for _ in dataclasses.fields(Ensemble)))
+        source[0] = 2.0  # arrays passed in by the caller stay as the caller made them
 
     def test_empty_ensemble_rejected(self):
         empty = Ensemble(*(np.empty(0) for _ in dataclasses.fields(Ensemble)))

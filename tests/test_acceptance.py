@@ -108,7 +108,7 @@ def test_c03_decade_window_decay(toy_gdp_csv, tmp_path):
     if real_csv:
         panel, _ = er.load_panel(real_csv, "gdp")
         balanced = er.balanced_subset(panel, (1980, 2011))
-        fit = er.fit_laplace_mle(er.rank_changes(balanced, 10, overlapping=True))
+        fit = er.fit_laplace_mle(er.rank_changes(balanced, 10, overlapping=True).deltas)
         report(
             3,
             f"real data: {balanced.n_countries} complete countries, "

@@ -793,13 +793,15 @@ def test_unreadable_file_exits_with_one_line(flag, content, code, toy_gdp_csv, t
         (["rank-dynamics", "--indicator", "gdp", "--years", "2000-2006"], "--years"),
         (["rank-dynamics", "--indicator", "gdp", "--years", "2006:2000"], "--years"),
         (["rank-dynamics", "--indicator", "gdp", "--window", "0"], "--window"),
+        (["rank-dynamics", "--indicator", "gdp", "--years", "2000:2005", "--window", "10"],
+         "--window 10"),
         (["cross-section", "--years", "2008:2011", "--year", "1999"], "--year 1999"),
         (["cross-section", "--years", "2011:2011"], "--years"),
         (["simulate", "--threads", "0"], "--threads"),
         (["simulate", "--seed", "-1"], "--seed"),
     ],
     ids=["rank_dynamics_years", "rank_dynamics_reversed_years", "rank_dynamics_window",
-         "cross_section_year", "cross_section_one_year", "simulate_threads", "simulate_seed"],
+         "rank_dynamics_window_over_years", "cross_section_year", "cross_section_one_year", "simulate_threads", "simulate_seed"],
 )
 def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_path, capsys):
     # the file is not UTF-8: read as an input it is a data error (exit 2), and as a
@@ -812,6 +814,18 @@ def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_pat
     assert run([*argv, *inputs, "--out", out]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["", "AAA,2000,n/a\nBBB,2000,-1\n,2001,3.5\n"],
+                         ids=["header_only", "all_rows_bad"])
+def test_rank_dynamics_without_observations_is_data_error(body, tmp_path, capsys):
+    source = tmp_path / "gdp.csv"
+    source.write_text("country,year,value\n" + body)
+    out = tmp_path / "out"
+    assert run(["rank-dynamics", "--input", source, "--indicator", "gdp", "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no observations for indicator 'gdp'"]
     assert not out.exists()
 
 

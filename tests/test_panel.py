@@ -126,6 +126,18 @@ class TestLoadPanel:
         with pytest.raises(DataError, match="'Croatia'.*'HRV'.*'HRW'"):
             load_alias_map(path)
 
+    def test_alias_map_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_text("source_name,iso3\n  ,\t\nCroatia,HRV\n \n")
+        assert load_alias_map(path) == {"Croatia": "HRV"}
+
+    def test_alias_row_of_three_fields_is_data_error(self, tmp_path):
+        path = tmp_path / "aliases.csv"
+        path.write_text("source_name,iso3\nCroatia,HRV,HR\n")
+        with pytest.raises(DataError, match=re.escape(
+                "alias row must have 2 fields, got ['Croatia', 'HRV', 'HR']")):
+            load_alias_map(path)
+
     def test_alias_map_bad_header(self, tmp_path):
         path = tmp_path / "aliases.csv"
         path.write_text("name,code\nCroatia,HRV\n")
@@ -728,6 +740,18 @@ def test_panel_columns_are_read_only():
     for column in (panel.country, panel.years, panel.values):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]
+
+
+def test_balanced_shape_must_match_countries_and_years():
+    with pytest.raises(DataError, match=re.escape(
+            "value matrix shape (2, 2) does not match 1 countries x 2 years")):
+        BalancedPanel(countries=("AAA",), years=(2000, 2001), values=np.ones((2, 2)))
+
+
+def test_balanced_values_must_be_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="balanced panel contains non-finite values"):
+            BalancedPanel(countries=("AAA",), years=(2000, 2001), values=np.array([[1.0, bad]]))
 
 
 def test_balanced_values_are_read_only():

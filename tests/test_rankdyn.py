@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from econrank import (
 )
 from econrank.errors import DegenerateSampleError, ParameterError
 from econrank.outputs import _BLOCK, deltas_csv
-from econrank.rankdyn import RankChangeSample
+from econrank.rankdyn import RankChangeSample, _as_delta_array
 from panel_mapping import from_mapping
 from rank_records import records
 
@@ -131,6 +132,22 @@ class TestRankChanges:
         )
         with pytest.raises(ParameterError):
             rank_changes(panel, 5)
+
+    def test_zero_window_is_parameter_error(self):
+        panel = make_balanced(
+            {2000: {"AAA": 1.0, "BBB": 2.0}, 2001: {"AAA": 2.0, "BBB": 1.0}}
+        )
+        with pytest.raises(ParameterError, match="window must be >= 1 year, got 0"):
+            rank_changes(panel, 0)
+
+    def test_deltas_are_read_only(self):
+        panel = make_balanced(
+            {2000: {"AAA": 1.0, "BBB": 2.0}, 2001: {"AAA": 2.0, "BBB": 1.0}}
+        )
+        deltas = rank_changes(panel, 1).deltas
+        with pytest.raises(ValueError, match="read-only"):
+            deltas[0] = 0
+        assert deltas.tolist() == [-1, 1]
 
 
 @settings(max_examples=120, deadline=None)
@@ -260,6 +277,35 @@ class TestLaplaceMle:
                 fit_laplace_mle(deltas)
             with pytest.raises(ParameterError, match="integer column"):
                 empirical_pdf(deltas)
+
+    def test_only_a_one_dimensional_column_is_taken(self):
+        # the functions take the column, sample.deltas, and nothing that holds one
+        sample = RankChangeSample(np.array([1, -1, 2, -2]), ((2000, 2001),) * 2, ("A", "B"))
+        for fn in (fit_laplace_mle, empirical_pdf):
+            for deltas in (sample, np.array([[1, -1], [2, -2]])):
+                with pytest.raises(ParameterError, match="deltas must be one-dimensional"):
+                    fn(deltas)
+        assert fit_laplace_mle(sample.deltas).decay == 4 / 6
+
+    def test_int64_column_is_read_in_place(self):
+        deltas = sample_discrete_laplace(0.12, 1000, seed=5)
+        assert np.shares_memory(_as_delta_array(deltas), deltas)
+        narrow = deltas.astype(np.int32)  # any other integer column is converted
+        assert _as_delta_array(narrow).dtype == np.int64
+
+    @pytest.mark.parametrize("fn", [fit_laplace_mle, empirical_pdf])
+    def test_peak_memory_per_delta(self, fn):
+        # one int64 temporary (8 B per delta): |d| for the fit, d - min for the pdf;
+        # a copy of the column costs 8 B more
+        n = 1_000_000
+        deltas = sample_discrete_laplace(0.12, n, seed=1)
+        tracemalloc.start()
+        try:
+            fn(deltas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 12, f"{peak / n:.1f} B per delta"
 
     def test_distinct_samples_compare_unequal_and_hash(self):
         a, b = (RankChangeSample(np.array([1, -1]), ((2000, 2001),), ("AAA", "BBB"))
@@ -393,6 +439,13 @@ class TestSampler:
             sample_discrete_laplace(0.0, 10, seed=1)
         with pytest.raises(ParameterError):
             sample_discrete_laplace(0.5, 0, seed=1)
+
+    def test_generator_seed_is_used_as_it_is(self):
+        rng = np.random.default_rng(42)
+        assert np.array_equal(sample_discrete_laplace(0.12, 1000, seed=rng),
+                              sample_discrete_laplace(0.12, 1000, seed=42))
+        assert np.array_equal(sample_discrete_laplace(0.12, 5, seed=rng),
+                              sample_discrete_laplace(0.12, 1005, seed=42)[1000:])
 
     def test_integer_output(self):
         draws = sample_discrete_laplace(0.4, 100, seed=3)

@@ -131,6 +131,10 @@ class TestFitPowerLaw:
         assert fit.correlation == pytest.approx(ref.rvalue, abs=1e-12)
         assert fit.stderr_alpha == pytest.approx(ref.stderr, abs=1e-12)
 
+    def test_label_count_must_match_point_count(self):
+        with pytest.raises(ParameterError, match="2 labels for 3 points"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], labels=["A", "B"])
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ParameterError):
             fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], labels=["A", "A", "B"])
