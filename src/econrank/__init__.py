@@ -24,12 +24,12 @@ __version__ = "0.1.0"
 _SOURCE = {
     **{m: m for m in ("abm", "cli", "errors", "outputs", "panel", "rankdyn", "xsection")},
     **dict.fromkeys(("AbmParams", "Ensemble", "SweepConfig", "fit_model_regression",
-                     "gci_theoretical", "simulate_country", "sweep"), "abm"),
+                     "simulate_country", "sweep"), "abm"),
     **dict.fromkeys(("BalancedPanel", "IndicatorPanel", "balanced_subset", "growth_rate",
                      "load_alias_map", "load_panel", "serialize_panel"), "panel"),
     **dict.fromkeys(("LaplaceFit", "RankChangeSample", "empirical_pdf", "exceedance_probability",
-                     "fit_laplace_mle", "laplace_density", "rank_changes", "rank_snapshot",
-                     "sample_discrete_laplace"), "rankdyn"),
+                     "fit_laplace_mle", "laplace_density", "rank_changes", "rank_matrix"),
+                    "rankdyn"),
     **dict.fromkeys(("CrossSection", "LinearFit", "PowerLawFit", "TTestResult", "cross_section",
                      "fit_power_law", "ols_linear", "relative_competitiveness", "split_by_sign",
                      "two_sample_t"), "xsection"),

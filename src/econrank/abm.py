@@ -14,8 +14,8 @@ making ensembles independent of execution order and thread count.
 
 Outcomes take one path: ``simulate_country`` and ``sweep`` compute the
 capacities E and pass them to ``_outcomes``, the one place that applies the
-output equations and builds an :class:`Ensemble` of float64 columns. That of
-``simulate_country``, the reference the sweep is tested against, has one row.
+output equations and the proxy, and builds an :class:`Ensemble` of float64 columns.
+That of ``simulate_country``, the reference the sweep is tested against, has one row.
 ``sweep`` splits the country indices into one contiguous block per worker
 thread, which fills its rows of the mu, sigma and E columns with one reused
 mismatch buffer. Every country draws the same ``n_jobs`` mismatches and so
@@ -163,9 +163,12 @@ def _outcomes(mu: np.ndarray, sigma: np.ndarray, e_total: np.ndarray, n_jobs: in
               gamma: float) -> Ensemble:
     """The model's outputs per row: GDP = mu * E, gdp = GDP / n_jobs, proxy sigma^(-gamma)."""
     uncorrupt = math.inf if gamma > 0 else 1.0  # the proxy of sigma = 0
-    # libm's scalar pow per country, and DomainError on overflow
-    gci_th = np.fromiter((uncorrupt if s == 0 else gci_theoretical(s, gamma)
-                          for s in sigma.tolist()), float, len(sigma))
+    try:  # libm's scalar pow per country; sigma and gamma are >= 0, as the params checked
+        gci_th = np.fromiter((uncorrupt if s == 0 else s ** -gamma for s in sigma.tolist()),
+                             float, len(sigma))
+    except OverflowError:  # only at gamma > 0, so the smallest positive sigma overflows
+        raise DomainError(f"sigma^(-gamma) overflows for sigma={sigma[sigma > 0].min()}, "
+                          f"gamma={gamma}") from None
     with np.errstate(over="ignore"):  # fit_power_law rejects the infinite outputs
         gdp_total = mu * e_total
     columns = (mu, sigma, e_total, gdp_total, gdp_total / n_jobs, gci_th)
@@ -188,18 +191,6 @@ def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -
     half = n // 2
     half -= half % 8
     return _capacity(rng, sigma, buf, half) + _capacity(rng, sigma, buf, n - half)
-
-
-def gci_theoretical(sigma: float, gamma: float) -> float:
-    """Competitiveness proxy sigma^(-gamma), decreasing in sigma; DomainError on overflow."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if gamma < 0:
-        raise ParameterError(f"gamma must be nonnegative, got {gamma}")
-    try:
-        return sigma ** -gamma
-    except OverflowError:
-        raise DomainError(f"sigma^(-gamma) overflows for sigma={sigma}, gamma={gamma}") from None
 
 
 class _HashedSeed(ISeedSequence):

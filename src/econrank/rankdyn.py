@@ -1,9 +1,9 @@
-"""Rank dynamics: yearly rankings, windowed rank changes, double-exponential MLE.
+"""Rank dynamics: the rank matrix, windowed rank changes, double-exponential MLE.
 
-Rank 1 always belongs to the largest value. Rank changes are pooled across
-overlapping (or strided) windows into a single sample and fitted with the
-zero-centered double exponential P(d) = decay/2 * exp(-decay*|d|), whose
-maximum-likelihood decay is n / sum|d|.
+``rank_matrix`` ranks every country in every year; rank 1 is the largest value.
+Rank changes, differences of its columns, are pooled across overlapping (or strided)
+windows into a single sample and fitted with the zero-centered double exponential
+P(d) = decay/2 * exp(-decay*|d|), whose maximum-likelihood decay is n / sum|d|.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DegenerateSampleError, ParameterError
 from .panel import BalancedPanel
+
+_MAX_BINS = 2**16  # empirical_pdf's bins: at most max(2n, this), whatever the range
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,23 +50,17 @@ class LaplaceFit:
     log_likelihood: float
 
 
-def _rank_order(values: np.ndarray) -> np.ndarray:
-    """Row indices down each column from largest to smallest value.
+def rank_matrix(panel: BalancedPanel) -> np.ndarray:
+    """Read-only int64 ranks 1..N, row i for ``panel.countries[i]``, column j for ``years[j]``.
 
-    The sort is stable and rows are in country-code order, so equal values
-    keep the lexicographically smaller code first.
+    Rank 1 is the largest value; among equal values the smaller code ranks first.
     """
-    return np.argsort(-values, axis=0, kind="stable")
-
-
-def rank_snapshot(panel: BalancedPanel, year: int) -> dict[str, int]:
-    """Dense ranks 1..N for one year as {country: rank}, in rank order.
-
-    The largest value gets rank 1; among equal values the lexicographically
-    smaller code gets the smaller rank.
-    """
-    order = _rank_order(panel.values[:, panel.year_index(year)])
-    return {panel.countries[i]: rank for rank, i in enumerate(order.tolist(), start=1)}
+    order = np.argsort(-panel.values, axis=0, kind="stable")  # rows ascend by code
+    ranks = np.empty(order.shape, dtype=np.int64)
+    rank_values = np.arange(1, panel.n_countries + 1, dtype=np.int64)[:, None]
+    np.put_along_axis(ranks, order, rank_values, axis=0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def rank_changes(
@@ -75,7 +71,7 @@ def rank_changes(
     With ``overlapping`` every start year t with t+window in the panel
     contributes a window; otherwise start years advance in steps of
     ``window`` from the first year. Each window pairs rank column j with
-    column j + window, read as two column slices.
+    column j + window of ``rank_matrix(panel)``, read as two column slices.
     """
     if window < 1:
         raise ParameterError(f"window must be >= 1 year, got {window}")
@@ -84,10 +80,7 @@ def rank_changes(
             f"window of {window} years needs a span of at least {window + 1} years; "
             f"panel covers {panel.years[0]}-{panel.years[-1]}"
         )
-    order = _rank_order(panel.values)
-    ranks = np.empty(order.shape, dtype=np.int64)
-    rank_values = np.arange(1, panel.n_countries + 1, dtype=np.int64)[:, None]
-    np.put_along_axis(ranks, order, rank_values, axis=0)
+    ranks = rank_matrix(panel)
     step = 1 if overlapping else window
     starts = slice(0, len(panel.years) - window, step)
     deltas = (ranks[:, window::step] - ranks[:, starts]).T.ravel()
@@ -100,12 +93,19 @@ def rank_changes(
 
 
 def _as_delta_array(deltas: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``deltas`` as an int64 column, not a copy of one; ParameterError unless 1-D integer."""
+    """``deltas`` as an int64 column, not a copy of one; ParameterError unless 1-D integer.
+
+    Each |d| must be below 2**63 / max(n, 2), so sum|d| fits int64; rank changes are below N <= n.
+    """
     arr = np.asarray(deltas)
     if arr.ndim != 1:
         raise ParameterError("deltas must be one-dimensional")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):  # [] is an empty float column
         raise ParameterError(f"rank changes must be an integer column, got {arr.dtype}")
+    lo, hi = int(arr.min(initial=0)), int(arr.max(initial=0))  # exact for uint64 and -2**63
+    if max(-lo, hi) >= (limit := 2**63 // max(arr.size, 2)):
+        raise ParameterError(f"rank change {hi if hi >= -lo else lo} is out of range: "
+                             f"|d| must be below 2**63 / max(n, 2) = {limit} for n = {arr.size}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -141,6 +141,9 @@ def empirical_pdf(deltas: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.nd
     if deltas.size == 0:
         raise ParameterError("cannot build a pdf from an empty sample")
     lo = int(deltas.min())
+    if (bins := int(deltas.max()) - lo + 1) > max(2 * deltas.size, _MAX_BINS):
+        raise ParameterError(f"a pdf of n = {deltas.size} rank changes needs {bins} bins, "
+                             f"over max(2n, {_MAX_BINS})")
     counts = np.bincount(deltas - lo)  # a bin for every value up to the max
     return np.arange(lo, lo + counts.size), counts / deltas.size
 
@@ -157,22 +160,3 @@ def exceedance_probability(fit: LaplaceFit, delta: int | float) -> float:
     confined to (0, 0.5].
     """
     return 0.5 * math.exp(-fit.decay * abs(delta))
-
-
-def sample_discrete_laplace(
-    decay: float, n: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Seeded integer draws from a rounded continuous double exponential.
-
-    Inverse-CDF sampling of the continuous Laplace with the given decay,
-    rounded to the nearest integer, from ``np.random.default_rng(seed)`` (a
-    Generator seed is used as it is). The generator of MLE recovery checks.
-    """
-    if decay <= 0:
-        raise ParameterError(f"decay must be positive, got {decay}")
-    if n < 1:
-        raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = np.maximum(rng.random(n), np.finfo(float).tiny)  # avoid log(0) at u=0
-    x = np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u))) / decay
-    return np.rint(x).astype(np.int64)

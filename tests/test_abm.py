@@ -18,7 +18,6 @@ from econrank import (
     Ensemble,
     SweepConfig,
     fit_model_regression,
-    gci_theoretical,
     simulate_country,
     sweep,
 )
@@ -255,32 +254,32 @@ def test_seed_states_match_seed_sequence(seed, keys):
     assert np.array_equal(states, expected)
 
 
+def proxy_of(sigma: float, gamma: float) -> float:
+    """The competitiveness proxy sigma^(-gamma) of one simulated country."""
+    return simulate_country(params(sigma=sigma, gamma=gamma)).gci_th[0]
+
+
 class TestGciTheoretical:
+    # a negative sigma is a TestParams row, and sigma = 0 is the uncorrupt +inf proxy
     def test_unit_base(self):
-        assert gci_theoretical(1.0, 0.7) == 1.0
+        assert proxy_of(1.0, 0.7) == 1.0
 
     def test_zero_exponent(self):
-        assert gci_theoretical(13.2, 0.0) == 1.0
+        assert proxy_of(13.2, 0.0) == 1.0
 
     def test_frozen_value(self):
-        assert gci_theoretical(4.0, 0.1) == pytest.approx(FOUR_POW_M01, abs=1e-12)
-
-    def test_nonpositive_sigma_is_domain_error(self):
-        with pytest.raises(DomainError):
-            gci_theoretical(0.0, 0.1)
-        with pytest.raises(DomainError):
-            gci_theoretical(-2.0, 0.1)
+        assert proxy_of(4.0, 0.1) == pytest.approx(FOUR_POW_M01, abs=1e-12)
 
     def test_overflow_is_domain_error(self):
-        with pytest.raises(DomainError, match="overflow"):
-            gci_theoretical(1e-300, 2.0)
+        with pytest.raises(DomainError, match=r"overflows for sigma=1e-300, gamma=2\.0"):
+            proxy_of(1e-300, 2.0)
 
     def test_negative_gamma_is_parameter_error(self):
-        with pytest.raises(ParameterError, match="gamma must be nonnegative, got -0.1"):
-            gci_theoretical(2.0, -0.1)
+        with pytest.raises(ParameterError, match=r"gamma must be a finite number >= 0, got -0\.1"):
+            proxy_of(2.0, -0.1)
 
     def test_strictly_decreasing_for_positive_gamma(self):
-        values = [gci_theoretical(s, 0.3) for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
+        values = [proxy_of(s, 0.3) for s in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

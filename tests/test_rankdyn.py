@@ -16,12 +16,12 @@ from econrank import (
     fit_laplace_mle,
     laplace_density,
     rank_changes,
-    rank_snapshot,
-    sample_discrete_laplace,
+    rank_matrix,
 )
 from econrank.errors import DegenerateSampleError, ParameterError
 from econrank.outputs import _BLOCK, deltas_csv
-from econrank.rankdyn import RankChangeSample, _as_delta_array
+from econrank.rankdyn import _MAX_BINS, RankChangeSample, _as_delta_array
+from laplace_reference import sample_discrete_laplace
 from panel_mapping import from_mapping
 from rank_records import records
 
@@ -42,6 +42,11 @@ def brute_force_rank(values: dict[str, float]) -> dict[str, int]:
     return ranks
 
 
+def snapshot(panel: BalancedPanel, year: int) -> dict[str, int]:
+    """One year's column of the rank matrix as {country: rank}."""
+    return dict(zip(panel.countries, rank_matrix(panel)[:, panel.year_index(year)].tolist()))
+
+
 def make_balanced(values_by_year: dict[int, dict[str, float]]) -> BalancedPanel:
     obs = {(c, y): float(v) for y, row in values_by_year.items() for c, v in row.items()}
     years = sorted(values_by_year)
@@ -51,20 +56,19 @@ def make_balanced(values_by_year: dict[int, dict[str, float]]) -> BalancedPanel:
 class TestRankSnapshot:
     def test_largest_value_gets_rank_one(self):
         panel = make_balanced({2000: {"AAA": 100.0, "BBB": 300.0, "CCC": 200.0}})
-        table = rank_snapshot(panel, 2000)
+        table = snapshot(panel, 2000)
         assert table == {"BBB": 1, "CCC": 2, "AAA": 3}
 
     def test_ranks_are_permutation(self):
         rng = np.random.default_rng(5)
         row = {f"C{i:02d}": float(v) for i, v in enumerate(rng.uniform(1, 9, 25))}
         panel = make_balanced({2000: row})
-        ranks = rank_snapshot(panel, 2000)
+        ranks = snapshot(panel, 2000)
         assert sorted(ranks.values()) == list(range(1, 26))
-        assert list(ranks.values()) == list(range(1, 26))  # in rank order
 
     def test_tie_broken_by_country_code(self):
         panel = make_balanced({2000: {"BBB": 7.0, "AAA": 7.0, "CCC": 9.0}})
-        table = rank_snapshot(panel, 2000)
+        table = snapshot(panel, 2000)
         assert table == {"CCC": 1, "AAA": 2, "BBB": 3}
 
     def test_matches_counting_oracle(self):
@@ -75,7 +79,7 @@ class TestRankSnapshot:
                 for i, v in enumerate(rng.integers(1, 8, 12))  # ties likely
             }
             panel = make_balanced({2000: row})
-            assert rank_snapshot(panel, 2000) == brute_force_rank(row)
+            assert snapshot(panel, 2000) == brute_force_rank(row)
 
 
 class TestRankChanges:
@@ -174,6 +178,34 @@ def test_rank_changes_match_counting_oracle(data):
         expected += [(c, t, t + window, r1[c] - r0[c]) for c in codes]
     assert records(sample) == expected
     assert sample.deltas.tolist() == [d for *_, d in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_matrix_matches_counting_oracle(data):
+    codes = tuple(sorted(
+        data.draw(st.lists(st.text("ABC", min_size=1, max_size=3), min_size=1,
+                           max_size=12, unique=True))
+    ))
+    span = data.draw(st.integers(min_value=2, max_value=8))
+    # values from 1-5, as in criterion 10, make ties common
+    values = np.array([[data.draw(st.integers(1, 5)) for _ in range(span)] for _ in codes],
+                      dtype=float)
+    panel = BalancedPanel(countries=codes, years=tuple(range(2000, 2000 + span)), values=values)
+    ranks = rank_matrix(panel)
+    assert ranks.dtype == np.int64 and ranks.shape == (len(codes), span)
+    for j in range(span):
+        assert sorted(ranks[:, j].tolist()) == list(range(1, len(codes) + 1))
+        oracle = brute_force_rank(dict(zip(codes, values[:, j].tolist())))
+        assert ranks[:, j].tolist() == [oracle[c] for c in codes]
+    with pytest.raises(ValueError, match="read-only"):
+        ranks[0, 0] = 0
+    for overlapping in (True, False):
+        for window in range(1, span):
+            step = 1 if overlapping else window
+            expected = [ranks[i, t + window] - ranks[i, t]
+                        for t in range(0, span - window, step) for i in range(len(codes))]
+            assert rank_changes(panel, window, overlapping).deltas.tolist() == expected
 
 
 def year_set_windows(years, window, overlapping):
@@ -307,6 +339,21 @@ class TestLaplaceMle:
             tracemalloc.stop()
         assert peak / n < 12, f"{peak / n:.1f} B per delta"
 
+    @pytest.mark.parametrize("deltas", [
+        np.array([2**63, 1], dtype=np.uint64),  # wrapped to -2**63 by the int64 cast
+        np.array([-(2**63), 1]),  # |d| overflows np.abs
+        [2**62, -1],
+        [2**62 - 1] * 3,  # each below 2**62, but their |d| sum overflows int64
+    ])
+    def test_out_of_range_delta_is_parameter_error(self, deltas):
+        for fn in (fit_laplace_mle, empirical_pdf):
+            with pytest.raises(ParameterError, match="out of range"):
+                fn(deltas)
+
+    def test_largest_delta_in_range_is_fitted_exactly(self):
+        for deltas in ([2**62 - 1, -1], np.array([2**62 - 1, 1], dtype=np.uint64)):
+            assert fit_laplace_mle(deltas).mean_abs == 2**61
+
     def test_distinct_samples_compare_unequal_and_hash(self):
         a, b = (RankChangeSample(np.array([1, -1]), ((2000, 2001),), ("AAA", "BBB"))
                 for _ in "ab")
@@ -367,6 +414,18 @@ class TestEmpiricalPdf:
     def test_empty_sample_rejected(self):
         with pytest.raises(ParameterError):
             empirical_pdf([])
+
+    def test_bin_count_is_capped(self):
+        # at most max(2n, _MAX_BINS) bins, so a wide range cannot exhaust memory
+        with pytest.raises(ParameterError, match="n = 2 rank changes needs 1000001 bins"):
+            empirical_pdf([0, 10**6])
+        with pytest.raises(ParameterError, match="needs 65537 bins"):
+            empirical_pdf([0, _MAX_BINS])
+        assert empirical_pdf([0, _MAX_BINS - 1])[0].size == _MAX_BINS
+        n = 40_000
+        assert empirical_pdf([0] * (n - 1) + [2 * n - 1])[0].size == 2 * n
+        with pytest.raises(ParameterError, match=f"needs {2 * n + 1} bins"):
+            empirical_pdf([0] * (n - 1) + [2 * n])
 
     def test_matches_model_within_three_se(self):
         # Seeded large sample; the 3-se gate applies where the normal

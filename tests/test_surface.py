@@ -39,3 +39,15 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # __init__.py's map names every export; a name that no other module, README.md or bench/
+    # names, apart from its own def or class line, is surface that only the tests call
+    sources = [p for p in (ROOT / "src" / "econrank").glob("*.py") if p.name != "__init__.py"]
+    sources += [ROOT / "README.md", *sorted((ROOT / "bench").rglob("*.py"))]
+    lines = [line for path in sources for line in path.read_text(encoding="utf-8").splitlines()]
+    unused = [name for name in econrank.__all__
+              if not any(re.search(rf"\b{name}\b", line)
+                         and not re.match(rf"\s*(def|class) {name}\b", line) for line in lines)]
+    assert unused == []
