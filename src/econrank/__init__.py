@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 # every public name -> the submodule defining it; each submodule maps to itself
 _SOURCE = {
     **{m: m for m in ("abm", "cli", "errors", "outputs", "panel", "rankdyn", "xsection")},
-    **dict.fromkeys(("AbmParams", "Ensemble", "SweepConfig", "fit_model_regression",
-                     "simulate_country", "sweep"), "abm"),
+    **dict.fromkeys(("Ensemble", "SweepConfig", "fit_model_regression", "simulate_country",
+                     "sweep"), "abm"),
     **dict.fromkeys(("BalancedPanel", "IndicatorPanel", "balanced_subset", "growth_rate",
                      "load_alias_map", "load_panel", "serialize_panel"), "panel"),
     **dict.fromkeys(("LaplaceFit", "RankChangeSample", "empirical_pdf", "exceedance_probability",

@@ -55,19 +55,14 @@ _MAX_COUNTRIES = 1_000_000
 _MAX_JOBS = 10**10  # n_countries * n_jobs, by time: ~2 min at ~8e7 jobs/s on 2 threads
 
 
-def _integer(obj: object, name: str, low: int, high: float = math.inf) -> None:
-    """Check that field ``name`` is an integer in [low, high]."""
-    value = getattr(obj, name)
+def _integer(name: str, value: object, low: int, high: float = math.inf) -> None:
+    """Check that ``value``, called ``name``, is an integer in [low, high]."""
     if type(value) is not int or not low <= value <= high:  # bool is not a count
         raise ParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
-def _real(obj: object, name: str, positive: bool = False) -> None:
-    """Store field ``name`` as a float; it must be finite, >= 0, and > 0 if ``positive``."""
-    object.__setattr__(obj, name, _finite(name, getattr(obj, name), positive))
-
-
-def _finite(name: str, value: object, positive: bool) -> float:
+def _finite(name: str, value: object, positive: bool = False) -> float:
+    """``value`` as a float; it must be finite, >= 0, and > 0 if ``positive``."""
     # bool is not a number here; comparing before float() keeps huge integers from overflowing
     if (type(value) not in (int, float) or not 0 <= value <= sys.float_info.max
             or positive and value == 0):
@@ -85,24 +80,6 @@ def _range(obj: object, name: str) -> None:
     if low > high:
         raise ParameterError(f"{name} must satisfy 0 < low <= high, got {value!r}")
     object.__setattr__(obj, name, (low, high))
-
-
-@dataclass(frozen=True)
-class AbmParams:
-    """Inputs of one simulated country."""
-
-    mu: float
-    sigma: float
-    n_jobs: int
-    gamma: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        _real(self, "mu", positive=True)
-        _real(self, "sigma")
-        _integer(self, "n_jobs", 1, _MAX_JOBS)
-        _real(self, "gamma")
-        _integer(self, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,36 +111,41 @@ class SweepConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _integer(self, "n_countries", 1, _MAX_COUNTRIES)
-        _integer(self, "n_jobs", 1, _MAX_JOBS // self.n_countries)
+        _integer("n_countries", self.n_countries, 1, _MAX_COUNTRIES)
+        _integer("n_jobs", self.n_jobs, 1, _MAX_JOBS // self.n_countries)
         _range(self, "mu_range")
         _range(self, "sigma_range")
-        _real(self, "gamma")
-        _integer(self, "seed", 0)
+        object.__setattr__(self, "gamma", _finite("gamma", self.gamma))
+        _integer("seed", self.seed, 0)
 
 
 _LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
 _ROWS = 1 << 10  # countries seeded per hashing pass of a sweep block
 
 
-def simulate_country(params: AbmParams) -> Ensemble:
+def simulate_country(*, mu: float, sigma: float, n_jobs: int, gamma: float,
+                     seed: int) -> Ensemble:
     """Simulate one country: its outcome as an :class:`Ensemble` of one row.
 
+    Before anything is drawn, the values pass ``SweepConfig``'s rules (finite mu > 0,
+    sigma, gamma >= 0; integer n_jobs in [1, _MAX_JOBS], seed >= 0) or raise ParameterError.
     The capacity E = sum(exp(-|mismatch|)) depends only on the mismatch
     stream, the same stream as ``SeedSequence(seed).spawn(2)[1]``.
     """
-    skill_rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(1,)))
-    buf = np.empty(min(params.n_jobs, _LEAF))
-    e_total = _capacity(skill_rng, params.sigma, buf, params.n_jobs)
-    return _outcomes(np.array([params.mu]), np.array([params.sigma]), np.array([e_total]),
-                     params.n_jobs, params.gamma)
+    mu, sigma = _finite("mu", mu, positive=True), _finite("sigma", sigma)
+    _integer("n_jobs", n_jobs, 1, _MAX_JOBS)
+    gamma = _finite("gamma", gamma)
+    _integer("seed", seed, 0)
+    skill_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    e_total = _capacity(skill_rng, sigma, np.empty(min(n_jobs, _LEAF)), n_jobs)
+    return _outcomes(np.array([mu]), np.array([sigma]), np.array([e_total]), n_jobs, gamma)
 
 
 def _outcomes(mu: np.ndarray, sigma: np.ndarray, e_total: np.ndarray, n_jobs: int,
               gamma: float) -> Ensemble:
     """The model's outputs per row: GDP = mu * E, gdp = GDP / n_jobs, proxy sigma^(-gamma)."""
     uncorrupt = math.inf if gamma > 0 else 1.0  # the proxy of sigma = 0
-    try:  # libm's scalar pow per country; sigma and gamma are >= 0, as the params checked
+    try:  # libm's scalar pow per country; sigma and gamma are >= 0, as both callers checked
         gci_th = np.fromiter((uncorrupt if s == 0 else s ** -gamma for s in sigma.tolist()),
                              float, len(sigma))
     except OverflowError:  # only at gamma > 0, so the smallest positive sigma overflows

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from econrank import (
-    AbmParams,
     Ensemble,
     SweepConfig,
     fit_model_regression,
@@ -35,10 +35,9 @@ def mean_discrepancy_closed_form(sigma: float) -> float:
     return 2.0 * math.exp(sigma**2 / 2.0) * norm.cdf(-sigma)
 
 
-def params(**overrides):
-    base = dict(mu=10.0, sigma=1.0, n_jobs=1000, gamma=0.1, seed=7)
-    base.update(overrides)
-    return AbmParams(**base)
+def params(**overrides) -> dict:
+    """``simulate_country``'s keywords: a default country with ``overrides``."""
+    return dict(dict(mu=10.0, sigma=1.0, n_jobs=1000, gamma=0.1, seed=7), **overrides)
 
 
 class TestParams:
@@ -58,7 +57,15 @@ class TestParams:
     )
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(ParameterError):
-            params(**bad)
+            simulate_country(**params(**bad))
+
+    @pytest.mark.parametrize("first", ["mu", "sigma", "n_jobs", "gamma", "seed"])
+    def test_first_bad_value_is_named(self, first):
+        # checked in the order mu, sigma, n_jobs, gamma, seed: the first bad one is named
+        bad = dict(mu=0, sigma=-1, n_jobs=0, gamma=-1, seed=-1)
+        names = list(bad)
+        with pytest.raises(ParameterError, match=rf"^{first} must be "):
+            simulate_country(**params(**{n: bad[n] for n in names[names.index(first):]}))
 
     @pytest.mark.parametrize(
         "bad",
@@ -94,13 +101,16 @@ class TestParams:
                              sigma_range=(1, 1), gamma=0, seed=0)
         assert config.mu_range == (1.0, 2.0) and config.gamma == 0.0
 
-    def test_largest_job_count_accepted(self):
+    def test_largest_job_count_accepted(self, monkeypatch):
         # n_countries * n_jobs is bounded; each check only builds the config
         for n in (1, 10, abm._MAX_COUNTRIES):
             config = SweepConfig(n_countries=n, n_jobs=abm._MAX_JOBS // n, mu_range=[1, 2],
                                  sigma_range=(1, 1), gamma=0, seed=0)
             assert config.n_countries * config.n_jobs <= abm._MAX_JOBS
-        assert params(n_jobs=abm._MAX_JOBS).n_jobs == abm._MAX_JOBS
+        drawn = []  # the job counts handed to the kernel, which draws nothing here
+        monkeypatch.setattr(abm, "_capacity", lambda rng, sigma, buf, n: drawn.append(n) or 0.0)
+        simulate_country(**params(n_jobs=abm._MAX_JOBS))
+        assert drawn == [abm._MAX_JOBS]
 
 
 # JSON-like values of every kind a config file or a library caller can supply.
@@ -138,36 +148,60 @@ def test_config_normalised_or_parameter_error(**fields):
     assert type(config.gamma) is float
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.integers(1, 100) | st.floats(1e-3, 100) | _junk,
+    sigma=st.integers(0, 20) | st.floats(0, 20) | _junk,
+    n_jobs=st.integers(1, 50) | _junk,
+    gamma=st.integers(0, 5) | st.floats(0, 5) | _junk,
+    seed=st.integers(0, 2**64) | _junk,
+)
+def test_simulate_country_checked_or_parameter_error(**fields):
+    # a stand-in kernel, so a junk n_jobs up to 10^10 that passes draws nothing
+    with mock.patch.object(abm, "_capacity", lambda rng, sigma, buf, n: float(n)):
+        try:
+            outcome = simulate_country(**fields)
+        except ParameterError:
+            return
+        except DomainError:  # valid values whose proxy sigma^(-gamma) overflows a float
+            with pytest.raises(OverflowError):
+                float(fields["sigma"]) ** -float(fields["gamma"])
+            return
+    for f in dataclasses.fields(Ensemble):
+        column = getattr(outcome, f.name)
+        assert column.dtype == np.float64 and column.shape == (1,), f.name
+        assert not column.flags.writeable, f.name
+    assert outcome.mu[0] == float(fields["mu"]) and outcome.sigma[0] == float(fields["sigma"])
+
+
 class TestSimulateCountry:
     @pytest.mark.parametrize("n_jobs", [1000, 3 * LEAF + 5])
     def test_zero_sigma_is_exact(self, n_jobs):
-        p = params(sigma=0.0, mu=10.0, n_jobs=n_jobs)
-        outcome = simulate_country(p)
+        outcome = simulate_country(**params(sigma=0.0, mu=10.0, n_jobs=n_jobs))
         assert outcome.e_total == float(n_jobs)
         assert outcome.gdp_total == 10.0 * n_jobs
         assert outcome.gdp_per_capita == 10.0
-        assert p.sigma == 0 and outcome.sigma == 0
+        assert outcome.sigma == 0
 
     def test_zero_sigma_gci_sentinel(self):
-        p = params(sigma=0.0, gamma=0.1)
-        flagged = simulate_country(p)
-        assert p.sigma == 0 and flagged.sigma == 0
+        flagged = simulate_country(**params(sigma=0.0, gamma=0.1))
+        assert flagged.sigma == 0
         assert math.isinf(flagged.gci_th[0]) and flagged.gci_th[0] > 0
-        plain = simulate_country(params(sigma=0.0, gamma=0.0))
+        plain = simulate_country(**params(sigma=0.0, gamma=0.0))
         assert plain.gci_th == 1.0
 
     def test_identity_relations_exact(self):
         p = params()
-        outcome = simulate_country(p)
-        assert outcome.gdp_total == p.mu * outcome.e_total
-        assert outcome.gdp_per_capita == outcome.gdp_total / p.n_jobs
-        assert 0 < outcome.e_total <= p.n_jobs
+        outcome = simulate_country(**p)
+        assert outcome.gdp_total == p["mu"] * outcome.e_total
+        assert outcome.gdp_per_capita == outcome.gdp_total / p["n_jobs"]
+        assert 0 < outcome.e_total <= p["n_jobs"]
 
     def test_deterministic_given_seed(self):
-        assert same_columns(simulate_country(params()), simulate_country(params()))
+        assert same_columns(simulate_country(**params()), simulate_country(**params()))
 
     def test_outcome_is_one_row_ensemble(self):
-        outcome = simulate_country(params())
+        outcome = simulate_country(**params())
         assert isinstance(outcome, Ensemble)
         for f in dataclasses.fields(Ensemble):
             column = getattr(outcome, f.name)
@@ -185,8 +219,8 @@ class TestSimulateCountry:
         # the time.
         for seed in range(8):
             p = params(n_jobs=n_jobs, seed=seed)
-            _, _, discrepancies = draw_workforce(p)
-            assert simulate_country(p).e_total == float(discrepancies.sum())
+            _, _, discrepancies = draw_workforce(**p)
+            assert simulate_country(**p).e_total == float(discrepancies.sum())
 
     def test_memory_bounded_in_n_jobs(self):
         # Cycle collector off: each call's buffer must be freed on return.
@@ -194,7 +228,7 @@ class TestSimulateCountry:
         tracemalloc.start()
         try:
             for seed in range(8):
-                simulate_country(params(n_jobs=2_000_000, seed=seed))
+                simulate_country(**params(n_jobs=2_000_000, seed=seed))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -202,14 +236,13 @@ class TestSimulateCountry:
         assert peak < 4 * 2**20
 
     def test_doubling_mu_doubles_gdp_exactly(self):
-        base = simulate_country(params(mu=8.0))
-        doubled = simulate_country(params(mu=16.0))
+        base = simulate_country(**params(mu=8.0))
+        doubled = simulate_country(**params(mu=16.0))
         assert doubled.e_total == base.e_total  # mismatch stream is mu-independent
         assert doubled.gdp_total == 2.0 * base.gdp_total
 
     def test_mean_discrepancy_matches_closed_form(self):
-        p = params(sigma=1.0, n_jobs=10**6, seed=12)
-        _, _, discrepancies = draw_workforce(p)
+        _, _, discrepancies = draw_workforce(**params(sigma=1.0, n_jobs=10**6, seed=12))
         target = mean_discrepancy_closed_form(1.0)
         se = discrepancies.std(ddof=1) / math.sqrt(discrepancies.size)
         assert abs(discrepancies.mean() - target) < 3 * se
@@ -218,25 +251,25 @@ class TestSimulateCountry:
     def test_mean_discrepancy_decreasing_in_sigma(self):
         means = []
         for sigma in (0.5, 1.0, 2.0, 4.0, 8.0):
-            _, _, d = draw_workforce(params(sigma=sigma, n_jobs=10**6, seed=3))
+            _, _, d = draw_workforce(**params(sigma=sigma, n_jobs=10**6, seed=3))
             means.append(d.mean())
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
 class TestWorkforce:
     def test_discrepancies_in_unit_interval(self):
-        jobs, skills, discrepancies = draw_workforce(params(sigma=6.0, n_jobs=20000))
+        jobs, skills, discrepancies = draw_workforce(**params(sigma=6.0, n_jobs=20000))
         assert np.all(discrepancies > 0)
         assert np.all(discrepancies <= 1)
         assert np.allclose(discrepancies, np.exp(-np.abs(skills - jobs)))
 
     def test_jobs_are_nonnegative_integers(self):
-        jobs, _, _ = draw_workforce(params())
+        jobs, _, _ = draw_workforce(**params())
         assert np.issubdtype(jobs.dtype, np.integer)
         assert jobs.min() >= 0
 
     def test_skills_unclamped(self):
-        _, skills, _ = draw_workforce(params(mu=1.0, sigma=10.0, n_jobs=20000))
+        _, skills, _ = draw_workforce(**params(mu=1.0, sigma=10.0, n_jobs=20000))
         assert skills.min() < 0  # negative skills allowed
 
 
@@ -256,7 +289,7 @@ def test_seed_states_match_seed_sequence(seed, keys):
 
 def proxy_of(sigma: float, gamma: float) -> float:
     """The competitiveness proxy sigma^(-gamma) of one simulated country."""
-    return simulate_country(params(sigma=sigma, gamma=gamma)).gci_th[0]
+    return simulate_country(**params(sigma=sigma, gamma=gamma)).gci_th[0]
 
 
 class TestGciTheoretical:
@@ -311,10 +344,10 @@ def ensemble_of(outcomes) -> Ensemble:
                       for f in dataclasses.fields(Ensemble)))
 
 
-def country_params(config: SweepConfig, index: int) -> AbmParams:
-    """Country ``index``'s parameters, drawn from child ``index`` of the config seed."""
+def country_params(config: SweepConfig, index: int) -> dict:
+    """Country ``index``'s keywords, drawn from child ``index`` of the config seed."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
-    return AbmParams(
+    return dict(
         mu=rng.uniform(*config.mu_range),
         sigma=rng.uniform(*config.sigma_range),
         n_jobs=config.n_jobs,
@@ -399,7 +432,7 @@ class TestSweep:
 
     def test_single_country_consistent_with_simulate(self):
         config = small_config(n_countries=1)
-        assert same_columns(sweep(config), simulate_country(country_params(config, 0)))
+        assert same_columns(sweep(config), simulate_country(**country_params(config, 0)))
 
     # Seeds of 1 to 5 words (32 bits each) and blocks seeded in several passes.
     @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**127 + 1, 2**130 + 7])
@@ -407,7 +440,7 @@ class TestSweep:
     def test_every_country_consistent_with_simulate(self, monkeypatch, seed, rows):
         monkeypatch.setattr(abm, "_ROWS", rows)
         config = small_config(n_countries=7, n_jobs=50, seed=seed)
-        outcomes = [simulate_country(country_params(config, i)) for i in range(7)]
+        outcomes = [simulate_country(**country_params(config, i)) for i in range(7)]
         assert same_columns(sweep(config, threads=2), ensemble_of(outcomes))
 
     def test_params_drawn_from_ranges(self):
@@ -436,7 +469,7 @@ class TestSweep:
         args = ["simulate", "--config", str(config), "--threads", "2", "--out"]
         for n_countries, out in ((5, "warm"), (n, "out")):  # the first run imports lazily
             config.write_text(json.dumps({**dataclasses.asdict(small_config(n_jobs=1)),
-                                          "n_countries": n_countries}))
+                                          "n_countries": n_countries}), encoding="utf-8")
             gc.disable()
             tracemalloc.start()
             try:
@@ -496,14 +529,14 @@ class TestModelRegression:
             fit_model_regression(ensemble)
 
     def test_non_finite_gci_rejected(self):
-        outcome = simulate_country(params(sigma=0.0, gamma=0.5))
+        outcome = simulate_country(**params(sigma=0.0, gamma=0.5))
         with pytest.raises(DomainError):
             fit_model_regression(outcome)
 
     def test_columns_are_read_only(self):
         # a column written after the fact would leave gdp_total and the fit behind
         swept = sweep(small_config(n_countries=3, n_jobs=10))
-        for ensemble in (swept, simulate_country(params())):
+        for ensemble in (swept, simulate_country(**params())):
             for field in dataclasses.fields(Ensemble):
                 column = getattr(ensemble, field.name)
                 with pytest.raises(ValueError, match="read-only"):

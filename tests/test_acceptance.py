@@ -16,6 +16,8 @@ mu spread adds rank noise to the sigma-driven link. The measured Spearman must
 lie within 4 sd of that population value, computed here without econrank.
 The 0.9 threshold is asserted verbatim on the sigma-driven link itself, the
 Spearman of the proxy against per-capita output over mu (E/N), about 0.998.
+A second criterion-8 test holds the model fit's log-log slope alpha and its
+correlation r within 4 sd of their population values, from 1-D quadrature.
 """
 
 import csv
@@ -26,6 +28,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.integrate
 import scipy.special
 import scipy.stats
 
@@ -90,7 +93,7 @@ def _counting_ranks(values: dict[str, float]) -> dict[str, int]:
 
 def _toy_decay_oracle(toy_csv: Path) -> tuple[float, int]:
     table: dict[int, dict[str, float]] = {}
-    with open(toy_csv, newline="") as handle:
+    with open(toy_csv, newline="", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             table.setdefault(int(row["year"]), {})[row["country"]] = float(row["value"])
     total_abs = 0
@@ -125,7 +128,7 @@ def test_c03_decade_window_decay(toy_gdp_csv, tmp_path):
         ["rank-dynamics", "--input", str(toy_gdp_csv), "--indicator", "gdp",
          "--window", "10", "--out", str(out)]
     ) == 0
-    fit = json.loads((out / "fit.json").read_text())
+    fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
     report(
         3,
         f"toy golden substitute: decay {fit['decay']} vs oracle {expected_decay}, "
@@ -221,9 +224,7 @@ def test_c05_oracle_equivalence():
 
 def test_c06_abm_sigma_zero_exact():
     for n_jobs in (10, 1000, 10**6):
-        outcome = er.simulate_country(
-            er.AbmParams(mu=7.5, sigma=0.0, n_jobs=n_jobs, gamma=0.1, seed=3)
-        )
+        outcome = er.simulate_country(mu=7.5, sigma=0.0, n_jobs=n_jobs, gamma=0.1, seed=3)
         assert outcome.e_total == float(n_jobs)
         assert outcome.gdp_total == 7.5 * n_jobs
     report(6, "E = N and GDP = mu*N exactly for N in {10, 1e3, 1e6}")
@@ -234,9 +235,7 @@ def test_c07_abm_analytic_oracle():
     start = time.perf_counter()
     zs = {}
     for sigma, target in MEAN_DELTA.items():
-        _, _, delta = draw_workforce(
-            er.AbmParams(mu=10.0, sigma=sigma, n_jobs=10**6, gamma=0.1, seed=70)
-        )
+        _, _, delta = draw_workforce(mu=10.0, sigma=sigma, n_jobs=10**6, gamma=0.1, seed=70)
         se = float(delta.std(ddof=1)) / math.sqrt(delta.size)
         zs[sigma] = (float(delta.mean()) - target) / se
     elapsed = time.perf_counter() - start
@@ -274,7 +273,7 @@ def _fig7_spearman_oracle(
 
 
 def test_c08_fig7_reproduction(fig7_config):
-    raw = json.loads(fig7_config.read_text())
+    raw = json.loads(fig7_config.read_text(encoding="utf-8"))
     config = er.SweepConfig(
         n_countries=raw["n_countries"],
         n_jobs=raw["n_jobs"],
@@ -318,6 +317,63 @@ def test_c08_fig7_reproduction(fig7_config):
     report(8, "PASS")
 
 
+def _fig7_fit_oracle(
+    mu_range, sigma_range, gamma, n_countries, replicates=1000, seed=8
+) -> tuple[float, float, float, float]:
+    """Population alpha and r of the log-log model fit, and their sd at n_countries.
+
+    With E/N at its n_jobs -> inf limit m(sigma) = erfcx(sigma/sqrt(2)), the fit
+    regresses Y = -gamma ln sigma on X = ln mu + ln m(sigma) over independent uniform
+    mu and sigma, so alpha = Cov(X, Y) / Var X and r = Cov(X, Y) / sqrt(Var X Var Y)
+    are built from 1-D integrals over mu or sigma alone. The sd of each comes from
+    seeded replicates of n_countries draws.
+    """
+    def mean(f, low, high):
+        return scipy.integrate.quad(f, low, high)[0] / (high - low)
+
+    def ln_m(s):
+        return math.log(scipy.special.erfcx(s / math.sqrt(2)))
+
+    ln_m_mean, ln_s_mean = mean(ln_m, *sigma_range), mean(math.log, *sigma_range)
+    ln_mu_mean = mean(math.log, *mu_range)
+    cov = mean(lambda s: (ln_m(s) - ln_m_mean) * (math.log(s) - ln_s_mean), *sigma_range)
+    var_x = (mean(lambda u: (math.log(u) - ln_mu_mean) ** 2, *mu_range)
+             + mean(lambda s: (ln_m(s) - ln_m_mean) ** 2, *sigma_range))
+    var_ln_s = mean(lambda s: (math.log(s) - ln_s_mean) ** 2, *sigma_range)
+    alpha, r = -gamma * cov / var_x, -cov / math.sqrt(var_x * var_ln_s)
+
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(*mu_range, (replicates, n_countries))
+    sigma = rng.uniform(*sigma_range, (replicates, n_countries))
+    x = np.log(mu * scipy.special.erfcx(sigma / math.sqrt(2)))
+    y = -gamma * np.log(sigma)
+    x -= x.mean(axis=1, keepdims=True)
+    y -= y.mean(axis=1, keepdims=True)
+    sxy, sxx, syy = (x * y).sum(axis=1), (x * x).sum(axis=1), (y * y).sum(axis=1)
+    alpha_sd = float(np.std(sxy / sxx, ddof=1))
+    r_sd = float(np.std(sxy / np.sqrt(sxx * syy), ddof=1))
+    return alpha, alpha_sd, r, r_sd
+
+
+def test_c08_fig7_fit_matches_population(fig7_config):
+    raw = json.loads(fig7_config.read_text(encoding="utf-8"))
+    fit = er.fit_model_regression(er.sweep(er.SweepConfig(**raw), threads=2))
+    alpha, alpha_sd, r, r_sd = _fig7_fit_oracle(
+        raw["mu_range"], raw["sigma_range"], raw["gamma"], raw["n_countries"]
+    )
+    z_alpha = (fit.alpha - alpha) / alpha_sd
+    z_r = (fit.correlation - r) / r_sd
+    report(
+        8,
+        f"model fit alpha {fit.alpha:.5f} vs population {alpha:.5f} +/- {alpha_sd:.5f} "
+        f"(z {z_alpha:+.2f}); r {fit.correlation:.4f} vs population {r:.4f} +/- {r_sd:.4f} "
+        f"(z {z_r:+.2f}); required |z| <= 4",
+    )
+    assert abs(z_alpha) <= 4, f"alpha {fit.alpha:.5f} is {z_alpha:+.2f} sd from {alpha:.5f}"
+    assert abs(z_r) <= 4, f"r {fit.correlation:.4f} is {z_r:+.2f} sd from {r:.4f}"
+    report(8, "PASS")
+
+
 def test_c09_determinism_across_threads(tmp_path, fig7_config):
     config = tmp_path / "config.json"
     config.write_text(
@@ -325,7 +381,7 @@ def test_c09_determinism_across_threads(tmp_path, fig7_config):
             dict(n_countries=300, n_jobs=2000, mu_range=[5.0, 20.0],
                  sigma_range=[0.5, 20.0], gamma=0.1, seed=2011)
         )
-    )
+    , encoding="utf-8")
     outs = {}
     for name, threads in (("a", 1), ("b", 1), ("c", 8)):
         out = tmp_path / name

@@ -31,11 +31,11 @@ def run(args, capsys=None):
 
 
 def read_json(path: Path) -> dict:
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def read_rows(path: Path) -> list[dict]:
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
 
 
@@ -61,7 +61,7 @@ class TestIngest:
 
     def test_duplicate_row_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("country,year,value\nHRV,2011,10\nHRV,2011,11\n")
+        bad.write_text("country,year,value\nHRV,2011,10\nHRV,2011,11\n", encoding="utf-8")
         assert run(["ingest", "--input", bad, "--indicator", "gdp",
                     "--out", tmp_path / "out"]) == 2
         assert "HRV" in capsys.readouterr().err
@@ -73,9 +73,10 @@ class TestIngest:
 
     def test_alias_file_applied(self, tmp_path):
         src = tmp_path / "named.csv"
-        src.write_text("country,year,value\nCroatia,2010,13.5\nCroatia,2011,13.9\n")
+        src.write_text("country,year,value\nCroatia,2010,13.5\nCroatia,2011,13.9\n",
+                       encoding="utf-8")
         aliases = tmp_path / "aliases.csv"
-        aliases.write_text("source_name,iso3\nCroatia,HRV\n")
+        aliases.write_text("source_name,iso3\nCroatia,HRV\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run(["ingest", "--input", src, "--indicator", "gdp",
                     "--alias", aliases, "--out", out]) == 0
@@ -83,9 +84,9 @@ class TestIngest:
 
     def test_conflicting_alias_exits_2(self, tmp_path, capsys):
         src = tmp_path / "named.csv"
-        src.write_text("country,year,value\nCroatia,2000,5.0\n")
+        src.write_text("country,year,value\nCroatia,2000,5.0\n", encoding="utf-8")
         aliases = tmp_path / "aliases.csv"
-        aliases.write_text("source_name,iso3\nCroatia,HRV\nCroatia,HRW\n")
+        aliases.write_text("source_name,iso3\nCroatia,HRV\nCroatia,HRW\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run(["ingest", "--input", src, "--indicator", "gdp",
                     "--alias", aliases, "--out", out]) == 2
@@ -150,7 +151,8 @@ class TestRankDynamics:
         # one country over 11 years gives one 10-year window and so one delta
         one = tmp_path / "one.csv"
         one.write_text("country,year,value\n" + "".join(f"AAA,{y},{y - 1990}\n"
-                                                        for y in range(2000, 2011)))
+                                                        for y in range(2000, 2011)),
+                       encoding="utf-8")
         out = tmp_path / "out"
         assert run(["rank-dynamics", "--input", one, "--indicator", "gdp", "--out", out]) == 3
         err = capsys.readouterr().err.splitlines()
@@ -170,7 +172,7 @@ def test_over_wide_year_span_exits_2(command, route, toy_gdp_csv, toy_gci_csv, t
     huge = 10**20
     if route == "data":
         wide = tmp_path / "wide.csv"
-        wide.write_text(f"country,year,value\nALB,2000,1.0\nALB,{huge},2.0\n")
+        wide.write_text(f"country,year,value\nALB,2000,1.0\nALB,{huge},2.0\n", encoding="utf-8")
         argv = [command, "--input", wide, "--indicator", "gdp"]
     elif command == "rank-dynamics":
         argv = [command, "--input", toy_gdp_csv, "--indicator", "gdp", f"--years=-{huge}:{huge}"]
@@ -220,57 +222,78 @@ def test_toy_outputs_match_golden_bytes(toy_gdp_csv, tmp_path):
     assert digests == TOY_GOLDEN
 
 
+def recorded_golden(goldens: dict) -> dict:
+    """The digests recorded under the running numpy version; none recorded fails the test.
+
+    Each numpy version has its own entry. Record a new version as a new entry; never
+    overwrite a recorded one.
+    """
+    if np.__version__ not in goldens:
+        pytest.fail(f"no golden is recorded for numpy {np.__version__}", pytrace=False)
+    return goldens[np.__version__]
+
+
+def test_unrecorded_numpy_version_fails_in_one_line(monkeypatch):
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    with pytest.raises(pytest.fail.Exception) as failure:
+        recorded_golden({"2.4.6": {}})
+    assert str(failure.value) == "no golden is recorded for numpy 0.0.0"
+
+
 # cross-section's fit takes np.log and dot products over the 5 toy points, so its
-# digests also assume this platform's numpy rounds those as it did when recorded.
+# digests assume the numpy version they are keyed by rounds those as it did when recorded.
 CROSS_SECTION_GOLDEN = {
-    ("default", "fit.json"):
-        "9f47714b950a0872208819bf9cfec5bddca00c12fe83aa618dc94105e9ff0202",
-    ("default", "dscores.csv"):
-        "be71830a4a99803f1863017143da2a9f42baadb05461c4f0b20a5fe87249ab54",
-    ("default", "ttest.json"):
-        "b11d4877f84716a1a014684c931ea78f307ffdabc25ca02cda91b05566decaa6",
-    ("default", "growth_vs_d.csv"):
-        "ced19fa8fc2dd6cc92262014bf1fec5aba1da094c94f619d4f9fc5bbc530b97a",
-    ("default", "points.csv"):
-        "ff802ec4be2a1bd28b2adbe884e63f79d068cd2266810732a8f9ba6d94037e42",
-    ("default", "fitline.csv"):
-        "dea789c9b170cc2739973ac5034959781ae616efb0b1e4483584bbe4828e46a7",
-    ("default", "growth_fitline.csv"):
-        "ce95377704e99e6c13e570e97da6b7b2bf262ab15585be15a5d79b1f77c723f7",
-    ("relative", "fit.json"):
-        "9f47714b950a0872208819bf9cfec5bddca00c12fe83aa618dc94105e9ff0202",
-    ("relative", "dscores.csv"):
-        "be71830a4a99803f1863017143da2a9f42baadb05461c4f0b20a5fe87249ab54",
-    ("relative", "ttest.json"):
-        "50b576f937a7ae43ff556dad5525470eb4dbc3d7f0a615c9c2ac66252f27d841",
-    ("relative", "growth_vs_d.csv"):
-        "4d17943ae5ecf59520be0ac150ee5ba407b7b4fda286baaaf07cc235ae223ed7",
-    ("relative", "points.csv"):
-        "ff802ec4be2a1bd28b2adbe884e63f79d068cd2266810732a8f9ba6d94037e42",
-    ("relative", "fitline.csv"):
-        "dea789c9b170cc2739973ac5034959781ae616efb0b1e4483584bbe4828e46a7",
-    ("relative", "growth_fitline.csv"):
-        "124b28c5118cd87908361780da5c73adcbd2591d270c1518f42c205cf7355d90",
-    ("exclude", "fit.json"):
-        "a33d189d41b421fe2e086be636553bdcd1e342b257680eb45e687acd525a0f5a",
-    ("exclude", "dscores.csv"):
-        "adbf0aef0b83cfd0541bd39dd4e8b238ff8ed114c4023a24792958de2242f0a3",
-    ("exclude", "ttest.json"):
-        "dfaccd27c020e58f6965ca2ea98ed9ae5512a16b91e1cac684a56af6702ef6d9",
-    ("exclude", "growth_vs_d.csv"):
-        "716dc2240d2ae74a0efd7f624a7789d92cd58b3242e0b43ce914085467eafcbe",
-    ("exclude", "points.csv"):
-        "5d73d098b7ebcd7802d7e3510180c02cc023bff8436d27856795612e4ad010cc",
-    ("exclude", "fitline.csv"):
-        "f365bd14561a03ca1458356c81ff78772715be83a02a14ba149a64cdc0a320e9",
-    ("exclude", "growth_fitline.csv"):
-        "4455997b8138495d5460d595d3bb4d4c08d7eed9ae1d8992c61c769e44c7e0e6",
+    "2.4.6": {
+        ("default", "fit.json"):
+            "9f47714b950a0872208819bf9cfec5bddca00c12fe83aa618dc94105e9ff0202",
+        ("default", "dscores.csv"):
+            "be71830a4a99803f1863017143da2a9f42baadb05461c4f0b20a5fe87249ab54",
+        ("default", "ttest.json"):
+            "b11d4877f84716a1a014684c931ea78f307ffdabc25ca02cda91b05566decaa6",
+        ("default", "growth_vs_d.csv"):
+            "ced19fa8fc2dd6cc92262014bf1fec5aba1da094c94f619d4f9fc5bbc530b97a",
+        ("default", "points.csv"):
+            "ff802ec4be2a1bd28b2adbe884e63f79d068cd2266810732a8f9ba6d94037e42",
+        ("default", "fitline.csv"):
+            "dea789c9b170cc2739973ac5034959781ae616efb0b1e4483584bbe4828e46a7",
+        ("default", "growth_fitline.csv"):
+            "ce95377704e99e6c13e570e97da6b7b2bf262ab15585be15a5d79b1f77c723f7",
+        ("relative", "fit.json"):
+            "9f47714b950a0872208819bf9cfec5bddca00c12fe83aa618dc94105e9ff0202",
+        ("relative", "dscores.csv"):
+            "be71830a4a99803f1863017143da2a9f42baadb05461c4f0b20a5fe87249ab54",
+        ("relative", "ttest.json"):
+            "50b576f937a7ae43ff556dad5525470eb4dbc3d7f0a615c9c2ac66252f27d841",
+        ("relative", "growth_vs_d.csv"):
+            "4d17943ae5ecf59520be0ac150ee5ba407b7b4fda286baaaf07cc235ae223ed7",
+        ("relative", "points.csv"):
+            "ff802ec4be2a1bd28b2adbe884e63f79d068cd2266810732a8f9ba6d94037e42",
+        ("relative", "fitline.csv"):
+            "dea789c9b170cc2739973ac5034959781ae616efb0b1e4483584bbe4828e46a7",
+        ("relative", "growth_fitline.csv"):
+            "124b28c5118cd87908361780da5c73adcbd2591d270c1518f42c205cf7355d90",
+        ("exclude", "fit.json"):
+            "a33d189d41b421fe2e086be636553bdcd1e342b257680eb45e687acd525a0f5a",
+        ("exclude", "dscores.csv"):
+            "adbf0aef0b83cfd0541bd39dd4e8b238ff8ed114c4023a24792958de2242f0a3",
+        ("exclude", "ttest.json"):
+            "dfaccd27c020e58f6965ca2ea98ed9ae5512a16b91e1cac684a56af6702ef6d9",
+        ("exclude", "growth_vs_d.csv"):
+            "716dc2240d2ae74a0efd7f624a7789d92cd58b3242e0b43ce914085467eafcbe",
+        ("exclude", "points.csv"):
+            "5d73d098b7ebcd7802d7e3510180c02cc023bff8436d27856795612e4ad010cc",
+        ("exclude", "fitline.csv"):
+            "f365bd14561a03ca1458356c81ff78772715be83a02a14ba149a64cdc0a320e9",
+        ("exclude", "growth_fitline.csv"):
+            "4455997b8138495d5460d595d3bb4d4c08d7eed9ae1d8992c61c769e44c7e0e6",
+    },
 }
 
 
 def test_toy_cross_section_matches_golden_bytes(toy_gdp_csv, toy_gci_csv, tmp_path):
+    golden = recorded_golden(CROSS_SECTION_GOLDEN)
     exclude = tmp_path / "exclude.txt"
-    exclude.write_text("BRA\n")
+    exclude.write_text("BRA\n", encoding="utf-8")
     runs = {"default": [], "relative": ["--growth", "relative"],
             "exclude": ["--exclude", exclude]}
     for name, extra in runs.items():
@@ -278,9 +301,9 @@ def test_toy_cross_section_matches_golden_bytes(toy_gdp_csv, toy_gci_csv, tmp_pa
                     "--years", "2008:2011", "--out", tmp_path / name, *extra]) == 0
     digests = {
         (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
-        for name, file in CROSS_SECTION_GOLDEN
+        for name, file in golden
     }
-    assert digests == CROSS_SECTION_GOLDEN
+    assert digests == golden
 
 
 class TestCrossSection:
@@ -307,7 +330,7 @@ class TestCrossSection:
 
     def test_exclusion_list(self, toy_gdp_csv, toy_gci_csv, tmp_path):
         exclude = tmp_path / "exclude.txt"
-        exclude.write_text("# oil exporters\nBRA\n")
+        exclude.write_text("# oil exporters\nBRA\n", encoding="utf-8")
         out = tmp_path / "out"
         assert self.run_default(toy_gdp_csv, toy_gci_csv, out,
                                 ("--exclude", exclude)) == 0
@@ -352,14 +375,15 @@ class TestCrossSection:
     def test_too_small_sample_exits_3(self, excluded, message, toy_gdp_csv, toy_gci_csv,
                                       tmp_path, capsys):
         exclude = tmp_path / "exclude.txt"
-        exclude.write_text("".join(f"{c}\n" for c in excluded))
+        exclude.write_text("".join(f"{c}\n" for c in excluded), encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
-        (out / "keep.txt").write_text("untouched\n")
+        (out / "keep.txt").write_text("untouched\n", encoding="utf-8")
         assert self.run_default(toy_gdp_csv, toy_gci_csv, out, ("--exclude", exclude)) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0] == f"error: {message}"
-        assert {p.name: p.read_text() for p in out.iterdir()} == {"keep.txt": "untouched\n"}
+        assert {p.name: p.read_text(encoding="utf-8")
+                for p in out.iterdir()} == {"keep.txt": "untouched\n"}
 
     def test_year_outside_window_exits_1(self, toy_gdp_csv, toy_gci_csv, tmp_path):
         assert self.run_default(toy_gdp_csv, toy_gci_csv, tmp_path / "out",
@@ -375,8 +399,9 @@ class TestCrossSection:
         rows = [("AAA", v0, v1, 4.1), ("BBB", 2, 3, 3.2), ("CCC", 4, 5, 4.5),
                 ("DDD", 6, 8, 3.9), ("EEE", 3, 4, 4.4)]
         gdp.write_text("country,year,value\n" + "".join(
-            f"{c},2000,{a!r}\n{c},2001,{b!r}\n" for c, a, b, _ in rows))
-        gci.write_text("country,year,value\n" + "".join(f"{c},2001,{g}\n" for c, *_, g in rows))
+            f"{c},2000,{a!r}\n{c},2001,{b!r}\n" for c, a, b, _ in rows), encoding="utf-8")
+        gci.write_text("country,year,value\n" + "".join(f"{c},2001,{g}\n" for c, *_, g in rows),
+                       encoding="utf-8")
         out = tmp_path / "out"
         code = run(["cross-section", "--input", gdp, "--input-y", gci, "--years", "2000:2001",
                     "--growth", growth, "--out", out])
@@ -390,8 +415,9 @@ class TestCrossSection:
         """x rows (code, 2000 value, 2001 value) and y rows (code, 2001 value) as CSVs."""
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
         x.write_text("country,year,value\n" + "".join(
-            f"{c},2000,{a!r}\n{c},2001,{b!r}\n" for c, a, b in x_rows))
-        y.write_text("country,year,value\n" + "".join(f"{c},2001,{g}\n" for c, g in y_rows))
+            f"{c},2000,{a!r}\n{c},2001,{b!r}\n" for c, a, b in x_rows), encoding="utf-8")
+        y.write_text("country,year,value\n" + "".join(f"{c},2001,{g}\n" for c, g in y_rows),
+                     encoding="utf-8")
         return x, y
 
     def test_growth_covers_only_the_fitted_rows(self, tmp_path):
@@ -404,7 +430,7 @@ class TestCrossSection:
             [(c, g) for c, *_, g in fitted] + [("XXX", 3.5)],  # ZZZ has no y value
         )
         exclude = tmp_path / "exclude.txt"
-        exclude.write_text("XXX\n")
+        exclude.write_text("XXX\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run(["cross-section", "--input", x, "--indicator", "score", "--input-y", y,
                     "--years", "2000:2001", "--exclude", exclude, "--out", out]) == 0
@@ -420,16 +446,17 @@ class TestCrossSection:
         )
         out = tmp_path / "out"
         out.mkdir()
-        (out / "keep.txt").write_text("untouched\n")
+        (out / "keep.txt").write_text("untouched\n", encoding="utf-8")
         assert run(["cross-section", "--input", x, "--input-y", y, "--years", "2001:2001",
                     "--out", out]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert {p.name: p.read_text() for p in out.iterdir()} == {"keep.txt": "untouched\n"}
+        assert {p.name: p.read_text(encoding="utf-8")
+                for p in out.iterdir()} == {"keep.txt": "untouched\n"}
 
     def test_no_common_country_exits_2(self, toy_gdp_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
-        other.write_text("country,year,value\nZZZ,2011,4.0\n")
+        other.write_text("country,year,value\nZZZ,2011,4.0\n", encoding="utf-8")
         assert run(["cross-section", "--input", toy_gdp_csv, "--input-y", other,
                     "--years", "2008:2011", "--out", tmp_path / "out"]) == 2
 
@@ -516,8 +543,9 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
         root = Path(tmp)
         for name, obs in (("x.csv", x), ("y.csv", y)):
             (root / name).write_text("country,year,value\n" + "".join(
-                f"{c},{t},{v!r}\n" for c, values in obs.items() for t, v in values.items()))
-        (root / "exclude.txt").write_text("".join(f"{c}\n" for c in excluded))
+                f"{c},{t},{v!r}\n" for c, values in obs.items() for t, v in values.items()),
+                encoding="utf-8")
+        (root / "exclude.txt").write_text("".join(f"{c}\n" for c in excluded), encoding="utf-8")
         try:  # the library call, on the panels the command balances
             balanced = [econrank.balanced_subset(econrank.load_panel(root / name, ind)[0], span)
                         for name, ind, span in (("x.csv", x_name, (2000, t1)),
@@ -545,10 +573,10 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
         assert result.fit.labels == tuple(g)
         assert result.growth.tolist() == list(g.values())
         assert result.fit.sample[:, 2].tolist() == fit.sample[:, 2].tolist()
-        with open(root / "out" / "points.csv", newline="") as handle:
+        with open(root / "out" / "points.csv", newline="", encoding="utf-8") as handle:
             assert list(csv.reader(handle))[1:] == [
                 [c, f"{a:.12g}", f"{b:.12g}", str(e)] for c, a, b, e in points]
-        with open(root / "out" / "growth_vs_d.csv", newline="") as handle:
+        with open(root / "out" / "growth_vs_d.csv", newline="", encoding="utf-8") as handle:
             assert [(r[0], r[2]) for r in list(csv.reader(handle))[1:]] == [
                 (c, f"{v:.12g}") for c, v in g.items()]
 
@@ -573,7 +601,7 @@ class TestSimulate:
                       sigma_range=[0.5, 20.0], gamma=0.1, seed=1234)
         config.update(overrides)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         return path
 
     def test_outputs_and_manifest_seed(self, tmp_path):
@@ -602,9 +630,9 @@ class TestSimulate:
 
     def test_generated_seed_recorded(self, tmp_path):
         config = self.write_config(tmp_path)
-        raw = json.loads(config.read_text())
+        raw = json.loads(config.read_text(encoding="utf-8"))
         del raw["seed"]
-        config.write_text(json.dumps(raw))
+        config.write_text(json.dumps(raw), encoding="utf-8")
         out = tmp_path / "out"
         assert run(["simulate", "--config", config, "--out", out]) == 0
         assert isinstance(read_json(out / "manifest.json")["seed"], int)
@@ -625,16 +653,16 @@ class TestSimulate:
 
     def test_missing_config_field_exits_1(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
-        raw = json.loads(config.read_text())
+        raw = json.loads(config.read_text(encoding="utf-8"))
         del raw["sigma_range"]
-        config.write_text(json.dumps(raw))
+        config.write_text(json.dumps(raw), encoding="utf-8")
         assert run(["simulate", "--config", config, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'sigma_range'" in err[0]
 
     def test_invalid_json_exits_1(self, tmp_path):
         config = tmp_path / "broken.json"
-        config.write_text("{not json")
+        config.write_text("{not json", encoding="utf-8")
         assert run(["simulate", "--config", config, "--out", tmp_path / "out"]) == 1
 
     @pytest.mark.parametrize(
@@ -710,39 +738,42 @@ class TestSimulate:
 # SHA-256 of the simulate data files for the standard sweep and for a sweep
 # whose n_jobs exceeds two kernel leaves, so E is summed over several chunks.
 # The normal draws are platform-independent; np.exp and the fit's dot products
-# may round differently with another numpy build or CPU (these are numpy 2.4
-# on x86-64).
+# may round differently with another numpy build or CPU (these are on x86-64), and
+# numpy does not fix Generator streams across releases (NEP 19): keyed by numpy version.
 SIMULATE_GOLDEN = {
-    ("fig7", "ensemble.csv"):
-        "5f1b165c15f48c1464320b925d6f63685d2133d09d82f48bb41fa0d900e49243",
-    ("fig7", "model_fit.json"):
-        "a7ea2d3f187392350a68a3ffa8da31af038dadc198af67a0895828761f838602",
-    ("fig7", "fitline.csv"):
-        "0d63051705dbe5e1a15436aa5cbc91569bafa8e7b51f66b8bd2e362122ac0d80",
-    ("multi_leaf", "ensemble.csv"):
-        "632fd96fe62479c6090144401a0c7b3ad2f8f7d1f9528f64c715502324399cb3",
-    ("multi_leaf", "model_fit.json"):
-        "b83fd3e7a37625901bd67a144c976b485a298b9067554752a8ef48f675cb3aaa",
-    ("multi_leaf", "fitline.csv"):
-        "090f2318c6e1812f069f534d05fcd41f13ec68bb3ac126ad562419118d8bc474",
+    "2.4.6": {
+        ("fig7", "ensemble.csv"):
+            "5f1b165c15f48c1464320b925d6f63685d2133d09d82f48bb41fa0d900e49243",
+        ("fig7", "model_fit.json"):
+            "a7ea2d3f187392350a68a3ffa8da31af038dadc198af67a0895828761f838602",
+        ("fig7", "fitline.csv"):
+            "0d63051705dbe5e1a15436aa5cbc91569bafa8e7b51f66b8bd2e362122ac0d80",
+        ("multi_leaf", "ensemble.csv"):
+            "632fd96fe62479c6090144401a0c7b3ad2f8f7d1f9528f64c715502324399cb3",
+        ("multi_leaf", "model_fit.json"):
+            "b83fd3e7a37625901bd67a144c976b485a298b9067554752a8ef48f675cb3aaa",
+        ("multi_leaf", "fitline.csv"):
+            "090f2318c6e1812f069f534d05fcd41f13ec68bb3ac126ad562419118d8bc474",
+    },
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_simulate_outputs_match_golden_bytes(threads, fig7_config, tmp_path):
+    golden = recorded_golden(SIMULATE_GOLDEN)
     multi_leaf = tmp_path / "multi_leaf.json"
     multi_leaf.write_text(json.dumps(dict(
         n_countries=5, n_jobs=200_003, mu_range=[5.0, 20.0], sigma_range=[0.5, 20.0],
-        gamma=0.1, seed=2012)))
+        gamma=0.1, seed=2012)), encoding="utf-8")
     assert econrank.abm._LEAF * 2 < 200_003
     for name, config in (("fig7", fig7_config), ("multi_leaf", multi_leaf)):
         assert run(["simulate", "--config", config, "--threads", threads,
                     "--out", tmp_path / name]) == 0
     digests = {
         (name, file): hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
-        for name, file in SIMULATE_GOLDEN
+        for name, file in golden
     }
-    assert digests == SIMULATE_GOLDEN
+    assert digests == golden
 
 
 def test_config_may_start_with_bom(tmp_path):
@@ -821,7 +852,7 @@ def test_usage_error_is_reported_before_any_input_is_read(argv, message, tmp_pat
                          ids=["header_only", "all_rows_bad"])
 def test_rank_dynamics_without_observations_is_data_error(body, tmp_path, capsys):
     source = tmp_path / "gdp.csv"
-    source.write_text("country,year,value\n" + body)
+    source.write_text("country,year,value\n" + body, encoding="utf-8")
     out = tmp_path / "out"
     assert run(["rank-dynamics", "--input", source, "--indicator", "gdp", "--out", out]) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -837,7 +868,7 @@ class TestAtomicWrite:
         out = tmp_path / "out"
         if existing:
             out.mkdir()
-            (out / "earlier.txt").write_text("from an earlier run\n")
+            (out / "earlier.txt").write_text("from an earlier run\n", encoding="utf-8")
         real_write_text = Path.write_text
         writes = []
 
@@ -869,7 +900,7 @@ class TestStaleOutputs:
         out = tmp_path / "out"
         assert run(["rank-dynamics", "--input", toy_gdp_csv, "--indicator", "gdp",
                     "--out", out]) == 0
-        (out / "notes.txt").write_text("put here by the user\n")
+        (out / "notes.txt").write_text("put here by the user\n", encoding="utf-8")
         assert run(["ingest", "--input", toy_gdp_csv, "--indicator", "gdp",
                     "--out", out]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
@@ -891,10 +922,10 @@ class TestStaleOutputs:
     ):
         out = tmp_path / "out"
         (out / "sub").mkdir(parents=True)
-        (out / "sub" / "inner.txt").write_text("inner\n")
-        (out / "deltas.csv").write_text("not listed as a plain name\n")
-        (tmp_path / "victim.txt").write_text("outside --out\n")
-        (out / "manifest.json").write_text(old_manifest)
+        (out / "sub" / "inner.txt").write_text("inner\n", encoding="utf-8")
+        (out / "deltas.csv").write_text("not listed as a plain name\n", encoding="utf-8")
+        (tmp_path / "victim.txt").write_text("outside --out\n", encoding="utf-8")
+        (out / "manifest.json").write_text(old_manifest, encoding="utf-8")
         assert run(["ingest", "--input", toy_gdp_csv, "--indicator", "gdp",
                     "--out", out]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
@@ -959,12 +990,12 @@ def write_stress_panel(directory: Path) -> tuple[Path, Path, int]:
     rows += ["", "   ", " , , "]  # blank lines are not data rows
     rows.sort(key=lambda _: rng.random())
     panel_csv = directory / "stress.csv"
-    panel_csv.write_text("country,year,value\n" + "\n".join(rows) + "\n")
+    panel_csv.write_text("country,year,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
     aliases = directory / "aliases.csv"
     aliases.write_text(
         "source_name,iso3\nAtlantis,\n"
         + "".join(f"Country {i},C{i:03d}\n" for i in range(0, 300, 20))
-    )
+    , encoding="utf-8")
     return panel_csv, aliases, len(rows) - 3
 
 
@@ -997,7 +1028,8 @@ QUOTED_INDICATOR = "gdp, current US$"
 def write_quoted_panels(directory: Path) -> tuple[Path, Path]:
     """gdp over 2008-2011 and gci in 2011 for QUOTED_NAMES, written by csv.writer."""
     gdp_csv, gci_csv = directory / "gdp.csv", directory / "gci.csv"
-    with open(gdp_csv, "w", newline="") as gdp, open(gci_csv, "w", newline="") as gci:
+    with (open(gdp_csv, "w", newline="", encoding="utf-8") as gdp,
+          open(gci_csv, "w", newline="", encoding="utf-8") as gci):
         gdp_rows, gci_rows = csv.writer(gdp), csv.writer(gci)
         gdp_rows.writerow(["country", "year", "value"])
         gci_rows.writerow(["country", "year", "value"])
@@ -1045,7 +1077,7 @@ class TestQuotedNames:
         written = sorted(out.glob("*.csv"))
         assert written
         for path in written:
-            with open(path, newline="") as handle:
+            with open(path, newline="", encoding="utf-8") as handle:
                 header, *rows = csv.reader(handle)
             assert rows, path.name
             assert {len(row) for row in rows} == {len(header)}, path.name
@@ -1070,9 +1102,9 @@ class TestManifest:
     def test_inputs_parameters_and_seed(self, command, toy_gdp_csv, toy_gci_csv, fig7_config,
                                         tmp_path):
         aliases = tmp_path / "aliases.csv"
-        aliases.write_text("source_name,iso3\nAlbania,ALB\n")
+        aliases.write_text("source_name,iso3\nAlbania,ALB\n", encoding="utf-8")
         exclude = tmp_path / "exclude.txt"
-        exclude.write_text("BRA\n")
+        exclude.write_text("BRA\n", encoding="utf-8")
         gdp, gci = str(toy_gdp_csv), str(toy_gci_csv)
         argv, inputs, parameters, seed = {
             "ingest": (
@@ -1151,6 +1183,7 @@ class TestUsage:
              "--indicator", "gdp", "--out", str(out)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env=env,
         )
         assert proc.returncode == 0

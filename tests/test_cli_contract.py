@@ -135,7 +135,8 @@ def test_panel_commands_keep_the_contract(data):
             if data.draw(st.booleans()):
                 exclude = root / "exclude.txt"
                 exclude.write_text("".join(f"{c}\n" for c in data.draw(
-                    st.lists(st.sampled_from(CODES), max_size=4, unique=True), label="exclude")))
+                    st.lists(st.sampled_from(CODES), max_size=4, unique=True), label="exclude")),
+                    encoding="utf-8")
                 argv += ["--exclude", exclude]
         out, before = data.draw(out_dirs(root))
         assert_contract([*argv, "--out", out], out, before)
@@ -205,7 +206,7 @@ def run_probe(probe: str, **env: str) -> str:
     """Stdout of a fresh interpreter running ``probe`` with econrank from ``src``."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env={**env, "PYTHONPATH": str(SRC)})
+                            check=True, env={**env, "PYTHONPATH": str(SRC)}, encoding="utf-8")
     return result.stdout.strip()
 
 

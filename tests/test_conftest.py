@@ -32,11 +32,11 @@ def test_failing_property_is_reported_not_internal_error(tmp_path):
     # property must be one failure, and filterwarnings = ["error"] must still
     # fail a test that raises a DeprecationWarning of its own.
     shutil.copy(TESTS_DIR / "conftest.py", tmp_path)
-    (tmp_path / "test_probe.py").write_text(PROBE)
+    (tmp_path / "test_probe.py").write_text(PROBE, encoding="utf-8")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-c", str(TESTS_DIR.parent / "pyproject.toml"),
          "--rootdir", str(tmp_path), "test_probe.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, encoding="utf-8", timeout=300,
     )
     output = result.stdout + result.stderr
     assert "INTERNALERROR" not in output

@@ -115,39 +115,40 @@ class TestLoadPanel:
 
     def test_load_alias_map(self, tmp_path):
         path = tmp_path / "aliases.csv"
-        path.write_text("source_name,iso3\nCroatia,HRV\nUnited States,USA\n")
+        path.write_text("source_name,iso3\nCroatia,HRV\nUnited States,USA\n", encoding="utf-8")
         assert load_alias_map(path) == {"Croatia": "HRV", "United States": "USA"}
 
     def test_alias_map_repeat_must_agree(self, tmp_path):
         path = tmp_path / "aliases.csv"
-        path.write_text("source_name,iso3\nCroatia,HRV\nPoland,POL\nCroatia,HRV\n")
+        path.write_text("source_name,iso3\nCroatia,HRV\nPoland,POL\nCroatia,HRV\n",
+                        encoding="utf-8")
         assert load_alias_map(path) == {"Croatia": "HRV", "Poland": "POL"}
-        path.write_text("source_name,iso3\nCroatia,HRV\nCroatia,HRW\n")
+        path.write_text("source_name,iso3\nCroatia,HRV\nCroatia,HRW\n", encoding="utf-8")
         with pytest.raises(DataError, match="'Croatia'.*'HRV'.*'HRW'"):
             load_alias_map(path)
 
     def test_alias_map_skips_blank_rows(self, tmp_path):
         path = tmp_path / "aliases.csv"
-        path.write_text("source_name,iso3\n  ,\t\nCroatia,HRV\n \n")
+        path.write_text("source_name,iso3\n  ,\t\nCroatia,HRV\n \n", encoding="utf-8")
         assert load_alias_map(path) == {"Croatia": "HRV"}
 
     def test_alias_row_of_three_fields_is_data_error(self, tmp_path):
         path = tmp_path / "aliases.csv"
-        path.write_text("source_name,iso3\nCroatia,HRV,HR\n")
+        path.write_text("source_name,iso3\nCroatia,HRV,HR\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(
                 "alias row must have 2 fields, got ['Croatia', 'HRV', 'HR']")):
             load_alias_map(path)
 
     def test_alias_map_bad_header(self, tmp_path):
         path = tmp_path / "aliases.csv"
-        path.write_text("name,code\nCroatia,HRV\n")
+        path.write_text("name,code\nCroatia,HRV\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_alias_map(path)
 
     @pytest.mark.parametrize("text", ["", "iso,yr,val\n", "country,year\n"])
     def test_header_error_names_the_file(self, text, tmp_path):
         path = tmp_path / "in.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         for load, header in [(lambda p: load_panel(p, "gdp"), "country,year,value"),
                              (load_alias_map, "source_name,iso3")]:
             with pytest.raises(DataError, match=re.escape(f"header of {path} must be '{header}'")):

@@ -8,8 +8,6 @@ discrepancies are the terms of the E that ``simulate_country`` sums.
 
 import numpy as np
 
-from econrank import AbmParams
-
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Independent (jobs, mismatch) generators derived from one seed."""
@@ -17,15 +15,17 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(jobs_ss), np.random.default_rng(skill_ss)
 
 
-def draw_workforce(params: AbmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def draw_workforce(*, mu: float, sigma: float, n_jobs: int, gamma: float,
+                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Agent-level draw: job requirements, worker skills, and discrepancies.
 
-    Returns (jobs, skills, discrepancies) where jobs ~ Poisson(mu),
-    skills = jobs + Gaussian(0, sigma) mismatch (real-valued, unclamped),
-    and each discrepancy is exp(-|skill - job|) in (0, 1].
+    Takes ``simulate_country``'s keywords; gamma, the proxy's exponent, plays no
+    part in the workforce. Returns (jobs, skills, discrepancies) where
+    jobs ~ Poisson(mu), skills = jobs + Gaussian(0, sigma) mismatch
+    (real-valued, unclamped), and each discrepancy is exp(-|skill - job|) in (0, 1].
     """
-    jobs_rng, skill_rng = _streams(params.seed)
-    jobs = jobs_rng.poisson(params.mu, params.n_jobs)
-    mismatch = skill_rng.normal(0.0, params.sigma, params.n_jobs)
+    jobs_rng, skill_rng = _streams(seed)
+    jobs = jobs_rng.poisson(mu, n_jobs)
+    mismatch = skill_rng.normal(0.0, sigma, n_jobs)
     skills = jobs + mismatch
     return jobs, skills, np.exp(-np.abs(mismatch))
