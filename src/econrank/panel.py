@@ -2,15 +2,15 @@
 
 An :class:`IndicatorPanel` holds the sparse observations of one indicator
 as row-aligned columns sorted by (country, year), one row per (country,
-year) pair; one builder, shared by its constructor and the loader, owns the
-value and duplicate rules. A :class:`BalancedPanel` is the dense countries x
-years matrix of the countries that have a value for every year of a requested
-range. Every value is finite, and values of gdp-like indicators are strictly
-positive. Both are immutable after construction (their arrays are read-only)
-and safe to share across threads. :func:`load_panel` parses plain lines with
-numpy's C tokenizer and the rest by the row rules, to the same outcome.
-:func:`serialize_panel` writes each value's exact ``%r`` through the row
-writer that every CSV shares (see outputs).
+year) pair; one builder, shared by its constructor and the loader, owns the sort
+and duplicate rules. A :class:`BalancedPanel` is the dense countries x years matrix
+of the countries that have a value for every year of a requested range. Every value
+is finite, and values of gdp-like indicators are strictly positive (the constructor
+rejects other values; the loader skips their rows). Both are immutable after
+construction (their arrays are read-only) and safe to share across threads.
+:func:`load_panel` reads a file's plain lines with numpy's C tokenizer and the rest
+by the row rules, to the same outcome. :func:`serialize_panel` writes each value's
+exact ``%r`` through the row writer that every CSV shares (see outputs).
 """
 
 from __future__ import annotations
@@ -70,13 +70,8 @@ class IndicatorPanel:
                                  f"{len(years)} years, {len(values)} values")
         codes = sorted(set(countries))
         index = {code: i for i, code in enumerate(codes)}
-        self._build(indicator, codes, np.fromiter(map(index.__getitem__, countries), np.intp, n),
-                    _year_column(years), np.array(values, dtype=float))
-
-    def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
-               values: np.ndarray) -> IndicatorPanel:
-        """Take over the columns of rows ``codes[country[k]]``, ``years[k]``, ``values[k]``
-        in input order (``codes`` ascending); apply the value, sort and duplicate rules."""
+        country = np.fromiter(map(index.__getitem__, countries), np.intp, n)
+        years, values = _year_column(years), np.array(values, dtype=float)
         bad = ~np.isfinite(values)
         if _is_gdp_like(indicator):
             bad |= values <= 0
@@ -85,6 +80,12 @@ class IndicatorPanel:
             kind = "nonpositive" if math.isfinite(values[k]) else "non-finite"
             raise DataError(f"{kind} {indicator} value {float(values[k])!r} for "
                             f"({codes[country[k]]}, {years[k]})")
+        self._build(indicator, codes, country, years, values)
+
+    def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
+               values: np.ndarray) -> IndicatorPanel:
+        """Take over the columns of rows ``codes[country[k]]``, ``years[k]``, ``values[k]``
+        in input order (``codes`` ascending, values valid); apply the sort and duplicate rules."""
         order = None  # rows that already ascend by (country, year) skip the sort
         if not ((country[1:] > country[:-1])
                 | (country[1:] == country[:-1]) & (years[1:] >= years[:-1])).all():
@@ -157,29 +158,25 @@ class BalancedPanel:
 
 
 @contextlib.contextmanager
-def _csv_body(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterator[IO[str]]:
-    """``source`` read past its ``header``; a bad header or unreadable text is a DataError."""
-    if isinstance(source, (str, Path)):
-        source = open(source, "r", encoding="utf-8-sig", newline="")
-    else:
-        source = contextlib.nullcontext(source)
-    with source as stream:
-        name = getattr(stream, "name", "CSV input")
+def _csv_body(path: str | Path, header: tuple[str, ...]) -> Iterator[IO[str]]:
+    """The UTF-8 file at ``path``, its LF, CRLF or CR line ends kept, read past its ``header``;
+    a bad header or unreadable text is a DataError that names the file."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as stream:
         try:
             first = next(csv.reader(stream), None)
             if first is None or tuple(h.strip().lower() for h in first) != header:
-                raise DataError(f"header of {name} must be {','.join(header)!r}, got {first!r}")
+                raise DataError(f"header of {path} must be {','.join(header)!r}, got {first!r}")
             yield stream
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"cannot read {name}: {exc}") from None
+            raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
-    """Read a ``source_name,iso3`` CSV into a rename mapping.
+def load_alias_map(path: str | Path) -> dict[str, str]:
+    """Read the ``source_name,iso3`` CSV file at ``path`` into a rename mapping.
 
     A ``source_name`` may repeat only with the same ``iso3``.
     """
-    with _csv_body(source, ALIAS_HEADER) as stream:
+    with _csv_body(path, ALIAS_HEADER) as stream:
         aliases: dict[str, str] = {}
         for row in csv.reader(stream):
             if not row or all(not cell.strip() for cell in row):
@@ -250,19 +247,19 @@ _BLOCK_CHARS = 1 << 16  # characters of whole lines read per block
 
 def _blocks(stream: IO[str], ids: dict[str, int]) -> Iterator[tuple[list[np.ndarray], int]]:
     """Per block of whole lines, the (code id, year, value) columns of the rows kept, in line
-    order, and the skip count. From a block with a quote or CR, or lines that end elsewhere
-    than at each newline, csv reads the rest, ``_BLOCK`` rows at a time, as it would all."""
+    order, and the skip count. From a block with a quote or CR, or over ``2 * _BLOCK_CHARS``
+    long (its last line then outgrows any plain one), csv reads the rest, ``_BLOCK`` rows at a
+    time, as it would all. Other blocks split only at LF: one ``_plain_lines`` flag a line."""
     while lines := stream.readlines(_BLOCK_CHARS):
         text = "".join(lines)
-        plain = None if '"' in text or "\r" in text else _plain_lines(np.frombuffer(
-            (text if text.endswith("\n") else text + "\n").encode("utf-8", "surrogatepass"),
-            np.uint8))
-        if plain is None or len(plain) != len(lines):
+        if '"' in text or "\r" in text or len(text) > 2 * _BLOCK_CHARS:
             rows = csv.reader(chain(lines, stream))
             while chunk := list(islice(rows, _BLOCK)):
                 (_, *columns), skipped = _row_rules(chunk, ids)
                 yield columns, skipped
             return
+        plain = _plain_lines(np.frombuffer(
+            (text if text.endswith("\n") else text + "\n").encode(), np.uint8))
         (line, *columns), skipped = _row_rules(csv.reader(compress(lines, (~plain).tolist())), ids)
         table = np.zeros(0, _PLAIN) if not plain.any() else np.loadtxt(
             compress(lines, plain.tolist()), _PLAIN, delimiter=",", comments=None, ndmin=1)
@@ -277,11 +274,11 @@ def _blocks(stream: IO[str], ids: dict[str, int]) -> Iterator[tuple[list[np.ndar
 
 
 def load_panel(
-    source: str | Path | IO[str],
+    path: str | Path,
     indicator: str,
     aliases: Mapping[str, str] | None = None,
 ) -> tuple[IndicatorPanel, int]:
-    """Load one indicator from a ``country,year,value`` CSV.
+    """Load one indicator from the ``country,year,value`` CSV file at ``path``.
 
     Rows whose value field is empty, non-numeric, or non-finite are skipped
     and counted; so are rows with a malformed year, a blank country, or the
@@ -289,12 +286,13 @@ def load_panel(
     skip count is returned alongside the panel. Duplicate (country, year)
     rows for the indicator are a hard error, raised once the whole file is read.
 
-    Read in blocks of whole lines, plain lines (see ``_plain_lines``) go through
-    numpy's C tokenizer and the rest through the row rules, with the same outcome.
+    Lines end in LF, CRLF or CR. Plain lines (see ``_plain_lines``) go through numpy's C
+    tokenizer and the rest through the row rules, with the same outcome; from a block of
+    lines with a quote, a CR or a line over 64 KiB on, csv reads the rest of the file.
     """
     ids: dict[str, int] = {}  # an id per distinct code as read, aliases aside
     parts, skipped = [_row_rules((), ids)[0][1:]], 0
-    with _csv_body(source, PANEL_HEADER) as stream:
+    with _csv_body(path, PANEL_HEADER) as stream:
         for columns, n in _blocks(stream, ids):
             parts.append(columns)
             skipped += n

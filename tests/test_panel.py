@@ -38,7 +38,11 @@ LN_1_1 = 0.0953101798043249
 
 
 def _load(text, indicator="gdp", **kwargs):
-    return load_panel(io.StringIO(text), indicator, **kwargs)
+    """``load_panel`` of a file that holds ``text`` as it is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_panel(path, indicator, **kwargs)
 
 
 class TestLoadPanel:
@@ -361,7 +365,7 @@ values = st.floats(
 )
 def test_serialize_round_trip(obs):
     panel = from_mapping("gdp", obs)
-    reloaded, skipped = load_panel(io.StringIO(serialize_panel(panel)), "gdp")
+    reloaded, skipped = _load(serialize_panel(panel))
     assert skipped == 0
     assert observations(reloaded) == observations(panel)
 
@@ -394,8 +398,9 @@ def test_balanced_panel_all_values_finite_property():
 
 def reference_load_panel(text, indicator, aliases=None):
     """The one-check-per-row loader loop that ``load_panel`` replaced, kept
-    verbatim (with the value rule written out) as the reference."""
-    reader = csv.reader(io.StringIO(text))
+    verbatim (with the value rule written out) as the reference. It splits lines at LF,
+    CRLF and CR, as a file opened with ``newline=""`` does."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     positive = "gdp" in indicator.lower()
     obs = {}
@@ -487,12 +492,12 @@ raw_aliases = st.none() | st.dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(raw_rows, max_size=25),
+    st.lists(st.tuples(raw_rows, st.sampled_from(["\n", "\r\n", "\r"])), max_size=25),
     raw_aliases,
     st.sampled_from(["gdp", "GDP_pc", "gci", "balance"]),
 )
 def test_load_panel_matches_reference_loader(rows, aliases, indicator):
-    text = "country,year,value\n" + "".join(",".join(row) + "\n" for row in rows)
+    text = "country,year,value\n" + "".join(",".join(row) + end for row, end in rows)
     assert _outcome(lambda: _load(text, indicator, aliases=aliases)) == _outcome(
         lambda: reference_load_panel(text, indicator, aliases)
     )
@@ -519,16 +524,19 @@ def test_rows_across_a_block_edge_match_reference_loader(repeats):
 
 
 @pytest.mark.parametrize("repeats", [(), ("after",)])
-@pytest.mark.parametrize("form", ["crlf", "quoted"])
+@pytest.mark.parametrize("form", ["crlf", "cr", "quoted", "long"])
 def test_rows_across_a_csv_chunk_edge_match_reference_loader(form, repeats):
-    # csv reads the rest of the file from the first block that holds a CR or a quote,
-    # _BLOCK rows at a time: CRLF ends from the first block on, a quote in the second
+    # csv reads the rest of the file from the first block that holds a CR or a quote or
+    # is over 2 * _BLOCK_CHARS long, _BLOCK rows at a time: CRLF or CR ends from the first
+    # block on, a quote or a row of 2 * _BLOCK_CHARS characters (skipped) in the second
     lines = [f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}\n" for i in range(30_000)]
-    start = 0 if form == "crlf" else -(-_BLOCK_CHARS // len(lines[0]))
-    if form == "crlf":
-        lines = [line[:-1] + "\r\n" for line in lines]
-    else:
+    start = 0 if form in ("crlf", "cr") else -(-_BLOCK_CHARS // len(lines[0]))
+    if form in ("crlf", "cr"):
+        lines = [line[:-1] + {"crlf": "\r\n", "cr": "\r"}[form] for line in lines]
+    elif form == "quoted":
         lines[start + 5] = '"' + lines[start + 5][:5] + '"' + lines[start + 5][5:]
+    else:
+        lines[start + 5] = "x," * _BLOCK_CHARS + "\n"
     edge = start + _BLOCK  # the first row of csv's second chunk
     for k in (edge - 1, edge):  # a malformed row on each side of the edge
         lines[k] = lines[k].replace(",", ",x", 1)
@@ -540,7 +548,7 @@ def test_rows_across_a_csv_chunk_edge_match_reference_loader(form, repeats):
     if repeats:
         assert outcome[0] == "duplicate"
     else:
-        assert outcome[1] == 2
+        assert outcome[1] == 2 + (form == "long")
 
 
 def test_plain_values_load_bit_identical_to_float():
@@ -820,3 +828,25 @@ def test_load_crlf_then_serialize_peak_memory_per_observation(tmp_path):
     assert (len(panel), skipped) == (n, 0)
     assert text == body
     assert peak / n < 250, f"{peak / n:.0f} B per observation"
+
+
+@pytest.mark.parametrize("field", [1 << 22, 40])
+def test_an_over_long_line_peaks_below_six_times_its_length(field, tmp_path):
+    # a 4 MiB line between plain rows: one field past csv's field limit, or a skipped
+    # row of 40-character fields; the reader holds a few copies of it, and no per-byte index
+    n = 1 << 22
+    path = tmp_path / "gdp.csv"
+    path.write_text("country,year,value\nAAA,2000,1.5\n" + ("x" * (field - 1) + ",") * (n // field)
+                    + "\nAAA,2001,1.7\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        if field > csv.field_size_limit():
+            with pytest.raises(DataError, match="field larger than field limit"):
+                load_panel(path, "gdp")
+        else:
+            panel, skipped = load_panel(path, "gdp")
+            assert (len(panel), skipped) == (2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n, f"{peak / n:.1f} times the line length"
