@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DomainError, ParameterError
+from .errors import NumericalError, ParameterError
 from .xsection import PowerLawFit, fit_power_law
 
 # simulate holds the columns (48 B per country) and the fit's sample (24 B) and renders
@@ -149,8 +149,8 @@ def _outcomes(mu: np.ndarray, sigma: np.ndarray, e_total: np.ndarray, n_jobs: in
         gci_th = np.fromiter((uncorrupt if s == 0 else s ** -gamma for s in sigma.tolist()),
                              float, len(sigma))
     except OverflowError:  # only at gamma > 0, so the smallest positive sigma overflows
-        raise DomainError(f"sigma^(-gamma) overflows for sigma={sigma[sigma > 0].min()}, "
-                          f"gamma={gamma}") from None
+        raise NumericalError(f"sigma^(-gamma) overflows for sigma={sigma[sigma > 0].min()}, "
+                             f"gamma={gamma}") from None
     with np.errstate(over="ignore"):  # fit_power_law rejects the infinite outputs
         gdp_total = mu * e_total
     columns = (mu, sigma, e_total, gdp_total, gdp_total / n_jobs, gci_th)

@@ -4,7 +4,8 @@ Subcommands: ``ingest``, ``rank-dynamics``, ``cross-section`` (``xsection.cross_
 and ``simulate``; a usage error in the flags alone is raised before any input is read.
 Every command writes its outputs plus a ``manifest.json`` under ``--out`` and nowhere
 else, and removes there the files the previous manifest listed that it did not produce
-again; its manifest records the runner's parameters and the command's ``_INPUT_FLAGS``.
+again, but never a file it read; its manifest records the runner's parameters and the
+command's ``_INPUT_FLAGS``.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical/degenerate error
 (``EconRankError.exit_code``). Reruns with identical inputs, parameters, and seed produce
 byte-identical data files; only the manifest timestamp varies.
@@ -57,7 +58,7 @@ def _load_exclusions(path: str | None) -> set[str]:
     if not path:
         return set()
     try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")  # LF, CRLF, CR: as panels
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     return {ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")}
@@ -259,16 +260,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         files, parameters = args.runner(args)
         seed = parameters.pop("seed", None)  # only simulate has one
+        inputs = {flag: getattr(args, flag) for flag in _INPUT_FLAGS if hasattr(args, flag)}
         manifest = outputs.build_manifest(
             command=args.command,
             version=__version__,
-            inputs={flag: getattr(args, flag) for flag in _INPUT_FLAGS if hasattr(args, flag)},
+            inputs=inputs,
             parameters=parameters,
             seed=seed,
             produced=[*files, "manifest.json"],
         )
         files["manifest.json"] = outputs.render_json(manifest)
-        outputs.write_output_files(args.out, files)
+        outputs.write_output_files(args.out, files, [p for p in inputs.values() if p])
     except EconRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

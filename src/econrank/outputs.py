@@ -25,7 +25,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,13 +170,15 @@ def build_manifest(
     }
 
 
-def write_output_files(out_dir: str | Path, files: dict[str, str]) -> None:
+def write_output_files(out_dir: str | Path, files: dict[str, str],
+                       inputs: Iterable[str | Path]) -> None:
     """Write pre-rendered file contents under ``out_dir`` (created if absent).
 
     A failed write removes the temporaries, and ``out_dir`` if this call
     created it and it is still empty, before the error propagates. Once the
     new manifest is in place, the regular files named in the previous
-    manifest's ``produced_files`` that ``files`` lacks are removed.
+    manifest's ``produced_files`` that ``files`` lacks are removed, but for
+    the run's ``inputs``: a run never deletes a file it read.
     """
     out = Path(out_dir)
     created = not out.exists()
@@ -198,10 +200,12 @@ def write_output_files(out_dir: str | Path, files: dict[str, str]) -> None:
             with contextlib.suppress(OSError):
                 out.rmdir()
         raise
+    read = {Path(path).resolve() for path in inputs}
     # os.listdir yields only plain names: no separator, never "." or ".."
     for name in os.listdir(out):
-        if name in previous and name not in files and (out / name).is_file():
-            (out / name).unlink()
+        path = out / name
+        if name in previous and name not in files and path.is_file() and path.resolve() not in read:
+            path.unlink()
 
 
 def _listed_outputs(out: Path) -> list[Any]:

@@ -26,15 +26,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DataError,
-    DomainError,
-    DuplicateObservationError,
-    EmptyPanelError,
-    MissingObservationError,
-    ParameterError,
-)
+from .errors import DataError, NumericalError, ParameterError
 from .outputs import _BLOCK, _format_rows, _quote
 
 PANEL_HEADER = ("country", "year", "value")
@@ -66,8 +58,8 @@ class IndicatorPanel:
                  values: Sequence[float]) -> None:
         n = len(countries)
         if not len(years) == len(values) == n:
-            raise AlignmentError(f"columns differ in length: {n} countries, "
-                                 f"{len(years)} years, {len(values)} values")
+            raise DataError(f"columns differ in length: {n} countries, "
+                            f"{len(years)} years, {len(values)} values")
         codes = sorted(set(countries))
         index = {code: i for i, code in enumerate(codes)}
         country = np.fromiter(map(index.__getitem__, countries), np.intp, n)
@@ -94,10 +86,8 @@ class IndicatorPanel:
         repeat = np.flatnonzero((country[1:] == country[:-1]) & (years[1:] == years[:-1])) + 1
         if repeat.size:  # name the earliest row in input order whose key came before
             k = repeat[0] if order is None else repeat[order[repeat].argmin()]
-            raise DuplicateObservationError(
-                f"duplicate observation for (country={codes[country[k]]}, "
-                f"year={years[k]}, indicator={indicator})"
-            )
+            raise DataError(f"duplicate observation for (country={codes[country[k]]}, "
+                            f"year={years[k]}, indicator={indicator})")
         for column in (country, years, values):
             column.flags.writeable = False
         for name, field in [("indicator", indicator), ("codes", tuple(codes)),
@@ -148,12 +138,12 @@ class BalancedPanel:
         try:
             return self.years.index(year)
         except ValueError:
-            raise MissingObservationError(f"year {year} not in panel") from None
+            raise DataError(f"year {year} not in panel") from None
 
     def value(self, country: str, year: int) -> float:
         i = bisect.bisect_left(self.countries, country)
         if i == len(self.countries) or self.countries[i] != country:
-            raise MissingObservationError(f"country {country!r} not in panel")
+            raise DataError(f"country {country!r} not in panel")
         return float(self.values[i, self.year_index(year)])
 
 
@@ -324,7 +314,7 @@ def serialize_panel(panel: IndicatorPanel) -> str:
 def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPanel:
     """Countries of ``panel`` with a value for every year of the inclusive range.
 
-    Raises EmptyPanelError when no country is complete.
+    Raises DataError when no country is complete.
     """
     start, end = int(years[0]), int(years[1])
     if start > end:
@@ -334,9 +324,7 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
     # the span are one run of end - start + 1 years in order (len(span) can overflow)
     complete = np.bincount(panel.country[inside], minlength=len(panel.codes)) == end - start + 1
     if not complete.any():
-        raise EmptyPanelError(
-            f"no country has complete {panel.indicator} coverage for {start}-{end}"
-        )
+        raise DataError(f"no country has complete {panel.indicator} coverage for {start}-{end}")
     values = panel.values[inside & complete[panel.country]].reshape(-1, end - start + 1)
     countries = tuple(panel.codes[i] for i in np.flatnonzero(complete).tolist())
     return BalancedPanel(countries=countries, years=range(start, end + 1), values=values)
@@ -347,7 +335,7 @@ def growth_rate(panel: BalancedPanel, rows: Sequence[int], method: str = "log") 
 
     ``method='log'`` gives ln(v1/v0) and ``method='relative'`` (v1 - v0)/v0. Values must
     be strictly positive, and v1/v0 must neither overflow nor, for log growth, underflow
-    to 0; the DomainError names the first bad country in ``rows`` order.
+    to 0; the NumericalError names the first bad country in ``rows`` order.
     """
     if len(panel.years) < 2:
         raise ParameterError(f"growth needs a window of two years or more, got {len(panel.years)}")
@@ -363,5 +351,6 @@ def growth_rate(panel: BalancedPanel, rows: Sequence[int], method: str = "log") 
         k = int(bad.argmax())
         a, b = float(v0[k]), float(v1[k])
         need = "positive values" if min(a, b) <= 0 else "v1/v0 in float range"
-        raise DomainError(f"growth of {panel.countries[rows[k]]} needs {need}, got {a!r} -> {b!r}")
+        raise NumericalError(f"growth of {panel.countries[rows[k]]} needs {need}, "
+                             f"got {a!r} -> {b!r}")
     return growth

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterError
+from .errors import NumericalError, ParameterError
 from .panel import BalancedPanel
 
 _MAX_BINS = 2**16  # empirical_pdf's bins: at most max(2n, this), whatever the range
@@ -119,12 +119,10 @@ def fit_laplace_mle(deltas: Sequence[int] | np.ndarray) -> LaplaceFit:
     deltas = _as_delta_array(deltas)
     n = int(deltas.size)
     if n < 2:
-        raise DegenerateSampleError(f"need at least 2 rank changes, got {n}")
+        raise NumericalError(f"need at least 2 rank changes, got {n}")
     total_abs = int(np.abs(deltas).sum())
     if total_abs == 0:
-        raise DegenerateSampleError(
-            "all rank changes are zero; the MLE decay constant is infinite"
-        )
+        raise NumericalError("all rank changes are zero; the MLE decay constant is infinite")
     decay = n / total_abs
     mean_abs = total_abs / n
     log_likelihood = n * math.log(decay / 2.0) - decay * total_abs
@@ -157,6 +155,7 @@ def exceedance_probability(fit: LaplaceFit, delta: int | float) -> float:
     """Probability that a rank change of at least |delta| occurs.
 
     Equals 0.5*exp(-decay*|delta|); symmetric in the sign of delta and
-    confined to (0, 0.5].
+    confined to [0, 0.5]: it underflows to 0.0 at large decay*|delta|
+    (decay 2.5 at delta 400, for one).
     """
     return 0.5 * math.exp(-fit.decay * abs(delta))

@@ -16,14 +16,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from . import panel
-from .errors import (
-    AlignmentError,
-    DataError,
-    DegenerateSampleError,
-    DomainError,
-    ParameterError,
-    SingularDesignError,
-)
+from .errors import DataError, NumericalError, ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +68,10 @@ class CrossSection:
 
 
 def _columns(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as 1-D float columns of one length, else AlignmentError; no float copy."""
+    """``x`` and ``y`` as 1-D float columns of one length, else DataError; no float copy."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
-        raise AlignmentError(f"columns of shapes {x.shape} and {y.shape} are not row-aligned")
+        raise DataError(f"columns of shapes {x.shape} and {y.shape} are not row-aligned")
     return x, y
 
 
@@ -88,12 +81,12 @@ def _ols(
     """OLS of y on x with intercept: slope, intercept, slope stderr, residuals, centred x, y."""
     n = x.size
     if n < 3:
-        raise DegenerateSampleError(f"need at least 3 points, got {n}")
+        raise NumericalError(f"need at least 3 points, got {n}")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
     if sxx == 0.0 or x.min() == x.max():  # a rounded mean leaves a constant x a tiny sxx
-        raise SingularDesignError("x never varies; the regression is undefined")
+        raise NumericalError("x never varies; the regression is undefined")
     slope = float(dx @ dy) / sxx
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (intercept + slope * x)
@@ -107,7 +100,7 @@ def fit_power_law(
 ) -> PowerLawFit:
     """Fit y = C * x^alpha by OLS in log-log space to the row-aligned columns ``x`` and ``y``.
 
-    Both coordinates must be finite and strictly positive (the DomainError
+    Both coordinates must be finite and strictly positive (the NumericalError
     names the first bad point by its label, or its index without labels), and
     both must vary: a constant x or constant y leaves the slope or the
     correlation undefined. Any exclusions are applied by the caller before fitting.
@@ -123,15 +116,13 @@ def fit_power_law(
     if bad.any():
         i = int(bad.argmax())
         label = str(i) if labels is None else labels[i]
-        raise DomainError(
-            f"power-law fit needs finite positive coordinates, got ({float(x[i])!r}, "
-            f"{float(y[i])!r}) at {label!r}"
-        )
+        raise NumericalError(f"power-law fit needs finite positive coordinates, got "
+                             f"({float(x[i])!r}, {float(y[i])!r}) at {label!r}")
     lx, ly = np.log(x), np.log(y)
     slope, intercept, stderr, residuals, dx, dy = _ols(lx, ly)
     syy = float(dy @ dy)
     if syy == 0.0 or ly.min() == ly.max():
-        raise SingularDesignError("y never varies; the correlation is undefined")
+        raise NumericalError("y never varies; the correlation is undefined")
     correlation = float(dx @ dy) / math.sqrt(float(dx @ dx) * syy)
     t_value = slope / stderr if stderr > 0 else math.inf * np.sign(slope)
     sample = np.column_stack((lx, ly, residuals))
@@ -178,14 +169,14 @@ def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     xb = np.asarray(b, dtype=float)
     n_a, n_b = xa.size, xb.size
     if n_a < 2 or n_b < 2:
-        raise DegenerateSampleError(f"each group needs at least 2 values, got {n_a} and {n_b}")
+        raise NumericalError(f"each group needs at least 2 values, got {n_a} and {n_b}")
     mean_a, mean_b = float(xa.mean()), float(xb.mean())
     df = n_a + n_b - 2
     pooled_var = (
         float(((xa - mean_a) ** 2).sum()) + float(((xb - mean_b) ** 2).sum())
     ) / df
     if pooled_var == 0.0:
-        raise DegenerateSampleError("zero pooled variance; t is undefined")
+        raise NumericalError("zero pooled variance; t is undefined")
     t = (mean_a - mean_b) / math.sqrt(pooled_var * (1.0 / n_a + 1.0 / n_b))
     return TTestResult(t=t, df=df, mean_a=mean_a, mean_b=mean_b, n_a=n_a, n_b=n_b)
 

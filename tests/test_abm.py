@@ -23,7 +23,7 @@ from econrank import (
 )
 from econrank import abm, cli
 from econrank.abm import _LEAF as LEAF
-from econrank.errors import DomainError, ParameterError, SingularDesignError
+from econrank.errors import NumericalError, ParameterError
 from workforce_reference import draw_workforce
 
 # 4^(-0.1), frozen from a 30-digit mpmath evaluation
@@ -163,7 +163,8 @@ def test_simulate_country_checked_or_parameter_error(**fields):
             outcome = simulate_country(**fields)
         except ParameterError:
             return
-        except DomainError:  # valid values whose proxy sigma^(-gamma) overflows a float
+        except NumericalError as exc:  # valid values whose proxy sigma^(-gamma) overflows a float
+            assert str(exc).startswith("sigma^(-gamma) overflows for sigma="), exc
             with pytest.raises(OverflowError):
                 float(fields["sigma"]) ** -float(fields["gamma"])
             return
@@ -304,7 +305,7 @@ class TestGciTheoretical:
         assert proxy_of(4.0, 0.1) == pytest.approx(FOUR_POW_M01, abs=1e-12)
 
     def test_overflow_is_domain_error(self):
-        with pytest.raises(DomainError, match=r"overflows for sigma=1e-300, gamma=2\.0"):
+        with pytest.raises(NumericalError, match=r"overflows for sigma=1e-300, gamma=2\.0"):
             proxy_of(1e-300, 2.0)
 
     def test_negative_gamma_is_parameter_error(self):
@@ -525,12 +526,12 @@ class TestModelRegression:
 
     def test_constant_sigma_is_singular(self):
         ensemble = sweep(small_config(sigma_range=(2.0, 2.0)))
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(NumericalError, match="^y never varies; the correlation is undefined$"):
             fit_model_regression(ensemble)
 
     def test_non_finite_gci_rejected(self):
         outcome = simulate_country(**params(sigma=0.0, gamma=0.5))
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError, match=r"finite positive coordinates, got \(.*, inf\)"):
             fit_model_regression(outcome)
 
     def test_columns_are_read_only(self):

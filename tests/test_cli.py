@@ -350,6 +350,28 @@ class TestCrossSection:
             parameters = read_json(tmp_path / name / "manifest.json")["parameters"]
             assert (parameters["excluded"], parameters["n_fitted"]) == (["ALB"], 4), name
 
+    def test_exclusion_file_splits_lines_only_where_a_panel_does(
+        self, toy_gdp_csv, toy_gci_csv, tmp_path
+    ):
+        # str.splitlines also splits at VT, FF, FS, GS, RS, NEL, LS and PS, which a code holds
+        codes = ["A\x0bB", "A\x0cB", "A\x1cB", "A\x1dB", "A\x1eB", "A\x85B", "A\u2028B",
+                 "A\u2029B"]
+        inputs = []
+        for source in (toy_gdp_csv, toy_gci_csv):
+            text = source.read_text(encoding="utf-8")
+            alb = [line for line in text.splitlines() if line.startswith("ALB,")]
+            inputs.append(tmp_path / source.name)
+            inputs[-1].write_text(text + "".join(f"{code}{line[3:]}\n" for code in codes
+                                                 for line in alb), encoding="utf-8")
+        exclude = tmp_path / "exclude.txt"
+        exclude.write_text("".join(f"{code}\n" for code in codes), encoding="utf-8")
+        out = tmp_path / "out"
+        assert self.run_default(*inputs, out, ("--exclude", exclude)) == 0
+        assert read_json(out / "manifest.json")["parameters"]["excluded"] == sorted(codes)
+        with open(out / "points.csv", newline="", encoding="utf-8") as handle:
+            flags = {row[0]: row[3] for row in list(csv.reader(handle))[1:]}
+        assert {code: flags[code] for code in codes} == dict.fromkeys(codes, "1")
+
     def test_relative_growth_flag(self, toy_gdp_csv, toy_gci_csv, tmp_path):
         out_log = tmp_path / "log"
         out_rel = tmp_path / "rel"
@@ -504,10 +526,10 @@ def cross_section_reference(x, y, x_name, t1, year, excluded, growth):
     complete_x = {c for c, obs in x.items() if all(t in obs for t in range(2000, t1 + 1))}
     complete_y = {c for c, obs in y.items() if year in obs}
     if not complete_x or not complete_y:
-        raise errors.EmptyPanelError
+        raise errors.DataError("no country has complete")
     shared = sorted(complete_x & complete_y)
     if not shared:
-        raise errors.DataError
+        raise errors.DataError("no country has both")
     points = [(c, x[c][year], y[c][year], int(c in excluded)) for c in shared]
     fitted = [c for c in shared if c not in excluded]
     fit = xsection.fit_power_law([x[c][year] for c in fitted], [y[c][year] for c in fitted],
@@ -520,6 +542,11 @@ def cross_section_reference(x, y, x_name, t1, year, excluded, growth):
     return points, g, fit
 
 
+def _cause(exc):
+    """An error's family and the opening words of its message, which name the cause."""
+    return type(exc), str(exc).split()[:4]
+
+
 @settings(max_examples=200, deadline=None)
 @given(inputs=cross_section_inputs(), x_name=st.sampled_from(["gdp", "score"]),
        growth=st.sampled_from(["log", "relative"]))
@@ -528,7 +555,7 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
     try:
         expected = cross_section_reference(x, y, x_name, t1, year, excluded, growth)
     except errors.EconRankError as exc:
-        expected = type(exc)
+        expected = exc
     raised = []
     run_cross_section = cli._run_cross_section
 
@@ -536,7 +563,7 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
         try:
             return run_cross_section(args)
         except errors.EconRankError as exc:
-            raised.append(type(exc))
+            raised.append(_cause(exc))
             raise
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -552,7 +579,7 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
                                                 ("y.csv", "score_y", (year, year)))]
             result = xsection.cross_section(*balanced, year, excluded, method=growth)
         except errors.EconRankError as exc:
-            result = type(exc)
+            result = _cause(exc)
         err = io.StringIO()
         with mock.patch.object(cli, "_run_cross_section", runner), \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -560,8 +587,9 @@ def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):
                         "--input-y", root / "y.csv", "--indicator-y", "score_y",
                         "--years", f"2000:{t1}", "--year", year, "--growth", growth,
                         "--exclude", root / "exclude.txt", "--out", root / "out"])
-        if isinstance(expected, type):
-            assert (code, raised, result) == (expected.exit_code, [expected], expected)
+        if isinstance(expected, errors.EconRankError):
+            cause = _cause(expected)
+            assert (code, raised, result) == (expected.exit_code, [cause], cause)
             assert len(err.getvalue().splitlines()) == 1
             return
         assert (code, raised, err.getvalue()) == (0, [], "")
@@ -908,6 +936,20 @@ class TestStaleOutputs:
         assert read_json(out / "manifest.json")["produced_files"] == [
             "manifest.json", "panel.csv"]
 
+    @pytest.mark.parametrize("command", ["rank-dynamics", "cross-section"])
+    def test_a_run_keeps_the_input_it_read_from_out(self, command, toy_gdp_csv, toy_gci_csv,
+                                                    tmp_path):
+        out = tmp_path / "out"
+        assert run(["ingest", "--input", toy_gdp_csv, "--indicator", "gdp", "--out", out]) == 0
+        panel = (out / "panel.csv").read_bytes()
+        argv = {"rank-dynamics": ["--indicator", "gdp"],
+                "cross-section": ["--input-y", toy_gci_csv, "--years", "2008:2011"]}[command]
+        assert run([command, "--input", out / "panel.csv", *argv, "--out", out]) == 0
+        assert (out / "panel.csv").read_bytes() == panel
+        produced = read_json(out / "manifest.json")["produced_files"]
+        assert "panel.csv" not in produced
+        assert sorted(p.name for p in out.iterdir()) == sorted([*produced, "panel.csv"])
+
     @pytest.mark.parametrize(
         "old_manifest",
         [
@@ -1148,10 +1190,8 @@ class TestManifest:
 @pytest.mark.parametrize(
     "error, code",
     [
-        (errors.DuplicateObservationError, 2),
-        (errors.MissingObservationError, 2),
-        (errors.DomainError, 3),
-        (errors.SingularDesignError, 3),
+        (errors.DataError, 2),
+        (errors.NumericalError, 3),
         (errors.ParameterError, 1),
     ],
 )

@@ -2,10 +2,13 @@
 
 Every run through ``cli.main`` ends with exit code 0, 1, 2 or 3. A failed run
 prints exactly one ``error: `` line on stderr and leaves ``--out`` as it found
-it; a successful run leaves exactly the files its manifest lists. A CLI process
+it; a successful run leaves exactly the files its manifest lists, but for the inputs
+it read from ``--out``. Every error the package raises is a ``ParameterError``,
+``DataError`` or ``NumericalError``, whose ``exit_code`` is the run's. A CLI process
 loads only the modules its command runs, and numpy's BLAS on one thread.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -248,3 +251,18 @@ def test_star_import_and_dir_list_every_exported_name():
     namespace: dict = {}
     exec("from econrank import *", namespace)
     assert set(econrank.__all__) <= set(namespace) and set(econrank.__all__) <= set(dir(econrank))
+
+
+def test_every_raise_names_one_of_the_three_families():
+    families = {"ParameterError", "DataError", "NumericalError"}
+    tree = ast.parse((SRC / "econrank" / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"EconRankError", *families}
+    for path in sorted((SRC / "econrank").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+            allowed = families | ({"AttributeError"} if path.name == "__init__.py" else set())
+            assert name in allowed, f"{path.name}:{node.lineno} raises {name}"

@@ -18,7 +18,7 @@ from econrank import (
     rank_changes,
     rank_matrix,
 )
-from econrank.errors import DegenerateSampleError, ParameterError
+from econrank.errors import NumericalError, ParameterError
 from econrank.outputs import _BLOCK, deltas_csv
 from econrank.rankdyn import _MAX_BINS, RankChangeSample, _as_delta_array
 from laplace_reference import sample_discrete_laplace
@@ -292,11 +292,11 @@ class TestLaplaceMle:
         assert fit.log_likelihood == pytest.approx(4 * math.log(0.25) - 4.0)
 
     def test_all_zero_deltas_degenerate(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(NumericalError, match="^all rank changes are zero; the MLE decay"):
             fit_laplace_mle([0, 0, 0])
 
     def test_single_delta_is_degenerate(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(NumericalError, match="^need at least 2 rank changes, got 1$"):
             fit_laplace_mle([3])
 
     def test_non_integer_deltas_rejected(self):
