@@ -19,15 +19,15 @@ That of ``simulate_country``, the reference the sweep is tested against, has one
 ``sweep`` splits the country indices into one contiguous block per worker
 thread, which fills its rows of the mu, sigma and E columns with one reused
 mismatch buffer. Every country draws the same ``n_jobs`` mismatches and so
-costs the same, which makes equal blocks keep the workers equally busy. A
-block seeds its streams ``_ROWS`` countries at a time. Building a
-``SeedSequence`` and a ``PCG64`` from it costs about 20 us of Python per
-stream, while the hash itself is a few integer operations: ``_seed_states``
-runs that hash as uint32 array operations over all of them at once and
-returns, row for row, what ``SeedSequence(...).generate_state(4, np.uint64)``
-returns, the only thing PCG64 reads from a seed sequence. The streams are
-therefore numpy's own, and numpy keeps SeedSequence and PCG64 output stable
-across versions.
+costs the same, which makes equal blocks keep the workers equally busy.
+Every generator comes from ``_streams``: a block's, ``_ROWS`` countries at a
+time, and ``simulate_country``'s one. Building a ``SeedSequence`` and a
+``PCG64`` from it costs about 20 us of Python per stream, while the hash
+itself is a few integer operations: ``_streams`` runs it as uint32 array
+operations over all rows at once and seeds each PCG64 with, row for row, what
+``SeedSequence(...).generate_state(4, np.uint64)`` returns, the only thing
+PCG64 reads from a seed sequence. The streams are therefore numpy's own, and
+numpy keeps SeedSequence and PCG64 output stable across versions.
 
 The kernel fills a buffer of at most ``_LEAF`` mismatches at a time, so memory
 is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
@@ -136,8 +136,8 @@ def simulate_country(*, mu: float, sigma: float, n_jobs: int, gamma: float,
     _integer("n_jobs", n_jobs, 1, _MAX_JOBS)
     gamma = _finite("gamma", gamma)
     _integer("seed", seed, 0)
-    skill_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    e_total = _capacity(skill_rng, sigma, np.empty(min(n_jobs, _LEAF)), n_jobs)
+    rng = _streams([*_words(seed), 1], 1)[0]  # child 1, as a sweep seeds its mismatches
+    e_total = _capacity(rng, sigma, np.empty(min(n_jobs, _LEAF)), n_jobs)
     return _outcomes(np.array([mu]), np.array([sigma]), np.array([e_total]), n_jobs, gamma)
 
 
@@ -185,17 +185,17 @@ class _HashedSeed(ISeedSequence):
         return self.state
 
 
-def _hashed_stream(state: np.ndarray) -> np.random.Generator:
-    """The ``default_rng`` of a seed sequence whose PCG64 seed is ``state``."""
-    return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+def _words(seed: int) -> list[int]:
+    """The 32-bit words of ``seed``, lowest first, zero-padded to 4 as SeedSequence pads them."""
+    return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 128), 32)]
 
 
-def _seed_states(words: list, n: int) -> np.ndarray:
-    """Row r is ``SeedSequence(...).generate_state(4, np.uint64)`` for entropy ``words``.
+def _streams(words: list, n: int) -> list[np.random.Generator]:
+    """Generator r is ``default_rng(SeedSequence(...))`` for row r of entropy ``words``.
 
-    ``words`` is what SeedSequence assembles: the seed's 32-bit words padded
-    with zeros to 4, then the spawn key's; each an int or an array of n rows.
-    The steps are numpy's (``mix_entropy`` and ``generate_state``).
+    ``words`` is what SeedSequence assembles: ``_words`` of the seed, then the
+    spawn key's; each an int or an array of n rows. The steps are numpy's
+    (``mix_entropy`` and ``generate_state``).
     """
     const = 0x43B0D7E5
 
@@ -222,7 +222,8 @@ def _seed_states(words: list, n: int) -> np.ndarray:
             pool[dst] = mix(pool[dst], hashmix(w))
     const = 0x8B51F9DD
     state = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in state]
 
 
 def _simulate_block(config: SweepConfig, mu: np.ndarray, sigma: np.ndarray,
@@ -234,20 +235,17 @@ def _simulate_block(config: SweepConfig, mu: np.ndarray, sigma: np.ndarray,
     its mismatches from child 1 of that seed, as ``simulate_country`` does.
     """
     buf = np.empty(min(config.n_jobs, _LEAF))
-    seed = config.seed  # as 32-bit words, zero-padded to 4, then the index
-    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 128), 32)]
     for start in range(block.start, block.stop, _ROWS):
         rows = range(start, min(start + _ROWS, block.stop))
         draws = []
-        for index, state in zip(rows, _seed_states([*seed_words, np.array(rows)], len(rows))):
-            rng = _hashed_stream(state)
+        for index, rng in zip(rows, _streams([*_words(config.seed), np.array(rows)], len(rows))):
             mu[index] = rng.uniform(*config.mu_range)
             sigma[index] = rng.uniform(*config.sigma_range)
             draws.append(rng.integers(0, 2**63))
         seeds = np.array(draws, dtype=np.uint64)
-        words = [seeds & 0xFFFFFFFF, seeds >> 32, 0, 0, 1]  # 2 words, padded, then key 1
-        for index, state in zip(rows, _seed_states(words, len(rows))):
-            e_total[index] = _capacity(_hashed_stream(state), sigma[index], buf, config.n_jobs)
+        words = [seeds & 0xFFFFFFFF, seeds >> 32, 0, 0, 1]  # _words of each seed, then key 1
+        for index, rng in zip(rows, _streams(words, len(rows))):
+            e_total[index] = _capacity(rng, sigma[index], buf, config.n_jobs)
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
@@ -256,8 +254,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
     Runs at most ``threads`` workers, and no more than there are countries or
     CPUs. Identical configs produce identical ensembles regardless of ``threads``.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    _integer("threads", threads, 1)
     n = config.n_countries
     k = min(threads, n, os.cpu_count() or 1)
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]

@@ -19,6 +19,7 @@ import bisect
 import contextlib
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, compress, islice
@@ -60,6 +61,10 @@ class IndicatorPanel:
         if not len(years) == len(values) == n:
             raise DataError(f"columns differ in length: {n} countries, "
                             f"{len(years)} years, {len(values)} values")
+        for name, column, cls, word in (("year", years, numbers.Integral, "an integer"),
+                                        ("value", values, numbers.Real, "a real number")):
+            if bad := [x for x in column if not isinstance(x, cls)]:  # numpy cuts 2000.7 to 2000
+                raise DataError(f"{name} column holds {bad[0]!r}, not {word}")
         codes = sorted(set(countries))
         index = {code: i for i, code in enumerate(codes)}
         country = np.fromiter(map(index.__getitem__, countries), np.intp, n)
@@ -112,9 +117,13 @@ class BalancedPanel:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (len(self.countries), len(self.years)):
+        try:  # a read-only float64 copy; the caller's array stays its own
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:  # numpy's message names the entry
+            raise DataError(f"value matrix: {exc}") from None
+        if values.shape != (len(self.countries), len(self.years)):
             raise DataError(
-                f"value matrix shape {self.values.shape} does not match "
+                f"value matrix shape {values.shape} does not match "
                 f"{len(self.countries)} countries x {len(self.years)} years"
             )
         years = range(start := next(iter(self.years), 0), start + len(self.years))
@@ -124,9 +133,8 @@ class BalancedPanel:
         for a, b in zip(self.countries, self.countries[1:]):
             if a >= b:
                 raise DataError(f"country codes must ascend strictly; {b!r} follows {a!r}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise DataError("balanced panel contains non-finite values")
-        values = np.array(self.values)  # a read-only copy; the caller's array stays its own
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -278,14 +278,9 @@ class TestWorkforce:
 @given(seed=st.integers(0, 2**64) | st.integers(0, 2**300),
        keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
 def test_seed_states_match_seed_sequence(seed, keys):
-    words = []
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
-    words += [0] * (4 - len(words))  # SeedSequence pads the entropy of a spawned child
-    states = abm._seed_states([*words, np.array(keys)], len(keys))
-    expected = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
-                for k in keys]
-    assert np.array_equal(states, expected)
+    streams = abm._streams([*abm._words(seed), np.array(keys)], len(keys))
+    expected = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state for k in keys]
+    assert [rng.bit_generator.state for rng in streams] == expected
 
 
 def proxy_of(sigma: float, gamma: float) -> float:
@@ -388,8 +383,14 @@ class TestSweep:
         assert same_columns(sweep(small_config()), sweep(small_config()))
 
     def test_zero_threads_is_parameter_error(self):
-        with pytest.raises(ParameterError, match="threads must be >= 1, got 0"):
+        with pytest.raises(ParameterError, match=r"threads must be an integer in \[1, inf\], got 0$"):
             sweep(small_config(), threads=0)
+
+    @pytest.mark.parametrize("threads", [1.5, True])
+    def test_non_integer_threads_is_parameter_error(self, threads):
+        # a float count raised TypeError, and a bool ran as one thread
+        with pytest.raises(ParameterError, match=rf"threads must be an integer .*, got {threads}$"):
+            sweep(small_config(), threads=threads)
 
     def test_thread_count_does_not_change_results(self):
         serial = sweep(small_config(), threads=1)

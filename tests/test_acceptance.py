@@ -36,6 +36,7 @@ import econrank as er
 from econrank.cli import main as cli_main
 from laplace_reference import sample_discrete_laplace
 from rank_records import records
+from stats_reference import brute_force_rank, ols_normal_equations, pooled_t_textbook
 from workforce_reference import draw_workforce
 
 # closed-form mean discrepancy 2*exp(s^2/2)*Phi(-s), frozen from 30-digit
@@ -82,15 +83,6 @@ def test_c02_mle_recovery():
     report(2, "PASS")
 
 
-def _counting_ranks(values: dict[str, float]) -> dict[str, int]:
-    """Independent oracle: rank 1 for the largest, code order on ties."""
-    return {
-        c: 1
-        + sum(1 for o, v in values.items() if v > values[c] or (v == values[c] and o < c))
-        for c in values
-    }
-
-
 def _toy_decay_oracle(toy_csv: Path) -> tuple[float, int]:
     table: dict[int, dict[str, float]] = {}
     with open(toy_csv, newline="", encoding="utf-8") as handle:
@@ -99,8 +91,8 @@ def _toy_decay_oracle(toy_csv: Path) -> tuple[float, int]:
     total_abs = 0
     n = 0
     for start in (2000, 2001):
-        r0 = _counting_ranks(table[start])
-        r1 = _counting_ranks(table[start + 10])
+        r0 = brute_force_rank(table[start])
+        r1 = brute_force_rank(table[start + 10])
         for country in r0:
             total_abs += abs(r1[country] - r0[country])
             n += 1
@@ -163,23 +155,6 @@ def test_c04_power_law_recovery():
     report(4, "PASS")
 
 
-def _ols_normal_equations(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    design = np.column_stack([np.ones_like(x), x])
-    gram = design.T @ design
-    beta = np.linalg.solve(gram, design.T @ y)
-    residuals = y - design @ beta
-    sigma2 = float(residuals @ residuals) / (len(x) - 2)
-    cov = sigma2 * np.linalg.inv(gram)
-    return float(beta[1]), float(beta[0]), math.sqrt(cov[1, 1])
-
-
-def _pooled_t_textbook(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
-    na, nb = len(a), len(b)
-    df = na + nb - 2
-    sp2 = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / df
-    return float((a.mean() - b.mean()) / math.sqrt(sp2 * (1 / na + 1 / nb))), df
-
-
 def test_c05_oracle_equivalence():
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -190,7 +165,7 @@ def test_c05_oracle_equivalence():
         if np.ptp(x) == 0:
             x[0] += 1.0
         fit = er.ols_linear(x, y)
-        slope, intercept, stderr = _ols_normal_equations(x, y)
+        slope, intercept, stderr = ols_normal_equations(x, y)
         worst = max(
             worst,
             abs(fit.slope - slope),
@@ -203,7 +178,7 @@ def test_c05_oracle_equivalence():
         if np.ptp(np.log(px)) == 0 or np.ptp(np.log(py)) == 0:
             continue
         power = er.fit_power_law(px, py)
-        slope, intercept, stderr = _ols_normal_equations(np.log(px), np.log(py))
+        slope, intercept, stderr = ols_normal_equations(np.log(px), np.log(py))
         worst = max(
             worst,
             abs(power.alpha - slope),
@@ -214,7 +189,7 @@ def test_c05_oracle_equivalence():
         a = rng.normal(0.0, 1.0, int(rng.integers(2, 12)))
         b = rng.normal(0.3, 1.5, int(rng.integers(2, 12)))
         result = er.two_sample_t(a, b)
-        t_ref, df_ref = _pooled_t_textbook(a, b)
+        t_ref, df_ref = pooled_t_textbook(a, b)
         worst = max(worst, abs(result.t - t_ref))
         assert result.df == df_ref
     report(5, f"max |ours - brute force| = {worst:.2e} over 100 instances")

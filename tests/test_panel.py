@@ -738,6 +738,28 @@ def test_unequal_column_lengths_are_alignment_error():
         IndicatorPanel("gdp", ["AAA", "BBB"], [2000], [1.0, 2.0])
 
 
+def test_balanced_string_matrix_is_data_error():
+    with pytest.raises(DataError, match=r"^value matrix: could not convert string to float: .*'a'"):
+        BalancedPanel(("A",), range(2000, 2001), np.array([["a"]]))
+
+
+def test_balanced_values_from_a_list_are_float64():
+    panel = BalancedPanel(("A",), range(2000, 2002), [[1, 2.5]])
+    assert panel.values.dtype == np.float64
+    assert panel.values.tolist() == [[1.0, 2.5]]
+
+
+def test_panel_string_value_is_data_error():
+    with pytest.raises(DataError, match=r"^value column holds 'x', not a real number$"):
+        IndicatorPanel("gdp", ["A"], [2000], ["x"])
+
+
+def test_panel_fractional_year_is_data_error():
+    # numpy's int64 conversion would read 2000.7 as 2000
+    with pytest.raises(DataError, match=r"^year column holds 2000\.7, not an integer$"):
+        IndicatorPanel("gdp", ["A", "A"], [1999, 2000.7], [1.0, 2.0])
+
+
 def test_panel_columns_are_read_only():
     panel = _panel([("AAA", 2000, 1.0), ("AAA", 2001, 2.0)])
     for column in (panel.country, panel.years, panel.values):

@@ -24,22 +24,10 @@ from econrank.rankdyn import _MAX_BINS, RankChangeSample, _as_delta_array
 from laplace_reference import sample_discrete_laplace
 from panel_mapping import from_mapping
 from rank_records import records
+from stats_reference import brute_force_rank
 
 # 0.5*exp(-1.2), frozen from a 30-digit mpmath evaluation
 HALF_EXP_M12 = 0.150597105956101
-
-
-def brute_force_rank(values: dict[str, float]) -> dict[str, int]:
-    """O(n^2) counting oracle: rank = 1 + #(larger) + #(equal with smaller code)."""
-    ranks = {}
-    for country, value in values.items():
-        better = sum(
-            1
-            for other, v in values.items()
-            if v > value or (v == value and other < country)
-        )
-        ranks[country] = 1 + better
-    return ranks
 
 
 def snapshot(panel: BalancedPanel, year: int) -> dict[str, int]:

@@ -17,28 +17,11 @@ from econrank import (
     two_sample_t,
 )
 from econrank.errors import DataError, NumericalError, ParameterError
+from stats_reference import ols_normal_equations, pooled_t_textbook
 
 # pooled t for {2,4,6} vs {1,3,5}: means 4 and 3, pooled variance 4, so
 # t = 1 / (2*sqrt(2/3)) = sqrt(3/8); frozen from a 30-digit evaluation
 T_246_135 = 0.612372435695795
-
-
-def ols_normal_equations(x, y):
-    """Independent OLS oracle via the normal equations."""
-    design = np.column_stack([np.ones_like(x), x])
-    gram = design.T @ design
-    beta = np.linalg.solve(gram, design.T @ y)
-    residuals = y - design @ beta
-    sigma2 = float(residuals @ residuals) / (len(x) - 2)
-    cov = sigma2 * np.linalg.inv(gram)
-    return float(beta[1]), float(beta[0]), math.sqrt(cov[1, 1])
-
-
-def pooled_t_textbook(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    na, nb = len(a), len(b)
-    sp2 = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / (na + nb - 2)
-    return (a.mean() - b.mean()) / math.sqrt(sp2 * (1 / na + 1 / nb))
 
 
 class TestFitPowerLaw:
@@ -299,7 +282,7 @@ class TestTwoSampleT:
             result = two_sample_t(a, b)
             ref = scipy.stats.ttest_ind(a, b, equal_var=True)
             assert result.t == pytest.approx(ref.statistic, abs=1e-10)
-            assert result.t == pytest.approx(pooled_t_textbook(a, b), abs=1e-10)
+            assert result.t == pytest.approx(pooled_t_textbook(a, b)[0], abs=1e-10)
             assert result.df == len(a) + len(b) - 2
 
     def test_small_group_is_degenerate(self):
