@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _finite, _instance, _integer
 from .xsection import PowerLawFit, fit_power_law
 
 # simulate holds the columns (48 B per country) and the fit's sample (24 B) and renders
@@ -55,28 +54,12 @@ _MAX_COUNTRIES = 1_000_000
 _MAX_JOBS = 10**10  # n_countries * n_jobs, by time: ~2 min at ~8e7 jobs/s on 2 threads
 
 
-def _integer(name: str, value: object, low: int, high: float = math.inf) -> None:
-    """Check that ``value``, called ``name``, is an integer in [low, high]."""
-    if type(value) is not int or not low <= value <= high:  # bool is not a count
-        raise ParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-
-
-def _finite(name: str, value: object, positive: bool = False) -> float:
-    """``value`` as a float; it must be finite, >= 0, and > 0 if ``positive``."""
-    # bool is not a number here; comparing before float() keeps huge integers from overflowing
-    if (type(value) not in (int, float) or not 0 <= value <= sys.float_info.max
-            or positive and value == 0):
-        raise ParameterError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
-                             f"got {value!r}")
-    return float(value)
-
-
 def _range(obj: object, name: str) -> None:
     """Store field ``name`` as a (low, high) float pair with 0 < low <= high."""
     value = getattr(obj, name)
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ParameterError(f"{name} must be a list of 2 numbers, got {value!r}")
-    low, high = (_finite(name, v, positive=True) for v in value)
+    low, high = (_finite(name, v, ">") for v in value)
     if low > high:
         raise ParameterError(f"{name} must satisfy 0 < low <= high, got {value!r}")
     object.__setattr__(obj, name, (low, high))
@@ -132,7 +115,7 @@ def simulate_country(*, mu: float, sigma: float, n_jobs: int, gamma: float,
     The capacity E = sum(exp(-|mismatch|)) depends only on the mismatch
     stream, the same stream as ``SeedSequence(seed).spawn(2)[1]``.
     """
-    mu, sigma = _finite("mu", mu, positive=True), _finite("sigma", sigma)
+    mu, sigma = _finite("mu", mu, ">"), _finite("sigma", sigma)
     _integer("n_jobs", n_jobs, 1, _MAX_JOBS)
     gamma = _finite("gamma", gamma)
     _integer("seed", seed, 0)
@@ -254,6 +237,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
     Runs at most ``threads`` workers, and no more than there are countries or
     CPUs. Identical configs produce identical ensembles regardless of ``threads``.
     """
+    _instance(SweepConfig, config=config)
     _integer("threads", threads, 1)
     n = config.n_countries
     k = min(threads, n, os.cpu_count() or 1)
@@ -268,6 +252,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
 
 def fit_model_regression(ensemble: Ensemble) -> PowerLawFit:
     """Power-law fit of the competitiveness proxy against per-capita output."""
+    _instance(Ensemble, ensemble=ensemble)
     if not len(ensemble.mu):  # a sweep draws at least one country
         raise ParameterError("the ensemble holds no country to fit")
     return fit_power_law(ensemble.gdp_per_capita, ensemble.gci_th)

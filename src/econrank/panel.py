@@ -19,7 +19,6 @@ import bisect
 import contextlib
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, compress, islice
@@ -27,7 +26,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, NumericalError, ParameterError, _column, _instance, _integer
 from .outputs import _BLOCK, _format_rows, _quote
 
 PANEL_HEADER = ("country", "year", "value")
@@ -57,18 +56,15 @@ class IndicatorPanel:
 
     def __init__(self, indicator: str, countries: Sequence[str], years: Sequence[int],
                  values: Sequence[float]) -> None:
-        n = len(countries)
-        if not len(years) == len(values) == n:
-            raise DataError(f"columns differ in length: {n} countries, "
+        _instance(str, indicator=indicator)
+        countries = _column("country column", countries, str)
+        years, values = _column("year column", years, int), _column("value column", values)
+        if not len(years) == len(values) == len(countries):
+            raise DataError(f"columns differ in length: {len(countries)} countries, "
                             f"{len(years)} years, {len(values)} values")
-        for name, column, cls, word in (("year", years, numbers.Integral, "an integer"),
-                                        ("value", values, numbers.Real, "a real number")):
-            if bad := [x for x in column if not isinstance(x, cls)]:  # numpy cuts 2000.7 to 2000
-                raise DataError(f"{name} column holds {bad[0]!r}, not {word}")
-        codes = sorted(set(countries))
-        index = {code: i for i, code in enumerate(codes)}
-        country = np.fromiter(map(index.__getitem__, countries), np.intp, n)
-        years, values = _year_column(years), np.array(values, dtype=float)
+        codes, country = np.unique(countries, return_inverse=True)  # codes ascending
+        # as Python ints, a year beyond int64 (numpy's uint64) takes the object column
+        years, values = _year_column(years.tolist()), np.array(values, dtype=float)
         bad = ~np.isfinite(values)
         if _is_gdp_like(indicator):
             bad |= values <= 0
@@ -77,7 +73,7 @@ class IndicatorPanel:
             kind = "nonpositive" if math.isfinite(values[k]) else "non-finite"
             raise DataError(f"{kind} {indicator} value {float(values[k])!r} for "
                             f"({codes[country[k]]}, {years[k]})")
-        self._build(indicator, codes, country, years, values)
+        self._build(indicator, codes.tolist(), country, years, values)
 
     def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
                values: np.ndarray) -> IndicatorPanel:
@@ -117,26 +113,23 @@ class BalancedPanel:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        try:  # a read-only float64 copy; the caller's array stays its own
-            values = np.array(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:  # numpy's message names the entry
-            raise DataError(f"value matrix: {exc}") from None
-        if values.shape != (len(self.countries), len(self.years)):
-            raise DataError(
-                f"value matrix shape {values.shape} does not match "
-                f"{len(self.countries)} countries x {len(self.years)} years"
-            )
-        years = range(start := next(iter(self.years), 0), start + len(self.years))
-        if list(self.years) != list(years):
-            raise DataError(f"years must run consecutively upward, got {list(self.years)}")
-        object.__setattr__(self, "years", years)
-        for a, b in zip(self.countries, self.countries[1:]):
+        countries = tuple(_column("countries", self.countries, str).tolist())
+        years = self.years if type(self.years) is range else _column("years", self.years, int)
+        values = _column("value matrix", self.values, ndim=2).copy()  # the caller's stays its own
+        if values.shape != (len(countries), len(years)):
+            raise DataError(f"value matrix shape {values.shape} does not match "
+                            f"{len(countries)} countries x {len(years)} years")
+        consecutive = range(start := int(years[0]) if len(years) else 0, start + len(years))
+        if years != consecutive if type(years) is range else np.any(np.diff(years) != 1):
+            raise DataError(f"years must run consecutively upward, got {self.years!r}")
+        for a, b in zip(countries, countries[1:]):
             if a >= b:
                 raise DataError(f"country codes must ascend strictly; {b!r} follows {a!r}")
         if not np.all(np.isfinite(values)):
             raise DataError("balanced panel contains non-finite values")
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        for name, field in [("countries", countries), ("years", consecutive), ("values", values)]:
+            object.__setattr__(self, name, field)
 
     @property
     def n_countries(self) -> int:
@@ -159,6 +152,7 @@ class BalancedPanel:
 def _csv_body(path: str | Path, header: tuple[str, ...]) -> Iterator[IO[str]]:
     """The UTF-8 file at ``path``, its LF, CRLF or CR line ends kept, read past its ``header``;
     a bad header or unreadable text is a DataError that names the file."""
+    _instance((str, Path), path=path)
     with open(path, "r", encoding="utf-8-sig", newline="") as stream:
         try:
             first = next(csv.reader(stream), None)
@@ -288,6 +282,8 @@ def load_panel(
     tokenizer and the rest through the row rules, with the same outcome; from a block of
     lines with a quote, a CR or a line over 64 KiB on, csv reads the rest of the file.
     """
+    _instance(str, indicator=indicator)
+    _instance((Mapping, type(None)), aliases=aliases)
     ids: dict[str, int] = {}  # an id per distinct code as read, aliases aside
     parts, skipped = [_row_rules((), ids)[0][1:]], 0
     with _csv_body(path, PANEL_HEADER) as stream:
@@ -314,6 +310,7 @@ def serialize_panel(panel: IndicatorPanel) -> str:
     reloading reproduces the exact observation set (shortest round-trip
     representation).
     """
+    _instance(IndicatorPanel, panel=panel)
     codes = np.array([_quote(code) for code in panel.codes], dtype=object)[panel.country]
     rows = _format_rows("%s,%s,%r\n", (codes, panel.years, panel.values))
     return ",".join(PANEL_HEADER) + "\n" + "".join(rows)
@@ -324,7 +321,10 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
 
     Raises DataError when no country is complete.
     """
-    start, end = int(years[0]), int(years[1])
+    _instance(IndicatorPanel, panel=panel)
+    if not (isinstance(years, (list, tuple)) and len(years) == 2):
+        raise ParameterError(f"years must be a (start, end) pair, got {years!r}")
+    start, end = (_integer("years", year, -math.inf) for year in years)
     if start > end:
         raise ParameterError(f"empty year range {start}:{end}")
     inside = (panel.years >= start) & (panel.years <= end)
@@ -345,9 +345,17 @@ def growth_rate(panel: BalancedPanel, rows: Sequence[int], method: str = "log") 
     be strictly positive, and v1/v0 must neither overflow nor, for log growth, underflow
     to 0; the NumericalError names the first bad country in ``rows`` order.
     """
+    _instance(BalancedPanel, panel=panel)
+    try:
+        rows = _column("rows", rows, int)
+    except DataError as exc:  # rows are indices, not data
+        raise ParameterError(str(exc)) from None
+    if (out := (rows < 0) | (rows >= panel.n_countries)).any():
+        raise ParameterError(f"rows must be integers in [0, {panel.n_countries}), "
+                             f"got {int(rows[out.argmax()])}")
     if len(panel.years) < 2:
         raise ParameterError(f"growth needs a window of two years or more, got {len(panel.years)}")
-    if method not in ("log", "relative"):
+    if type(method) is not str or method not in ("log", "relative"):
         raise ParameterError(f"unknown growth method {method!r}")
     v0, v1 = panel.values[rows, 0], panel.values[rows, -1]
     with np.errstate(all="ignore"):  # the first bad row is named below

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _column, _finite, _instance, _integer
 from .panel import BalancedPanel
 
 _MAX_BINS = 2**16  # empirical_pdf's bins: at most max(2n, this), whatever the range
@@ -55,6 +55,7 @@ def rank_matrix(panel: BalancedPanel) -> np.ndarray:
 
     Rank 1 is the largest value; among equal values the smaller code ranks first.
     """
+    _instance(BalancedPanel, panel=panel)
     order = np.argsort(-panel.values, axis=0, kind="stable")  # rows ascend by code
     ranks = np.empty(order.shape, dtype=np.int64)
     rank_values = np.arange(1, panel.n_countries + 1, dtype=np.int64)[:, None]
@@ -73,14 +74,14 @@ def rank_changes(
     ``window`` from the first year. Each window pairs rank column j with
     column j + window of ``rank_matrix(panel)``, read as two column slices.
     """
-    if window < 1:
-        raise ParameterError(f"window must be >= 1 year, got {window}")
+    _integer("window", window, 1)
+    _instance(bool, overlapping=overlapping)
+    ranks = rank_matrix(panel)
     if window >= len(panel.years):  # a slice stop of len(years) - window would wrap
         raise ParameterError(
             f"window of {window} years needs a span of at least {window + 1} years; "
             f"panel covers {panel.years[0]}-{panel.years[-1]}"
         )
-    ranks = rank_matrix(panel)
     step = 1 if overlapping else window
     starts = slice(0, len(panel.years) - window, step)
     deltas = (ranks[:, window::step] - ranks[:, starts]).T.ravel()
@@ -93,15 +94,11 @@ def rank_changes(
 
 
 def _as_delta_array(deltas: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``deltas`` as an int64 column, not a copy of one; ParameterError unless 1-D integer.
+    """``deltas`` as an int64 column, not a copy of one; DataError unless 1-D integer.
 
     Each |d| must be below 2**63 / max(n, 2), so sum|d| fits int64; rank changes are below N <= n.
     """
-    arr = np.asarray(deltas)
-    if arr.ndim != 1:
-        raise ParameterError("deltas must be one-dimensional")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):  # [] is an empty float column
-        raise ParameterError(f"rank changes must be an integer column, got {arr.dtype}")
+    arr = _column("deltas", deltas, int)
     lo, hi = int(arr.min(initial=0)), int(arr.max(initial=0))  # exact for uint64 and -2**63
     if max(-lo, hi) >= (limit := 2**63 // max(arr.size, 2)):
         raise ParameterError(f"rank change {hi if hi >= -lo else lo} is out of range: "
@@ -148,6 +145,7 @@ def empirical_pdf(deltas: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.nd
 
 def laplace_density(decay: float, delta: int | float) -> float:
     """Model density decay/2 * exp(-decay*|delta|)."""
+    decay, delta = _finite("decay", decay, ">"), _finite("delta", delta, "")
     return 0.5 * decay * math.exp(-decay * abs(delta))
 
 
@@ -158,4 +156,5 @@ def exceedance_probability(fit: LaplaceFit, delta: int | float) -> float:
     confined to [0, 0.5]: it underflows to 0.0 at large decay*|delta|
     (decay 2.5 at delta 400, for one).
     """
-    return 0.5 * math.exp(-fit.decay * abs(delta))
+    _instance(LaplaceFit, fit=fit)
+    return 0.5 * math.exp(-fit.decay * abs(_finite("delta", delta, "")))

@@ -16,7 +16,8 @@ from typing import Collection, Sequence
 import numpy as np
 
 from . import panel
-from .errors import DataError, NumericalError, ParameterError
+from .errors import (DataError, NumericalError, ParameterError, _column, _finite_rows, _instance,
+                     _integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +68,6 @@ class CrossSection:
     growth_fit: LinearFit  # growth on residual
 
 
-def _columns(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as 1-D float columns of one length, else DataError; no float copy."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise DataError(f"columns of shapes {x.shape} and {y.shape} are not row-aligned")
-    return x, y
-
-
 def _ols(
     x: np.ndarray, y: np.ndarray
 ) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
@@ -105,19 +98,14 @@ def fit_power_law(
     both must vary: a constant x or constant y leaves the slope or the
     correlation undefined. Any exclusions are applied by the caller before fitting.
     """
-    x, y = _columns(x, y)
+    x, y = _column("x", x), _column("y", y)
     if labels is not None:
-        labels = tuple(str(lab) for lab in labels)
+        labels = tuple(_column("labels", labels, str).tolist())
         if len(labels) != len(x):
             raise ParameterError(f"{len(labels)} labels for {len(x)} points")
         if len(set(labels)) != len(labels):
             raise ParameterError("labels must be unique")
-    bad = ~((0 < x) & (x < math.inf) & (0 < y) & (y < math.inf))  # nan fails both comparisons
-    if bad.any():
-        i = int(bad.argmax())
-        label = str(i) if labels is None else labels[i]
-        raise NumericalError(f"power-law fit needs finite positive coordinates, got "
-                             f"({float(x[i])!r}, {float(y[i])!r}) at {label!r}")
+    _finite_rows("power-law fit", (x, y), labels, positive=True)
     lx, ly = np.log(x), np.log(y)
     slope, intercept, stderr, residuals, dx, dy = _ols(lx, ly)
     syy = float(dy @ dy)
@@ -144,6 +132,7 @@ def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
 
     The residuals of an OLS fit with intercept have mean zero.
     """
+    _instance(PowerLawFit, fit=fit)
     return dict(zip(fit.labels or map(str, range(len(fit.sample))), fit.sample[:, 2].tolist()))
 
 
@@ -155,7 +144,8 @@ def split_by_sign(
     Row-aligned columns: ``d[i]`` scores the country of ``growth[i]``. Scores of
     exactly zero join the positive group, and each group keeps row order.
     """
-    d, growth = _columns(d, growth)
+    d, growth = _column("d", d), _column("growth", growth)
+    _finite_rows("sign split", (d, growth))
     positive = d >= 0
     return growth[positive], growth[~positive]
 
@@ -165,8 +155,9 @@ def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
     df = n_a + n_b - 2; t is positive exactly when mean(a) > mean(b).
     """
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
+    xa, xb = _column("a", a), _column("b", b)
+    _finite_rows("group a", (xa,))
+    _finite_rows("group b", (xb,))
     n_a, n_b = xa.size, xb.size
     if n_a < 2 or n_b < 2:
         raise NumericalError(f"each group needs at least 2 values, got {n_a} and {n_b}")
@@ -183,7 +174,9 @@ def two_sample_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
 def ols_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     """Plain OLS line of the column ``y`` on the column ``x``, with the slope's standard error."""
-    slope, intercept, stderr, *_ = _ols(*_columns(x, y))
+    x, y = _column("x", x), _column("y", y)
+    _finite_rows("linear fit", (x, y))
+    slope, intercept, stderr, *_ = _ols(x, y)
     return LinearFit(slope=slope, intercept=intercept, stderr_slope=stderr)
 
 
@@ -192,6 +185,9 @@ def cross_section(x: panel.BalancedPanel, y: panel.BalancedPanel, year: int,
     """Power-law fit of y on x in ``year`` over the codes both panels hold (compared as
     ``str``) less ``excluded``, each fitted residual then tested against the growth of x.
     """
+    _instance(panel.BalancedPanel, x=x, y=y)
+    _instance(Collection, excluded=excluded)
+    _integer("year", year, -math.inf)
     row_y = {c: i for i, c in enumerate(y.countries)}
     rows = np.array([i for i, c in enumerate(x.countries) if c in row_y], np.intp)
     if not rows.size:

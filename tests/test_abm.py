@@ -126,7 +126,7 @@ _junk = st.recursive(
 _pair = st.lists(st.integers(1, 100) | st.floats(0.1, 100), min_size=2, max_size=2).map(sorted)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     n_countries=st.integers(1, 10**6) | _junk,
     n_jobs=st.integers(1, 10**6) | _junk,
@@ -148,7 +148,7 @@ def test_config_normalised_or_parameter_error(**fields):
     assert type(config.gamma) is float
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     mu=st.integers(1, 100) | st.floats(1e-3, 100) | _junk,
     sigma=st.integers(0, 20) | st.floats(0, 20) | _junk,
@@ -274,7 +274,7 @@ class TestWorkforce:
         assert skills.min() < 0  # negative skills allowed
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2**64) | st.integers(0, 2**300),
        keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
 def test_seed_states_match_seed_sequence(seed, keys):

@@ -547,7 +547,7 @@ def _cause(exc):
     return type(exc), str(exc).split()[:4]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(inputs=cross_section_inputs(), x_name=st.sampled_from(["gdp", "score"]),
        growth=st.sampled_from(["log", "relative"]))
 def test_cross_section_rows_match_a_keyed_reference(inputs, x_name, growth):

@@ -4,28 +4,35 @@ Every run through ``cli.main`` ends with exit code 0, 1, 2 or 3. A failed run
 prints exactly one ``error: `` line on stderr and leaves ``--out`` as it found
 it; a successful run leaves exactly the files its manifest lists, but for the inputs
 it read from ``--out``. Every error the package raises is a ``ParameterError``,
-``DataError`` or ``NumericalError``, whose ``exit_code`` is the run's. A CLI process
-loads only the modules its command runs, and numpy's BLAS on one thread.
+``DataError`` or ``NumericalError``, whose ``exit_code`` is the run's, and so is every
+error of a library call, whatever its arguments. A CLI process loads only the modules
+its command runs, and numpy's BLAS on one thread.
 """
 
 import ast
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import econrank
 from econrank.cli import main
+from econrank.errors import DataError, EconRankError, ParameterError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # A previous run's outputs; a new run removes panel.csv unless it writes it again.
 PREVIOUS_RUN = {
@@ -109,7 +116,7 @@ def panel_csvs(draw, nonpositive: bool = False, fuzz: bool = True) -> bytes:
     return data
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_panel_commands_keep_the_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
@@ -193,7 +200,7 @@ def sweep_configs(draw) -> bytes:
     return data + b"\xff" if form == "bytes" else data
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_simulate_keeps_the_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
@@ -266,3 +273,115 @@ def test_every_raise_names_one_of_the_three_families():
             name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
             allowed = families | ({"AttributeError"} if path.name == "__init__.py" else set())
             assert name in allowed, f"{path.name}:{node.lineno} raises {name}"
+
+
+@pytest.fixture(scope="module")
+def library_calls(tmp_path_factory) -> dict[str, dict[str, object]]:
+    """Small valid keyword arguments of every callable in ``__all__``. A dataclass takes
+    the fields of an instance that the library made."""
+    er, root = econrank, tmp_path_factory.mktemp("library")
+    (root / "aliases.csv").write_text("source_name,iso3\nAlbania,ALB\n", encoding="utf-8")
+    gdp = er.load_panel(DATA / "toy_gdp.csv", "gdp")[0]
+    balanced = er.balanced_subset(gdp, (2008, 2011))
+    gci = er.balanced_subset(er.load_panel(DATA / "toy_gci.csv", "gci")[0], (2011, 2011))
+    sample = er.rank_changes(er.balanced_subset(gdp, (2000, 2011)), 10)
+    xs = er.cross_section(balanced, gci, 2011)
+    config = er.SweepConfig(n_countries=4, n_jobs=8, mu_range=(1.0, 2.0),
+                            sigma_range=(0.5, 1.5), gamma=0.5, seed=1)
+    ensemble, fit = er.sweep(config), er.fit_laplace_mle(sample.deltas)
+    instances = [balanced, xs, ensemble, fit, xs.growth_fit, xs.fit, sample, config, xs.ttest]
+    columns = {"x": [1.0, 2.0, 4.0], "y": [1.0, 3.0, 2.0]}
+    return {
+        **{type(obj).__name__: {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+           for obj in instances},
+        "IndicatorPanel": {"indicator": "gdp", "countries": ["A", "A", "B"],
+                           "years": [2001, 2000, 2000], "values": [1.0, 2.0, 3.0]},
+        "balanced_subset": {"panel": gdp, "years": (2000, 2011)},
+        "cross_section": {"x": balanced, "y": gci, "year": 2011, "excluded": {"ALB"},
+                          "method": "log"},
+        "empirical_pdf": {"deltas": sample.deltas},
+        "exceedance_probability": {"fit": fit, "delta": -3},
+        "fit_laplace_mle": {"deltas": [1, -2, 0]},
+        "fit_model_regression": {"ensemble": ensemble},
+        "fit_power_law": {**columns, "labels": ["a", "b", "c"]},
+        "growth_rate": {"panel": balanced, "rows": [2, 0], "method": "relative"},
+        "laplace_density": {"decay": 0.5, "delta": 2.5},
+        "load_alias_map": {"path": root / "aliases.csv"},
+        "load_panel": {"path": str(DATA / "toy_gci.csv"), "indicator": "gci",
+                       "aliases": {"ALB": "ALX"}},
+        "ols_linear": columns,
+        "rank_changes": {"panel": balanced, "window": 2, "overlapping": False},
+        "rank_matrix": {"panel": balanced},
+        "relative_competitiveness": {"fit": xs.fit},
+        "serialize_panel": {"panel": gdp},
+        "simulate_country": {"mu": 2.0, "sigma": 0.5, "n_jobs": 8, "gamma": 0.5, "seed": 3},
+        "split_by_sign": {"d": [0.5, -1.0, 0.0], "growth": [0.1, 0.2, 0.3]},
+        "sweep": {"config": config, "threads": 1},
+        "two_sample_t": {"a": [1.0, 2.0, 4.0], "b": [2.0, 5.0]},
+    }
+
+
+# Arguments of the wrong type, shape or range for every parameter of the library.
+HOSTILE = st.sampled_from([
+    "x", "", "2000", 2.5, -0.5, True, False, None, [[1.0, 2.0], [3.0]], [[2000, 2001]],
+    [1.0, "a"], [2000.7, 2002.9], 10**400, -(10**400), math.nan, math.inf, -1, 0,
+    np.array([]), np.ones((2, 2)), np.array(["a", "b"]),
+])
+
+
+def test_valid_arguments_name_every_parameter_of_every_export(library_calls):
+    assert sorted(library_calls) == sorted(name for name in econrank.__all__
+                                           if name != "__version__")
+    for name, kwargs in library_calls.items():
+        assert list(kwargs) == list(inspect.signature(getattr(econrank, name)).parameters)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_every_library_call_returns_or_raises_a_family(library_calls, data):
+    name = data.draw(st.sampled_from(sorted(library_calls)), label="callable")
+    kwargs = {key: data.draw(st.one_of(st.just(value), HOSTILE), label=key)
+              for key, value in library_calls[name].items()}
+    try:
+        getattr(econrank, name)(**kwargs)
+    except EconRankError:
+        pass
+    except OSError:  # a string that names no file is out of this contract's scope
+        assert isinstance(kwargs.get("path"), str)
+
+
+# Calls that leaked numpy's or Python's own error, or returned a silent or misleading
+# answer, while each module checked its arguments its own way; p is a 3 x 4 panel.
+LEAKS = {
+    "fit_power_law([1, 2, 3], [1, 2, 'x'])": DataError,
+    "two_sample_t([1, 2], ['a', 3])": DataError,
+    "IndicatorPanel('gdp', ['A'], [2000], [10**400])": DataError,
+    "BalancedPanel(('A',), range(2000, 2001), [[10**400]])": DataError,
+    "balanced_subset(ip, (2000, 'x'))": ParameterError,
+    "balanced_subset(ip, (2000.7, 2002.9))": ParameterError,
+    "rank_changes(p, 2.5)": ParameterError,
+    "rank_changes(p, '2')": ParameterError,
+    "rank_changes(p, True)": ParameterError,
+    "exceedance_probability(fit, 'x')": ParameterError,
+    "laplace_density('x', 1)": ParameterError,
+    "load_panel(None, 'gdp')": ParameterError,
+    "growth_rate(p, [9])": ParameterError,
+    "growth_rate(p, [1.5])": ParameterError,
+    "growth_rate(p, [-1])": ParameterError,
+    "cross_section(p, p, '2003')": ParameterError,
+    "sweep(None)": ParameterError,
+    "rank_matrix(None)": ParameterError,
+    "fit_model_regression(None)": ParameterError,
+    "serialize_panel(None)": ParameterError,
+}
+
+
+@pytest.mark.parametrize("call", LEAKS)
+def test_a_call_that_leaked_raises_the_family_of_the_rule(call):
+    namespace = {name: getattr(econrank, name) for name in econrank.__all__}
+    namespace["p"] = econrank.BalancedPanel(("A", "B", "C"), range(2000, 2004),
+                                            np.arange(1.0, 13.0).reshape(3, 4))
+    namespace["ip"] = econrank.IndicatorPanel("gdp", ["A"] * 3, [2000, 2001, 2002], [1.0] * 3)
+    namespace["fit"] = econrank.LaplaceFit(decay=0.5, n=4, mean_abs=2.0, log_likelihood=-6.8)
+    with pytest.raises(LEAKS[call]):
+        eval(call, namespace)

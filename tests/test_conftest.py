@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 TESTS_DIR = Path(__file__).resolve().parent
 
 PROBE = '''
@@ -44,3 +46,7 @@ def test_failing_property_is_reported_not_internal_error(tmp_path):
     assert "2 failed, 1 passed" in output
     assert "FAILED test_probe.py::test_property_fails" in output
     assert "FAILED test_probe.py::test_plain_deprecation_warning_fails" in output
+
+
+def test_the_loaded_hypothesis_profile_has_no_deadline():
+    assert settings.default.deadline is None

@@ -28,7 +28,7 @@ def parse(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text, newline="")))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_cells_read_back_as_formatted(data):
     n = data.draw(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1]))

@@ -346,7 +346,7 @@ values = st.floats(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.dictionaries(
         st.tuples(codes, st.integers(min_value=1980, max_value=2011)),
@@ -484,7 +484,7 @@ raw_aliases = st.none() | st.dictionaries(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.tuples(raw_rows, st.sampled_from(["\n", "\r\n", "\r"])), max_size=25),
     raw_aliases,
@@ -585,7 +585,7 @@ def _quoted(field):
     return '"' + field.replace('"', '""') + '"'
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.dictionaries(
         st.tuples(stripped_names, st.integers(min_value=-3000, max_value=3000)),
@@ -635,7 +635,7 @@ def reference_serialize_panel(panel):
     return "country,year,value\n" + "".join(rows)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.dictionaries(
         # codes that are prefixes of each other, and non-ASCII ones
@@ -662,7 +662,7 @@ def test_serialize_across_block_boundaries(n):
     assert serialize_panel(panel) == reference_serialize_panel(panel)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.dictionaries(
         st.tuples(st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
@@ -685,7 +685,7 @@ def test_balanced_subset_keeps_exactly_the_complete_countries(obs):
     assert balanced.values.tolist() == [[obs[c, y] for y in span] for c in complete]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.lists(st.sampled_from([1.5, 2.0, 0.0, -1.0, math.nan, math.inf, -math.inf]),
              min_size=1, max_size=8),
@@ -706,7 +706,7 @@ def test_panel_reports_first_bad_value_in_insertion_order(values_in_order, indic
     assert str(exc.value) == f"{kind} {indicator} value {v!r} for (C{k}, {2000 + k})"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(
         st.tuples(
@@ -750,13 +750,13 @@ def test_balanced_values_from_a_list_are_float64():
 
 
 def test_panel_string_value_is_data_error():
-    with pytest.raises(DataError, match=r"^value column holds 'x', not a real number$"):
+    with pytest.raises(DataError, match=r"^value column: could not convert string to float: 'x'$"):
         IndicatorPanel("gdp", ["A"], [2000], ["x"])
 
 
 def test_panel_fractional_year_is_data_error():
     # numpy's int64 conversion would read 2000.7 as 2000
-    with pytest.raises(DataError, match=r"^year column holds 2000\.7, not an integer$"):
+    with pytest.raises(DataError, match=r"^year column must hold ints, got float$"):
         IndicatorPanel("gdp", ["A", "A"], [1999, 2000.7], [1.0, 2.0])
 
 
@@ -791,7 +791,7 @@ def test_balanced_values_are_read_only():
 
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(values, values), min_size=1, max_size=8), st.data())
 def test_growth_column_matches_the_scalar_rule(pairs, data):
     # the column equals the per-country arithmetic bit for bit, in rows order
@@ -801,6 +801,18 @@ def test_growth_column_matches_the_scalar_rule(pairs, data):
     for method, scalar in [("log", lambda a, b: math.log(b / a)),
                            ("relative", lambda a, b: (b - a) / a)]:
         assert growth_rate(balanced, rows, method).tolist() == [scalar(*pairs[i]) for i in rows]
+
+def test_balanced_years_range_is_checked_without_a_copy():
+    # the years were listed twice, 80 B per year: 10**9 years would exhaust memory
+    tracemalloc.start()
+    try:
+        panel = BalancedPanel((), range(0, 10**6), np.empty((0, 10**6)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.years == range(0, 10**6)
+    assert peak < 1 << 20, f"peak {peak} B"
+
 
 def test_load_then_serialize_peak_memory_per_observation(tmp_path):
     # 1,000 countries x 60 years, every row kept

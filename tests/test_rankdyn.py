@@ -18,7 +18,7 @@ from econrank import (
     rank_changes,
     rank_matrix,
 )
-from econrank.errors import NumericalError, ParameterError
+from econrank.errors import DataError, NumericalError, ParameterError
 from econrank.outputs import _BLOCK, deltas_csv
 from econrank.rankdyn import _MAX_BINS, RankChangeSample, _as_delta_array
 from laplace_reference import sample_discrete_laplace
@@ -129,7 +129,8 @@ class TestRankChanges:
         panel = make_balanced(
             {2000: {"AAA": 1.0, "BBB": 2.0}, 2001: {"AAA": 2.0, "BBB": 1.0}}
         )
-        with pytest.raises(ParameterError, match="window must be >= 1 year, got 0"):
+        with pytest.raises(ParameterError, match=r"^window must be an integer in \[1, inf\], "
+                                                 r"got 0$"):
             rank_changes(panel, 0)
 
     def test_deltas_are_read_only(self):
@@ -142,7 +143,7 @@ class TestRankChanges:
         assert deltas.tolist() == [-1, 1]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.data())
 def test_rank_changes_match_counting_oracle(data):
     codes = sorted(
@@ -168,7 +169,7 @@ def test_rank_changes_match_counting_oracle(data):
     assert sample.deltas.tolist() == [d for *_, d in expected]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_rank_matrix_matches_counting_oracle(data):
     codes = tuple(sorted(
@@ -209,7 +210,7 @@ def year_set_windows(years, window, overlapping):
     return tuple((t, t + window) for t in starts)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(min_value=-3000, max_value=3000),
     st.integers(min_value=1, max_value=40),
@@ -229,7 +230,7 @@ def test_windows_match_the_year_set_rule(first, span, window, overlapping):
     assert sample.n == 2 * len(expected)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.data())
 def test_deltas_csv_renders_the_records(data):
     codes = sorted(
@@ -288,14 +289,14 @@ class TestLaplaceMle:
             fit_laplace_mle([3])
 
     def test_non_integer_deltas_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataError):
             fit_laplace_mle([1.5, -2.0])
 
     def test_float_delta_column_rejected_even_when_integral(self):
         for deltas in ([2.0, -2.0], np.array([2.0, -2.0, 1.0])):
-            with pytest.raises(ParameterError, match="integer column"):
+            with pytest.raises(DataError, match="^deltas must hold ints, got float(64)?$"):
                 fit_laplace_mle(deltas)
-            with pytest.raises(ParameterError, match="integer column"):
+            with pytest.raises(DataError, match="^deltas must hold ints, got float(64)?$"):
                 empirical_pdf(deltas)
 
     def test_only_a_one_dimensional_column_is_taken(self):
@@ -303,7 +304,7 @@ class TestLaplaceMle:
         sample = RankChangeSample(np.array([1, -1, 2, -2]), ((2000, 2001),) * 2, ("A", "B"))
         for fn in (fit_laplace_mle, empirical_pdf):
             for deltas in (sample, np.array([[1, -1], [2, -2]])):
-                with pytest.raises(ParameterError, match="deltas must be one-dimensional"):
+                with pytest.raises(DataError, match="^deltas must be 1-D, got shape"):
                     fn(deltas)
         assert fit_laplace_mle(sample.deltas).decay == 4 / 6
 
@@ -353,7 +354,7 @@ class TestLaplaceMle:
         fit = fit_laplace_mle(deltas)
         assert abs(fit.decay - 0.12) / 0.12 < 0.02
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         st.lists(st.integers(min_value=-60, max_value=60), min_size=2, max_size=200)
     )
@@ -363,7 +364,7 @@ class TestLaplaceMle:
         fit = fit_laplace_mle(deltas)
         assert abs(fit.decay * fit.mean_abs - 1.0) <= 4e-16
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         st.lists(st.integers(min_value=-60, max_value=60), min_size=2, max_size=100),
         st.randoms(use_true_random=False),
@@ -449,7 +450,7 @@ class TestExceedance:
         fit = fit_laplace_mle([3, -4, 5, -2])
         assert exceedance_probability(fit, 7) == exceedance_probability(fit, -7)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=500))
     def test_strictly_decreasing_in_abs_delta(self, delta):
         fit = fit_laplace_mle([2, -3, 4, -1])
@@ -458,7 +459,7 @@ class TestExceedance:
         )
         assert 0 < exceedance_probability(fit, delta) <= 0.5
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         st.floats(min_value=0.01, max_value=2.0),
         st.floats(min_value=0.01, max_value=2.0),
