@@ -253,6 +253,4 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
 def fit_model_regression(ensemble: Ensemble) -> PowerLawFit:
     """Power-law fit of the competitiveness proxy against per-capita output."""
     _instance(Ensemble, ensemble=ensemble)
-    if not len(ensemble.mu):  # a sweep draws at least one country
-        raise ParameterError("the ensemble holds no country to fit")
     return fit_power_law(ensemble.gdp_per_capita, ensemble.gci_th)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, outputs, panel
-from .errors import DataError, EconRankError, ParameterError
+from .errors import DataError, EconRankError, ParameterError, _integer
 
 if TYPE_CHECKING:  # each command imports the analysis module it runs, so ingest loads none
     from . import abm
@@ -78,8 +78,7 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
 def _run_rank_dynamics(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import rankdyn
 
-    if args.window < 1:  # usage errors before any read
-        raise ParameterError(f"--window must be at least 1 year, got {args.window}")
+    _integer("--window", args.window, 1)  # usage errors before any read
     why = f" for --window {args.window}"
     years = _parse_years(args.years, args.window + 1, why) if args.years else None
     pnl, skipped = _load(args.input, args.indicator, args.alias)
@@ -177,10 +176,8 @@ def _read_sweep_config(path: str, seed: int | None) -> abm.SweepConfig:
 def _run_simulate(args: argparse.Namespace) -> tuple[dict[str, str], dict]:
     from . import abm
 
-    if args.threads < 1:  # usage errors before any read
-        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
-    if args.seed is not None and args.seed < 0:
-        raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
+    _integer("--threads", args.threads, 1)  # usage errors before any read
+    _integer("--seed", 0 if args.seed is None else args.seed, 0)
     config = _read_sweep_config(args.config, args.seed)
     ensemble = abm.sweep(config, threads=args.threads)
     fit = abm.fit_model_regression(ensemble)

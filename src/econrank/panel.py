@@ -4,10 +4,10 @@ An :class:`IndicatorPanel` holds the sparse observations of one indicator
 as row-aligned columns sorted by (country, year), one row per (country,
 year) pair; one builder, shared by its constructor and the loader, owns the sort
 and duplicate rules. A :class:`BalancedPanel` is the dense countries x years matrix
-of the countries that have a value for every year of a requested range. Every value
-is finite, and values of gdp-like indicators are strictly positive (the constructor
-rejects other values; the loader skips their rows). Both are immutable after
-construction (their arrays are read-only) and safe to share across threads.
+of the countries that have a value for every year of a requested range. Years are int64,
+values finite, and values of gdp-like indicators strictly positive (the constructor rejects
+other rows; the loader skips them, a year beyond int64 as a malformed one). Both are
+immutable after construction (their arrays are read-only) and safe to share across threads.
 :func:`load_panel` reads a file's plain lines with numpy's C tokenizer and the rest
 by the row rules, to the same outcome. :func:`serialize_panel` writes each value's
 exact ``%r`` through the row writer that every CSV shares (see outputs).
@@ -44,8 +44,7 @@ class IndicatorPanel:
 
     Built from three row-aligned columns (country, year, value) in any order.
     ``codes`` holds the distinct country codes ascending, and row k is
-    ``codes[country[k]]`` in ``years[k]`` with ``values[k]``. ``years`` is
-    int64, or an object column of Python ints when a year does not fit int64.
+    ``codes[country[k]]`` in ``years[k]`` with ``values[k]``. ``years`` is int64.
     """
 
     indicator: str
@@ -63,8 +62,10 @@ class IndicatorPanel:
             raise DataError(f"columns differ in length: {len(countries)} countries, "
                             f"{len(years)} years, {len(values)} values")
         codes, country = np.unique(countries, return_inverse=True)  # codes ascending
-        # as Python ints, a year beyond int64 (numpy's uint64) takes the object column
-        years, values = _year_column(years.tolist()), np.array(values, dtype=float)
+        try:  # as Python ints, so that a uint64 year beyond int64 does not wrap
+            years = np.array(years.tolist(), np.int64)
+        except OverflowError:
+            raise DataError("year column holds a year beyond int64") from None
         bad = ~np.isfinite(values)
         if _is_gdp_like(indicator):
             bad |= values <= 0
@@ -77,16 +78,13 @@ class IndicatorPanel:
 
     def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
                values: np.ndarray) -> IndicatorPanel:
-        """Take over the columns of rows ``codes[country[k]]``, ``years[k]``, ``values[k]``
-        in input order (``codes`` ascending, values valid); apply the sort and duplicate rules."""
-        order = None  # rows that already ascend by (country, year) skip the sort
-        if not ((country[1:] > country[:-1])
-                | (country[1:] == country[:-1]) & (years[1:] >= years[:-1])).all():
-            order = np.lexsort((years, country))  # stable: equal keys keep input order
-            country, years, values = country[order], years[order], values[order]
+        """Hold sorted copies of the columns of rows ``codes[country[k]]``, ``years[k]``,
+        ``values[k]`` in input order (``codes`` ascending, values valid); check duplicates."""
+        order = np.lexsort((years, country))  # stable: equal keys keep input order
+        country, years, values = country[order], years[order], values[order]
         repeat = np.flatnonzero((country[1:] == country[:-1]) & (years[1:] == years[:-1])) + 1
         if repeat.size:  # name the earliest row in input order whose key came before
-            k = repeat[0] if order is None else repeat[order[repeat].argmin()]
+            k = repeat[order[repeat].argmin()]
             raise DataError(f"duplicate observation for (country={codes[country[k]]}, "
                             f"year={years[k]}, indicator={indicator})")
         for column in (country, years, values):
@@ -104,31 +102,30 @@ class IndicatorPanel:
 class BalancedPanel:
     """Dense countries x years value matrix with no gaps.
 
-    Country codes ascend strictly and ``years`` is one contiguous ascending
-    ``range``. ``values[i, j]`` is the value of ``countries[i]`` in ``years[j]``.
+    Country codes ascend strictly and ``years`` is a ``range`` of step 1.
+    ``values[i, j]`` is the value of ``countries[i]`` in ``years[j]``.
     """
 
     countries: tuple[str, ...]
-    years: range  # a consecutive ascending sequence passed in is stored as its range
+    years: range
     values: np.ndarray
 
     def __post_init__(self) -> None:
         countries = tuple(_column("countries", self.countries, str).tolist())
-        years = self.years if type(self.years) is range else _column("years", self.years, int)
+        _instance(range, years=self.years)
         values = _column("value matrix", self.values, ndim=2).copy()  # the caller's stays its own
-        if values.shape != (len(countries), len(years)):
-            raise DataError(f"value matrix shape {values.shape} does not match "
-                            f"{len(countries)} countries x {len(years)} years")
-        consecutive = range(start := int(years[0]) if len(years) else 0, start + len(years))
-        if years != consecutive if type(years) is range else np.any(np.diff(years) != 1):
+        if self.years.step != 1:
             raise DataError(f"years must run consecutively upward, got {self.years!r}")
+        if values.shape != (len(countries), width := max(self.years.stop - self.years.start, 0)):
+            raise DataError(f"value matrix shape {values.shape} does not match "
+                            f"{len(countries)} countries x {width} years")
         for a, b in zip(countries, countries[1:]):
             if a >= b:
                 raise DataError(f"country codes must ascend strictly; {b!r} follows {a!r}")
         if not np.all(np.isfinite(values)):
             raise DataError("balanced panel contains non-finite values")
         values.flags.writeable = False
-        for name, field in [("countries", countries), ("years", consecutive), ("values", values)]:
+        for name, field in [("countries", countries), ("values", values)]:
             object.__setattr__(self, name, field)
 
     @property
@@ -183,13 +180,6 @@ def load_alias_map(path: str | Path) -> dict[str, str]:
         return aliases
 
 
-def _year_column(years: Sequence[int]) -> np.ndarray:
-    try:
-        return np.array(years, dtype=np.int64)
-    except OverflowError:  # numpy compares and sorts Python ints in an object column
-        return np.array(years, dtype=object)
-
-
 def _row_rules(rows: Iterable[list[str]], ids: dict[str, int]) -> tuple[list[np.ndarray], int]:
     """The row rules but for aliases and the sign of the value: the (position in ``rows``,
     code id, year, value) columns of the rows kept, new stripped codes given ids, skips."""
@@ -199,12 +189,12 @@ def _row_rules(rows: Iterable[list[str]], ids: dict[str, int]) -> tuple[list[np.
             year, value = int(row[1]), float(row[2])
         except (IndexError, ValueError):
             value = math.nan
-        if len(row) == 3 and math.isfinite(value):
+        if len(row) == 3 and math.isfinite(value) and -(1 << 63) <= year < 1 << 63:
             kept.append((k, ids.setdefault(row[0].strip(), len(ids)), year, value))
         elif any(cell.strip() for cell in row):  # blank lines are not data rows, so not counted
             skipped += 1
     line, code, year, value = ([row[i] for row in kept] for i in range(4))
-    return [np.array(line, np.intp), np.array(code, np.intp), _year_column(year),
+    return [np.array(line, np.intp), np.array(code, np.intp), np.array(year, np.int64),
             np.array(value, dtype=float)], skipped
 
 
@@ -273,10 +263,10 @@ def load_panel(
     """Load one indicator from the ``country,year,value`` CSV file at ``path``.
 
     Rows whose value field is empty, non-numeric, or non-finite are skipped
-    and counted; so are rows with a malformed year, a blank country, or the
-    wrong field count, and nonpositive values of gdp-like indicators. The
-    skip count is returned alongside the panel. Duplicate (country, year)
-    rows for the indicator are a hard error, raised once the whole file is read.
+    and counted; so are rows with a malformed year (one beyond int64 included), a
+    blank country, or the wrong field count, and nonpositive values of gdp-like
+    indicators. The skip count is returned alongside the panel. Duplicate (country,
+    year) rows for the indicator are a hard error, raised once the whole file is read.
 
     Lines end in LF, CRLF or CR. Plain lines (see ``_plain_lines``) go through numpy's C
     tokenizer and the rest through the row rules, with the same outcome; from a block of
@@ -284,6 +274,8 @@ def load_panel(
     """
     _instance(str, indicator=indicator)
     _instance((Mapping, type(None)), aliases=aliases)
+    for name, code in (aliases or {}).items():  # the first entry not mapping str to str
+        _instance(str, **{f"aliases key {name!r}": name, f"aliases[{name!r}]": code})
     ids: dict[str, int] = {}  # an id per distinct code as read, aliases aside
     parts, skipped = [_row_rules((), ids)[0][1:]], 0
     with _csv_body(path, PANEL_HEADER) as stream:
@@ -291,7 +283,7 @@ def load_panel(
             parts.append(columns)
             skipped += n
     country, years, values = (np.concatenate(column) for column in zip(*parts))
-    del parts  # free the blocks' columns before the build, which may sort a copy
+    del parts  # free the blocks' columns before the build, which sorts a copy
     named = [(aliases or {}).get(c, c) for c in ids]  # aliases apply once per distinct code
     codes = sorted(set(named) - {""})
     index = {c: i for i, c in enumerate(codes)}

@@ -157,4 +157,4 @@ def exceedance_probability(fit: LaplaceFit, delta: int | float) -> float:
     (decay 2.5 at delta 400, for one).
     """
     _instance(LaplaceFit, fit=fit)
-    return 0.5 * math.exp(-fit.decay * abs(_finite("delta", delta, "")))
+    return 0.5 * math.exp(-_finite("decay", fit.decay, ">") * abs(_finite("delta", delta, "")))

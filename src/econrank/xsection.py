@@ -133,7 +133,10 @@ def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
     The residuals of an OLS fit with intercept have mean zero.
     """
     _instance(PowerLawFit, fit=fit)
-    return dict(zip(fit.labels or map(str, range(len(fit.sample))), fit.sample[:, 2].tolist()))
+    if (sample := _column("fit.sample", fit.sample, ndim=2)).shape[1] != 3:
+        raise DataError(f"fit.sample must have 3 columns, got shape {sample.shape}")
+    labels = None if fit.labels is None else _column("fit.labels", fit.labels, str).tolist()
+    return dict(zip(labels or map(str, range(len(sample))), sample[:, 2].tolist()))
 
 
 def split_by_sign(

@@ -548,6 +548,7 @@ class TestModelRegression:
         source[0] = 2.0  # arrays passed in by the caller stay as the caller made them
 
     def test_empty_ensemble_rejected(self):
+        # as every sample too small to fit
         empty = Ensemble(*(np.empty(0) for _ in dataclasses.fields(Ensemble)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(NumericalError, match="^need at least 3 points, got 0$"):
             fit_model_regression(empty)

@@ -399,7 +399,7 @@ def test_c10_rank_invariants():
         values = rng.integers(1, 6, size=(n_countries, span)).astype(float)
         balanced = er.BalancedPanel(
             countries=tuple(countries),
-            years=tuple(range(2000, 2000 + span)),
+            years=range(2000, 2000 + span),
             values=values,
         )
         for ranks in er.rank_matrix(balanced).T.tolist():  # one year's ranks per column

@@ -336,13 +336,26 @@ def test_valid_arguments_name_every_parameter_of_every_export(library_calls):
         assert list(kwargs) == list(inspect.signature(getattr(econrank, name)).parameters)
 
 
+def argument(value: object) -> st.SearchStrategy:
+    """A call that makes ``value``, a hostile argument or, where ``value`` is a dataclass built
+    from its fields, ``dataclasses.replace(value, <one field>=<hostile>)``, as a user may."""
+    options = [st.one_of(st.just(value), HOSTILE).map(lambda v: lambda: v)]
+    fields = [f.name for f in dataclasses.fields(value)] if dataclasses.is_dataclass(value) else []
+    if fields and fields == list(inspect.signature(type(value)).parameters):
+        options.append(st.tuples(st.sampled_from(fields), HOSTILE).map(
+            lambda change: lambda: dataclasses.replace(value, **dict([change]))))
+    return st.one_of(options)
+
+
 @settings(max_examples=400)
 @given(st.data())
 def test_every_library_call_returns_or_raises_a_family(library_calls, data):
     name = data.draw(st.sampled_from(sorted(library_calls)), label="callable")
-    kwargs = {key: data.draw(st.one_of(st.just(value), HOSTILE), label=key)
+    makers = {key: data.draw(argument(value), label=key)
               for key, value in library_calls[name].items()}
-    try:
+    kwargs = {}
+    try:  # a replaced field may fail in the dataclass's own checks
+        kwargs = {key: make() for key, make in makers.items()}
         getattr(econrank, name)(**kwargs)
     except EconRankError:
         pass
@@ -373,6 +386,21 @@ LEAKS = {
     "rank_matrix(None)": ParameterError,
     "fit_model_regression(None)": ParameterError,
     "serialize_panel(None)": ParameterError,
+    # a result object's fields, and the forms each panel axis no longer takes
+    "exceedance_probability(LaplaceFit(decay=-1.0, n=2, mean_abs=1.0, log_likelihood=0.0), "
+    "1000)": ParameterError,
+    "relative_competitiveness(PowerLawFit(1.0, 0.0, 0.0, 1.0, 1.0, None, None))": DataError,
+    "relative_competitiveness(PowerLawFit(1.0, 0.0, 0.0, 1.0, 1.0, np.ones((2, 2)), None))":
+        DataError,
+    "relative_competitiveness(PowerLawFit(1.0, 0.0, 0.0, 1.0, 1.0, np.ones((2, 3)), [1, 2]))":
+        DataError,
+    "fit_model_regression(Ensemble(*[None] * 6))": DataError,
+    "load_panel(toy, 'gdp', {'ALB': 1})": ParameterError,
+    "load_panel(toy, 'gdp', {1: 'ALB'})": ParameterError,
+    "IndicatorPanel('gdp', ['A'], [10**20], [1.0])": DataError,
+    "IndicatorPanel('gdp', ['A'], np.array([2**63], np.uint64), [1.0])": DataError,
+    "BalancedPanel(('A',), (2000,), [[1.0]])": ParameterError,
+    "BalancedPanel((), range(0, 10**30), np.empty((0, 0)))": DataError,
 }
 
 
@@ -383,5 +411,6 @@ def test_a_call_that_leaked_raises_the_family_of_the_rule(call):
                                             np.arange(1.0, 13.0).reshape(3, 4))
     namespace["ip"] = econrank.IndicatorPanel("gdp", ["A"] * 3, [2000, 2001, 2002], [1.0] * 3)
     namespace["fit"] = econrank.LaplaceFit(decay=0.5, n=4, mean_abs=2.0, log_likelihood=-6.8)
+    namespace["np"], namespace["toy"] = np, DATA / "toy_gdp.csv"
     with pytest.raises(LEAKS[call]):
         eval(call, namespace)

@@ -180,7 +180,7 @@ def test_rank_matrix_matches_counting_oracle(data):
     # values from 1-5, as in criterion 10, make ties common
     values = np.array([[data.draw(st.integers(1, 5)) for _ in range(span)] for _ in codes],
                       dtype=float)
-    panel = BalancedPanel(countries=codes, years=tuple(range(2000, 2000 + span)), values=values)
+    panel = BalancedPanel(countries=codes, years=range(2000, 2000 + span), values=values)
     ranks = rank_matrix(panel)
     assert ranks.dtype == np.int64 and ranks.shape == (len(codes), span)
     for j in range(span):
@@ -218,7 +218,7 @@ def year_set_windows(years, window, overlapping):
     st.booleans(),
 )
 def test_windows_match_the_year_set_rule(first, span, window, overlapping):
-    years = tuple(range(first, first + span))
+    years = range(first, first + span)
     panel = BalancedPanel(countries=("A", "B"), years=years, values=np.ones((2, span)))
     expected = year_set_windows(years, window, overlapping)
     if not expected:
