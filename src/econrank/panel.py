@@ -2,8 +2,8 @@
 
 An :class:`IndicatorPanel` holds the sparse observations of one indicator
 as row-aligned columns sorted by (country, year), one row per (country,
-year) pair; one builder, shared by its constructor and the loader, owns the sort
-and duplicate rules. A :class:`BalancedPanel` is the dense countries x years matrix
+year) pair; one builder, shared by its constructor and the loader, owns the codes
+and the sort and duplicate rules. A :class:`BalancedPanel` is the dense countries x years matrix
 of the countries that have a value for every year of a requested range. Years are int64,
 values finite, and values of gdp-like indicators strictly positive (the constructor rejects
 other rows; the loader skips them, a year beyond int64 as a malformed one). Both are
@@ -43,8 +43,9 @@ class IndicatorPanel:
     """One indicator's observations as read-only columns sorted by (country, year).
 
     Built from three row-aligned columns (country, year, value) in any order.
-    ``codes`` holds the distinct country codes ascending, and row k is
-    ``codes[country[k]]`` in ``years[k]`` with ``values[k]``. ``years`` is int64.
+    ``codes`` holds exactly the codes of the panel's rows, ascending, and row k is
+    ``codes[country[k]]`` in ``years[k]`` with ``values[k]``. ``years`` is int64. A code
+    is non-empty and stripped, as the loader reads codes, so a serialized panel reloads.
     """
 
     indicator: str
@@ -61,7 +62,6 @@ class IndicatorPanel:
         if not len(years) == len(values) == len(countries):
             raise DataError(f"columns differ in length: {len(countries)} countries, "
                             f"{len(years)} years, {len(values)} values")
-        codes, country = np.unique(countries, return_inverse=True)  # codes ascending
         try:  # as Python ints, so that a uint64 year beyond int64 does not wrap
             years = np.array(years.tolist(), np.int64)
         except OverflowError:
@@ -73,13 +73,18 @@ class IndicatorPanel:
             k = int(bad.argmax())
             kind = "nonpositive" if math.isfinite(values[k]) else "non-finite"
             raise DataError(f"{kind} {indicator} value {float(values[k])!r} for "
-                            f"({codes[country[k]]}, {years[k]})")
-        self._build(indicator, codes.tolist(), country, years, values)
+                            f"({countries[k]}, {years[k]})")
+        self._build(indicator, countries, np.arange(len(countries)), years, values)
 
-    def _build(self, indicator: str, codes: list[str], country: np.ndarray, years: np.ndarray,
+    def _build(self, indicator: str, names: Sequence[str], ids: np.ndarray, years: np.ndarray,
                values: np.ndarray) -> IndicatorPanel:
-        """Hold sorted copies of the columns of rows ``codes[country[k]]``, ``years[k]``,
-        ``values[k]`` in input order (``codes`` ascending, values valid); check duplicates."""
+        """Hold sorted copies of the columns of rows ``names[ids[k]]``, ``years[k]``, ``values[k]``
+        in input order (values valid), coded by their distinct names; check codes, duplicates."""
+        held = np.bincount(ids, minlength=len(names)) > 0  # the ids of rows, in O(n)
+        codes, inverse = np.unique(np.asarray(names, object)[held], return_inverse=True)
+        if bad := [code for code in codes.tolist() if not code or code != code.strip()]:
+            raise DataError(f"country code {bad[0]!r} is empty or not stripped")
+        country = inverse[(np.cumsum(held) - 1)[ids]]  # held ids count up from 0
         order = np.lexsort((years, country))  # stable: equal keys keep input order
         country, years, values = country[order], years[order], values[order]
         repeat = np.flatnonzero((country[1:] == country[:-1]) & (years[1:] == years[:-1])) + 1
@@ -89,7 +94,7 @@ class IndicatorPanel:
                             f"year={years[k]}, indicator={indicator})")
         for column in (country, years, values):
             column.flags.writeable = False
-        for name, field in [("indicator", indicator), ("codes", tuple(codes)),
+        for name, field in [("indicator", indicator), ("codes", tuple(codes.tolist())),
                             ("country", country), ("years", years), ("values", values)]:
             object.__setattr__(self, name, field)
         return self
@@ -285,14 +290,11 @@ def load_panel(
     country, years, values = (np.concatenate(column) for column in zip(*parts))
     del parts  # free the blocks' columns before the build, which sorts a copy
     named = [(aliases or {}).get(c, c) for c in ids]  # aliases apply once per distinct code
-    codes = sorted(set(named) - {""})
-    index = {c: i for i, c in enumerate(codes)}
-    country = np.array([index.get(c, -1) for c in named], np.intp)[country]  # -1: aliased to ""
-    keep = (country >= 0) & ((values > 0) | (not _is_gdp_like(indicator)))  # and the sign rule
+    keep = np.array([c != "" for c in named], bool)[country]  # not aliased to "", and the sign rule
+    keep &= (values > 0) | (not _is_gdp_like(indicator))
     skipped += len(keep) - int(keep.sum())
-    country, years, values = country[keep], years[keep], values[keep]
     return IndicatorPanel.__new__(IndicatorPanel)._build(
-        indicator, codes, country, years, values), skipped
+        indicator, named, country[keep], years[keep], values[keep]), skipped
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:

@@ -88,6 +88,18 @@ def _ols(
     return slope, intercept, stderr, residuals, dx, dy
 
 
+def _labels(name: str, labels: Sequence[str] | None, n: int) -> tuple[str, ...] | None:
+    """The ``name`` argument ``labels`` as a tuple of unique strings, one per point, or None."""
+    if labels is None:
+        return None
+    labels = tuple(_column(name, labels, str).tolist())
+    if len(labels) != n:
+        raise ParameterError(f"{len(labels)} labels for {n} points")
+    if len(set(labels)) != len(labels):
+        raise ParameterError("labels must be unique")
+    return labels
+
+
 def fit_power_law(
     x: Sequence[float], y: Sequence[float], labels: Sequence[str] | None = None
 ) -> PowerLawFit:
@@ -99,12 +111,7 @@ def fit_power_law(
     correlation undefined. Any exclusions are applied by the caller before fitting.
     """
     x, y = _column("x", x), _column("y", y)
-    if labels is not None:
-        labels = tuple(_column("labels", labels, str).tolist())
-        if len(labels) != len(x):
-            raise ParameterError(f"{len(labels)} labels for {len(x)} points")
-        if len(set(labels)) != len(labels):
-            raise ParameterError("labels must be unique")
+    labels = _labels("labels", labels, len(x))
     _finite_rows("power-law fit", (x, y), labels, positive=True)
     lx, ly = np.log(x), np.log(y)
     slope, intercept, stderr, residuals, dx, dy = _ols(lx, ly)
@@ -135,7 +142,7 @@ def relative_competitiveness(fit: PowerLawFit) -> dict[str, float]:
     _instance(PowerLawFit, fit=fit)
     if (sample := _column("fit.sample", fit.sample, ndim=2)).shape[1] != 3:
         raise DataError(f"fit.sample must have 3 columns, got shape {sample.shape}")
-    labels = None if fit.labels is None else _column("fit.labels", fit.labels, str).tolist()
+    labels = _labels("fit.labels", fit.labels, len(sample))
     return dict(zip(labels or map(str, range(len(sample))), sample[:, 2].tolist()))
 
 

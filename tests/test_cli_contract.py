@@ -152,14 +152,23 @@ def test_panel_commands_keep_the_contract(data):
         assert_contract([*argv, "--out", out], out, before)
 
 
-# Values a config field may wrongly hold: wrong types, out of range, non-finite.
-JUNK = st.one_of(
-    st.sampled_from([None, True, False, "3", "", [], [1.0], [1.0, 2.0, 3.0], [2.0, 1.0],
-                     [0.0, 1.0], [-1.0, 1.0], [1.0, "2"], {"low": 1}, 0, -1, 0.0, -0.5, 2.5,
-                     5e-324, 1e308, 10**30, -(10**30), 1_000_001]),
-    st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
+def junk(integers=st.integers()):
+    """Values a config field may wrongly hold: wrong types, out of range, non-finite."""
+    return st.one_of(
+        st.sampled_from([None, True, False, "3", "", [], [1.0], [1.0, 2.0, 3.0], [2.0, 1.0],
+                         [0.0, 1.0], [-1.0, 1.0], [1.0, "2"], {"low": 1}, 0, -1, 0.0, -0.5, 2.5,
+                         5e-324, 1e308, 10**30, -(10**30), 1_000_001]),
+        integers,
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+# A count field draws its junk integers from outside its valid range (up to 10**6 countries,
+# 10**10 jobs in all), so that no example runs a large sweep: the abm tests and the
+# benchmark's workloads run those.
+JUNK = junk()
+COUNT_JUNK = {name: junk(st.integers(max_value=0) | st.integers(min_value=high + 1))
+              for name, high in (("n_countries", 10**6), ("n_jobs", 10**10))}
 
 
 @st.composite
@@ -180,7 +189,7 @@ def sweep_configs(draw) -> bytes:
         if action == "drop":
             config.pop(name, None)
         else:
-            config[name] = draw(JUNK)
+            config[name] = draw(COUNT_JUNK.get(name, JUNK))
     text = json.dumps(config)
     form = draw(st.sampled_from(["json"] * 12 + ["truncated", "inf", "not_object", "garbage",
                                                 "bytes", "deep"]))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from econrank import (
@@ -443,16 +443,16 @@ def reference_load_panel(text, indicator, aliases=None):
 
 
 def _outcome(load):
-    """Sorted (country, year, value) rows and the skip count, or the duplicate error."""
+    """Sorted (country, year, value) rows, the codes and the skip count, or the duplicate
+    error. A reference's codes are those of the panel built from the rows that it keeps."""
     try:
         obs, skipped = load()
     except DataError as exc:
         if not str(exc).startswith("duplicate observation for "):
             raise
         return "duplicate", str(exc)
-    if isinstance(obs, IndicatorPanel):
-        obs = observations(obs)
-    return sorted((c, y, v) for (c, y), v in obs.items()), skipped
+    panel = obs if isinstance(obs, IndicatorPanel) else from_mapping("reference", obs)
+    return sorted((c, y, v) for (c, y), v in observations(panel).items()), panel.codes, skipped
 
 
 @st.composite
@@ -507,6 +507,14 @@ def test_load_panel_matches_reference_loader(rows, aliases, indicator):
     )
 
 
+def test_codes_are_those_of_the_rows_kept():
+    # B, C and D have only nonpositive gdp rows, D's on a line that is not plain
+    text = "country,year,value\nA,2000,1.5\nB,2000,-1.0\nC,2001,0\n D ,2002,-5e0\n"
+    outcome = _outcome(lambda: _load(text, "gdp"))
+    assert outcome == ([("A", 2000, 1.5)], ("A",), 3)
+    assert outcome == _outcome(lambda: reference_load_panel(text, "gdp"))
+
+
 @pytest.mark.parametrize("repeats", [(), ("before",), ("after",), ("before", "after")])
 def test_rows_across_a_block_edge_match_reference_loader(repeats):
     # 30,000 lines of 19 characters, many blocks of lines, in no (country, year) order
@@ -524,7 +532,7 @@ def test_rows_across_a_block_edge_match_reference_loader(repeats):
     if repeats:
         assert outcome[0] == "duplicate"
     else:
-        assert outcome[1] == 2
+        assert outcome[2] == 2
 
 
 @pytest.mark.parametrize("repeats", [(), ("after",)])
@@ -552,7 +560,7 @@ def test_rows_across_a_csv_chunk_edge_match_reference_loader(form, repeats):
     if repeats:
         assert outcome[0] == "duplicate"
     else:
-        assert outcome[1] == 2 + (form == "long")
+        assert outcome[2] == 2 + (form == "long")
 
 
 def test_plain_values_load_bit_identical_to_float():
@@ -635,6 +643,33 @@ def test_ingest_then_reload_is_identity(obs, sources, blank_lines):
     assert {k: v.hex() for k, v in observations(reloaded).items()} == {
         k: v.hex() for k, v in obs.items()
     }
+
+
+@settings(max_examples=100)
+@given(st.lists(st.text(st.one_of(st.sampled_from(',"\r\n \t\u00a0A'),
+                                  st.characters(exclude_categories=("Cs",))), max_size=4),
+                min_size=1, max_size=4, unique=True))
+@example([" A"])  # would reload as A
+@example([""])  # would reload as no row, one skipped
+@example(["A", "B "])
+def test_a_panel_that_builds_reloads_as_itself(codes):
+    # the loader strips each code and skips an empty one, so the constructor refuses both
+    columns = (codes, [2000] * len(codes), [1.5] * len(codes))
+    if bad := [c for c in sorted(codes) if not c or c != c.strip()]:
+        with pytest.raises(DataError, match=f"^country code {re.escape(repr(bad[0]))} is empty"):
+            IndicatorPanel("gdp", *columns)
+        return
+    panel = IndicatorPanel("gdp", *columns)
+    reloaded, skipped = _load(serialize_panel(panel))
+    assert (reloaded.codes, observations(reloaded), skipped) == (
+        panel.codes, observations(panel), 0)
+
+
+def test_an_alias_to_an_unstripped_code_of_a_row_is_refused():
+    text = "country,year,value\nCroatia,2000,1.5\n"
+    with pytest.raises(DataError, match="^country code ' HRV' is empty or not stripped"):
+        _load(text, aliases={"Croatia": " HRV"})
+    assert _load(text, aliases={"Atlantis": " HRV"})[0].codes == ("Croatia",)  # no row of it
 
 
 def reference_serialize_panel(panel):

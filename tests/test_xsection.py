@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from econrank import (
+    PowerLawFit,
     balanced_subset,
     cross_section,
     fit_power_law,
@@ -241,6 +242,15 @@ class TestRelativeCompetitiveness:
         for label, (ln_x, ln_y, _) in zip(fit.labels, fit.sample.tolist()):
             predicted = fit.ln_intercept + fit.alpha * ln_x
             assert (scores[label] > 0) == (ln_y > predicted)
+
+    @pytest.mark.parametrize("labels, message", [(["a"], "1 labels for 3 points"),
+                                                 (["a", "a", "b"], "labels must be unique")])
+    def test_labels_of_a_built_fit_checked_as_fit_power_law_checks_them(self, labels, message):
+        fit = PowerLawFit(1.0, 0.0, 0.0, 1.0, 1.0, np.ones((3, 3)), labels)
+        with pytest.raises(ParameterError, match=message):
+            relative_competitiveness(fit)
+        with pytest.raises(ParameterError, match=message):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], labels=labels)
 
 
 class TestSplitBySign:
