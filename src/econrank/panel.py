@@ -204,7 +204,7 @@ def _row_rules(rows: Iterable[list[str]], ids: dict[str, int]) -> tuple[list[np.
 
 
 def _plain_lines(text: np.ndarray) -> np.ndarray:
-    """Which newline-ended lines of the bytes ``text`` (no quote, no CR) are plain: a
+    """Which LF-ended lines of the bytes ``text`` (no quote, no CR) are plain: a
     code of 1-16 bytes in 0x21-0x7E, a year of 1-18 ASCII digits, and a value of at most
     32 characters, an optional ``-`` then digits with at most one ``.``, one digit at least.
     The row rules strip nothing there; numpy reads year and value as ``int`` and ``float``.
@@ -234,19 +234,19 @@ _BLOCK_CHARS = 1 << 16  # characters of whole lines read per block
 
 def _blocks(stream: IO[str], ids: dict[str, int]) -> Iterator[tuple[list[np.ndarray], int]]:
     """Per block of whole lines, the (code id, year, value) columns of the rows kept, in line
-    order, and the skip count. From a block with a quote or CR, or over ``2 * _BLOCK_CHARS``
-    long (its last line then outgrows any plain one), csv reads the rest, ``_BLOCK`` rows at a
-    time, as it would all. Other blocks split only at LF: one ``_plain_lines`` flag a line."""
+    order, and the skip count. From a block with a quote, or over ``2 * _BLOCK_CHARS`` long (its
+    last line then outgrows any plain one), csv reads the rest, ``_BLOCK`` rows at a time, as it
+    would all. Other blocks get one ``_plain_lines`` flag a line, each line end read as LF."""
     while lines := stream.readlines(_BLOCK_CHARS):
         text = "".join(lines)
-        if '"' in text or "\r" in text or len(text) > 2 * _BLOCK_CHARS:
+        if '"' in text or len(text) > 2 * _BLOCK_CHARS:
             rows = csv.reader(chain(lines, stream))
             while chunk := list(islice(rows, _BLOCK)):
                 (_, *columns), skipped = _row_rules(chunk, ids)
                 yield columns, skipped
             return
-        plain = _plain_lines(np.frombuffer(
-            (text if text.endswith("\n") else text + "\n").encode(), np.uint8))
+        text = text.replace("\r\n", "\n").replace("\r", "\n")  # LF, CRLF or CR: one LF
+        plain = _plain_lines(np.frombuffer((text.removesuffix("\n") + "\n").encode(), np.uint8))
         (line, *columns), skipped = _row_rules(csv.reader(compress(lines, (~plain).tolist())), ids)
         table = np.zeros(0, _PLAIN) if not plain.any() else np.loadtxt(
             compress(lines, plain.tolist()), _PLAIN, delimiter=",", comments=None, ndmin=1)
@@ -275,7 +275,7 @@ def load_panel(
 
     Lines end in LF, CRLF or CR. Plain lines (see ``_plain_lines``) go through numpy's C
     tokenizer and the rest through the row rules, with the same outcome; from a block of
-    lines with a quote, a CR or a line over 64 KiB on, csv reads the rest of the file.
+    lines with a quote or a line over 64 KiB on, csv reads the rest of the file.
     """
     _instance(str, indicator=indicator)
     _instance((Mapping, type(None)), aliases=aliases)

@@ -108,7 +108,7 @@ def panel_csvs(draw, nonpositive: bool = False, fuzz: bool = True) -> bytes:
         rows.append(draw(st.sampled_from(rows)))  # a duplicate row
     headers = ["country,year,value"] * 4 + ["\ufeffcountry,year,value"]
     header = draw(st.sampled_from(headers + ["country,year", ""] if fuzz else headers))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = newline.join([header, *rows, ""]).encode("utf-8")
     if fuzz and draw(st.integers(0, 9)) == 0:
         at = draw(st.integers(0, len(data)))

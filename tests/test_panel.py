@@ -515,18 +515,20 @@ def test_codes_are_those_of_the_rows_kept():
     assert outcome == _outcome(lambda: reference_load_panel(text, "gdp"))
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("repeats", [(), ("before",), ("after",), ("before", "after")])
-def test_rows_across_a_block_edge_match_reference_loader(repeats):
-    # 30,000 lines of 19 characters, many blocks of lines, in no (country, year) order
-    lines = [f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}\n" for i in range(30_000)]
-    edge = -(-_BLOCK_CHARS // len(lines[0]))  # lines in the first block
+def test_rows_across_a_block_edge_match_reference_loader(repeats, end):
+    # 30,000 lines of 19-20 characters, many blocks of lines, in no (country, year) order;
+    # the per-block reader reads LF, CRLF and CR ends alike
+    lines = [f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}" for i in range(30_000)]
+    edge = -(-_BLOCK_CHARS // len(lines[0] + end))  # lines in the first block
     for k in (edge - 1, edge):  # a malformed row on each side of the edge
-        lines[k] = lines[k][:-4] + "x00\n"
+        lines[k] = lines[k][:-3] + "x00"
     if "before" in repeats:  # the key of line 0 again, just before the edge
         lines[edge - 2] = lines[0][:11] + lines[edge - 2][11:]
     if "after" in repeats:  # the key of a line just before the edge again, just after it
         lines[edge + 1] = lines[edge - 3][:11] + lines[edge + 1][11:]
-    text = "country,year,value\n" + "".join(lines)
+    text = "".join(line + end for line in ["country,year,value", *lines])
     outcome = _outcome(lambda: _load(text, "gdp"))
     assert outcome == _outcome(lambda: reference_load_panel(text, "gdp"))
     if repeats:
@@ -536,16 +538,38 @@ def test_rows_across_a_block_edge_match_reference_loader(repeats):
 
 
 @pytest.mark.parametrize("repeats", [(), ("after",)])
-@pytest.mark.parametrize("form", ["crlf", "cr", "quoted", "long"])
+def test_line_ends_that_change_by_block_then_a_quote_match_reference_loader(repeats):
+    # a block of LF lines, one of CRLF lines and one of CR lines, each with a malformed row;
+    # the fourth block holds a quote, so csv reads the rest of the file, its ends still
+    # changing by block: csv takes over from the per-block reader after CR blocks
+    ends = ["\n", "\r\n", "\r"] * 2
+    rows = iter(f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}" for i in range(30_000))
+    # rows of 18 characters: each list fills one block of lines with its line end
+    blocks = [[next(rows) for _ in range(-(-_BLOCK_CHARS // (18 + len(end))))] for end in ends]
+    for block in blocks:
+        block[7] = block[7][:-3] + "x00"
+    blocks[3][5] = '"' + blocks[3][5][:5] + '"' + blocks[3][5][5:]
+    if "after" in repeats:  # the key of a line of the last CR block again, in the csv part
+        blocks[3][9] = blocks[2][-2][:11] + blocks[3][9][11:]
+    text = "country,year,value\n" + "".join(
+        line + end for block, end in zip(blocks, ends) for line in block)
+    outcome = _outcome(lambda: _load(text, "gdp"))
+    assert outcome == _outcome(lambda: reference_load_panel(text, "gdp"))
+    if repeats:
+        assert outcome[0] == "duplicate"
+    else:
+        assert outcome[2] == len(blocks)
+
+
+@pytest.mark.parametrize("repeats", [(), ("after",)])
+@pytest.mark.parametrize("form", ["quoted", "long"])
 def test_rows_across_a_csv_chunk_edge_match_reference_loader(form, repeats):
-    # csv reads the rest of the file from the first block that holds a CR or a quote or
-    # is over 2 * _BLOCK_CHARS long, _BLOCK rows at a time: CRLF or CR ends from the first
-    # block on, a quote or a row of 2 * _BLOCK_CHARS characters (skipped) in the second
+    # csv reads the rest of the file from the first block that holds a quote or is over
+    # 2 * _BLOCK_CHARS long, _BLOCK rows at a time: here a quote or a row of
+    # 2 * _BLOCK_CHARS characters (skipped) in the second block
     lines = [f"C{i % 997:04d},{1900 + i // 997},{10.5 + i % 89:.4f}\n" for i in range(30_000)]
-    start = 0 if form in ("crlf", "cr") else -(-_BLOCK_CHARS // len(lines[0]))
-    if form in ("crlf", "cr"):
-        lines = [line[:-1] + {"crlf": "\r\n", "cr": "\r"}[form] for line in lines]
-    elif form == "quoted":
+    start = -(-_BLOCK_CHARS // len(lines[0]))
+    if form == "quoted":
         lines[start + 5] = '"' + lines[start + 5][:5] + '"' + lines[start + 5][5:]
     else:
         lines[start + 5] = "x," * _BLOCK_CHARS + "\n"
@@ -888,7 +912,7 @@ def test_load_then_serialize_peak_memory_per_observation(tmp_path):
 
 
 def test_load_crlf_then_serialize_peak_memory_per_observation(tmp_path):
-    # the same panel with CRLF line ends, which csv and the row rules read in bounded chunks
+    # the same panel with CRLF line ends, which the per-block reader reads as it does LF
     rng = np.random.default_rng(20260)
     gdp = rng.lognormal(8.0, 2.0, size=(1_000, 60)).tolist()
     body = "country,year,value\n" + "".join(
