@@ -16,22 +16,22 @@ Outcomes take one path: ``simulate_country`` and ``sweep`` compute the
 capacities E and pass them to ``_outcomes``, the one place that applies the
 output equations and the proxy, and builds an :class:`Ensemble` of float64 columns.
 That of ``simulate_country``, the reference the sweep is tested against, has one row.
-``sweep`` splits the country indices into one contiguous block per worker
-thread, which fills its rows of the mu, sigma and E columns with one reused
-mismatch buffer. Every country draws the same ``n_jobs`` mismatches and so
-costs the same, which makes equal blocks keep the workers equally busy.
+``sweep`` splits the country indices into one contiguous block per worker thread,
+each returning its rows' mu, sigma and E columns, joined in block order: no thread
+writes an array another holds. Every country draws the same ``n_jobs`` mismatches
+and so costs the same, which makes equal blocks keep the workers equally busy.
 Every generator comes from ``_streams``: a block's, ``_ROWS`` countries at a
 time, and ``simulate_country``'s one. Building a ``SeedSequence`` and a
-``PCG64`` from it costs about 20 us of Python per stream, while the hash
+``PCG64`` from it costs about 11 us of Python per stream, while the hash
 itself is a few integer operations: ``_streams`` runs it as uint32 array
 operations over all rows at once and seeds each PCG64 with, row for row, what
 ``SeedSequence(...).generate_state(4, np.uint64)`` returns, the only thing
 PCG64 reads from a seed sequence. The streams are therefore numpy's own, and
 numpy keeps SeedSequence and PCG64 output stable across versions.
 
-The kernel fills a buffer of at most ``_LEAF`` mismatches at a time, so memory
-is bounded regardless of ``n_jobs``, and sums E in numpy's pairwise order, so E
-and all outputs equal those of ``np.exp(-np.abs(normal)).sum()`` bit for bit.
+The kernel sums E in numpy's pairwise order, one leaf of at most ``_LEAF`` mismatches
+(512 KiB) at a time: a worker holds at most one leaf whatever ``n_jobs`` is, and E and
+all outputs equal those of ``np.exp(-np.abs(normal)).sum()`` bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .xsection import PowerLawFit, fit_power_law
 # ensemble.csv in blocks joined into one string, peaking near 0.27 KB per country:
 # 0.27 GB at this bound.
 _MAX_COUNTRIES = 1_000_000
-_MAX_JOBS = 10**10  # n_countries * n_jobs, by time: ~2 min at ~8e7 jobs/s on 2 threads
+_MAX_JOBS = 10**10  # n_countries * n_jobs, by time: ~1.5 min at ~1.1e8 jobs/s on 2 threads
 
 
 def _range(obj: object, name: str) -> None:
@@ -102,7 +102,7 @@ class SweepConfig:
         _integer("seed", self.seed, 0)
 
 
-_LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 buffer per thread
+_LEAF = 1 << 16  # jobs per kernel pass: one 512 KiB float64 leaf alive per worker
 _ROWS = 1 << 10  # countries seeded per hashing pass of a sweep block
 
 
@@ -120,7 +120,7 @@ def simulate_country(*, mu: float, sigma: float, n_jobs: int, gamma: float,
     gamma = _finite("gamma", gamma)
     _integer("seed", seed, 0)
     rng = _streams([*_words(seed), 1], 1)[0]  # child 1, as a sweep seeds its mismatches
-    e_total = _capacity(rng, sigma, np.empty(min(n_jobs, _LEAF)), n_jobs)
+    e_total = _capacity(rng, sigma, n_jobs)
     return _outcomes(np.array([mu]), np.array([sigma]), np.array([e_total]), n_jobs, gamma)
 
 
@@ -142,12 +142,11 @@ def _outcomes(mu: np.ndarray, sigma: np.ndarray, e_total: np.ndarray, n_jobs: in
     return Ensemble(*columns)
 
 
-def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -> float:
-    """sum(exp(-|N(0, sigma)|)) over the next ``n`` draws of ``rng``, in place in ``buf``."""
+def _capacity(rng: np.random.Generator, sigma: float, n: int) -> float:
+    """sum(exp(-|N(0, sigma)|)) over the next ``n`` draws of ``rng``, one leaf at a time."""
     if n <= _LEAF:
         # |normal(0, s)| == s*|z| exactly, as normal(0, s) is 0.0 + s*z
-        chunk = buf[:n]
-        rng.standard_normal(out=chunk)
+        chunk = rng.standard_normal(n)
         np.abs(chunk, out=chunk)
         chunk *= -sigma
         np.exp(chunk, out=chunk)
@@ -155,7 +154,7 @@ def _capacity(rng: np.random.Generator, sigma: float, buf: np.ndarray, n: int) -
     # numpy's pairwise-sum split, so every chunk is a node of np.sum's tree
     half = n // 2
     half -= half % 8
-    return _capacity(rng, sigma, buf, half) + _capacity(rng, sigma, buf, n - half)
+    return _capacity(rng, sigma, half) + _capacity(rng, sigma, n - half)
 
 
 class _HashedSeed(ISeedSequence):
@@ -177,7 +176,7 @@ def _streams(words: list, n: int) -> list[np.random.Generator]:
     """Generator r is ``default_rng(SeedSequence(...))`` for row r of entropy ``words``.
 
     ``words`` is what SeedSequence assembles: ``_words`` of the seed, then the
-    spawn key's; each an int or an array of n rows. The steps are numpy's
+    spawn key's; each an int or a sequence of n rows. The steps are numpy's
     (``mix_entropy`` and ``generate_state``).
     """
     const = 0x43B0D7E5
@@ -209,26 +208,26 @@ def _streams(words: list, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in state]
 
 
-def _simulate_block(config: SweepConfig, mu: np.ndarray, sigma: np.ndarray,
-                    e_total: np.ndarray, block: range) -> None:
-    """Fill rows ``block``, each country derived independently of all others.
+def _simulate_block(config: SweepConfig, block: range) -> tuple[np.ndarray, ...]:
+    """The mu, sigma and E columns of rows ``block``, each country derived independently.
 
     Country ``index`` draws mu, sigma and its mismatch seed from child
     ``index`` of the config seed, within ranges ``SweepConfig`` checked, and
     its mismatches from child 1 of that seed, as ``simulate_country`` does.
     """
-    buf = np.empty(min(config.n_jobs, _LEAF))
-    for start in range(block.start, block.stop, _ROWS):
-        rows = range(start, min(start + _ROWS, block.stop))
+    mu, sigma, e_total = np.empty((3, len(block)))
+    for start in range(0, len(block), _ROWS):
+        rows = block[start:start + _ROWS]
         draws = []
-        for index, rng in zip(rows, _streams([*_words(config.seed), np.array(rows)], len(rows))):
-            mu[index] = rng.uniform(*config.mu_range)
-            sigma[index] = rng.uniform(*config.sigma_range)
+        for row, rng in enumerate(_streams([*_words(config.seed), rows], len(rows)), start):
+            mu[row] = rng.uniform(*config.mu_range)
+            sigma[row] = rng.uniform(*config.sigma_range)
             draws.append(rng.integers(0, 2**63))
         seeds = np.array(draws, dtype=np.uint64)
         words = [seeds & 0xFFFFFFFF, seeds >> 32, 0, 0, 1]  # _words of each seed, then key 1
-        for index, rng in zip(rows, _streams(words, len(rows))):
-            e_total[index] = _capacity(rng, sigma[index], buf, config.n_jobs)
+        for row, rng in enumerate(_streams(words, len(rows)), start):
+            e_total[row] = _capacity(rng, sigma[row], config.n_jobs)
+    return mu, sigma, e_total
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
@@ -242,11 +241,11 @@ def sweep(config: SweepConfig, threads: int = 1) -> Ensemble:
     n = config.n_countries
     k = min(threads, n, os.cpu_count() or 1)
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
-    mu, sigma, e_total = np.empty(n), np.empty(n), np.empty(n)
     from concurrent.futures import ThreadPoolExecutor  # loads logging; only simulate needs it
 
     with ThreadPoolExecutor(max_workers=k) as pool:
-        list(pool.map(partial(_simulate_block, config, mu, sigma, e_total), blocks))
+        columns = pool.map(partial(_simulate_block, config), blocks)  # per block, in order
+        mu, sigma, e_total = map(np.concatenate, zip(*columns))
     return _outcomes(mu, sigma, e_total, config.n_jobs, config.gamma)
 
 

@@ -108,7 +108,7 @@ class TestParams:
                                  sigma_range=(1, 1), gamma=0, seed=0)
             assert config.n_countries * config.n_jobs <= abm._MAX_JOBS
         drawn = []  # the job counts handed to the kernel, which draws nothing here
-        monkeypatch.setattr(abm, "_capacity", lambda rng, sigma, buf, n: drawn.append(n) or 0.0)
+        monkeypatch.setattr(abm, "_capacity", lambda rng, sigma, n: drawn.append(n) or 0.0)
         simulate_country(**params(n_jobs=abm._MAX_JOBS))
         assert drawn == [abm._MAX_JOBS]
 
@@ -158,7 +158,7 @@ def test_config_normalised_or_parameter_error(**fields):
 )
 def test_simulate_country_checked_or_parameter_error(**fields):
     # a stand-in kernel, so a junk n_jobs up to 10^10 that passes draws nothing
-    with mock.patch.object(abm, "_capacity", lambda rng, sigma, buf, n: float(n)):
+    with mock.patch.object(abm, "_capacity", lambda rng, sigma, n: float(n)):
         try:
             outcome = simulate_country(**fields)
         except ParameterError:
@@ -398,7 +398,8 @@ class TestSweep:
         assert same_columns(serial, threaded)
 
     def test_more_workers_than_cores_fill_every_row(self, monkeypatch):
-        # Workers share the columns; each must write only its own rows.
+        # Each worker returns its block's rows; switching threads every microsecond
+        # must neither drop nor reorder any of them.
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         config = small_config(n_countries=64, n_jobs=20)
         interval = sys.getswitchinterval()
@@ -445,6 +446,16 @@ class TestSweep:
         outcomes = [simulate_country(**country_params(config, i)) for i in range(7)]
         assert same_columns(sweep(config, threads=2), ensemble_of(outcomes))
 
+    def test_block_returns_its_rows_of_the_sweep(self, monkeypatch):
+        # A block reads only the config and its range: blocks of three rows, each seeded
+        # in two passes, return exactly rows 1-6 of the sweep.
+        monkeypatch.setattr(abm, "_ROWS", 2)
+        config = small_config(n_countries=8, n_jobs=50)
+        ensemble = sweep(config)
+        blocks = [abm._simulate_block(config, range(1, 4)), abm._simulate_block(config, range(4, 7))]
+        for name, parts in zip(("mu", "sigma", "e_total"), zip(*blocks)):
+            assert np.array_equal(np.concatenate(parts), getattr(ensemble, name)[1:7])
+
     def test_params_drawn_from_ranges(self):
         ensemble = sweep(small_config(n_countries=100, n_jobs=10))
         assert np.all((5.0 <= ensemble.mu) & (ensemble.mu <= 20.0))
@@ -462,6 +473,21 @@ class TestSweep:
             tracemalloc.stop()
             gc.enable()
         assert peak / n < 200
+
+    def test_leaf_memory_bounded_in_n_jobs(self, monkeypatch):
+        # Each of the two workers holds one leaf of at most _LEAF draws (512 KiB) at a
+        # time; a country's 2*10^6 draws at once would take 16 MB.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sweep(small_config(n_countries=2, n_jobs=1), threads=2)  # imports the executor
+        gc.disable()
+        tracemalloc.start()
+        try:
+            sweep(small_config(n_countries=2, n_jobs=2_000_000), threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak < 4 * 2**20
 
     def test_simulate_run_memory_per_country_bounded(self, tmp_path):
         # Columns, the fit's sample and ensemble.csv rendered block by block; one
