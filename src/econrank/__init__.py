@@ -25,8 +25,8 @@ _SOURCE = {
     **{m: m for m in ("abm", "cli", "errors", "outputs", "panel", "rankdyn", "xsection")},
     **dict.fromkeys(("Ensemble", "SweepConfig", "fit_model_regression", "simulate_country",
                      "sweep"), "abm"),
-    **dict.fromkeys(("BalancedPanel", "IndicatorPanel", "balanced_subset", "growth_rate",
-                     "load_alias_map", "load_panel", "serialize_panel"), "panel"),
+    **dict.fromkeys(("IndicatorPanel", "balanced_subset", "growth_rate", "load_alias_map",
+                     "load_panel", "serialize_panel"), "panel"),
     **dict.fromkeys(("LaplaceFit", "RankChangeSample", "empirical_pdf", "exceedance_probability",
                      "fit_laplace_mle", "laplace_density", "rank_changes", "rank_matrix"),
                     "rankdyn"),

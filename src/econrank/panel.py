@@ -3,11 +3,11 @@
 An :class:`IndicatorPanel` holds the sparse observations of one indicator
 as row-aligned columns sorted by (country, year), one row per (country,
 year) pair; one builder, shared by its constructor and the loader, owns the codes
-and the sort and duplicate rules. A :class:`BalancedPanel` is the dense countries x years matrix
-of the countries that have a value for every year of a requested range. Years are int64,
-values finite, and values of gdp-like indicators strictly positive (the constructor rejects
-other rows; the loader skips them, a year beyond int64 as a malformed one). Both are
-immutable after construction (their arrays are read-only) and safe to share across threads.
+and the sort and duplicate rules. Years are int64, values finite, and values of gdp-like
+indicators strictly positive (the constructor rejects other rows, the loader skips them).
+Only :func:`balanced_subset` builds a :class:`BalancedPanel`, the dense countries x years
+matrix of the countries with a value in every year of a span, from rows that keep those
+rules. Both are immutable (their arrays are read-only) and safe to share across threads.
 :func:`load_panel` reads a file's plain lines with numpy's C tokenizer and the rest
 by the row rules, to the same outcome. :func:`serialize_panel` writes each value's
 exact ``%r`` through the row writer that every CSV shares (see outputs).
@@ -103,35 +103,17 @@ class IndicatorPanel:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BalancedPanel:
-    """Dense countries x years value matrix with no gaps.
+    """Dense countries x years value matrix with no gaps, built only by :func:`balanced_subset`.
 
     Country codes ascend strictly and ``years`` is a ``range`` of step 1.
-    ``values[i, j]`` is the value of ``countries[i]`` in ``years[j]``.
+    ``values[i, j]``, read-only, is the value of ``countries[i]`` in ``years[j]``.
     """
 
     countries: tuple[str, ...]
     years: range
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        countries = tuple(_column("countries", self.countries, str).tolist())
-        _instance(range, years=self.years)
-        values = _column("value matrix", self.values, ndim=2).copy()  # the caller's stays its own
-        if self.years.step != 1:
-            raise DataError(f"years must run consecutively upward, got {self.years!r}")
-        if values.shape != (len(countries), width := max(self.years.stop - self.years.start, 0)):
-            raise DataError(f"value matrix shape {values.shape} does not match "
-                            f"{len(countries)} countries x {width} years")
-        for a, b in zip(countries, countries[1:]):
-            if a >= b:
-                raise DataError(f"country codes must ascend strictly; {b!r} follows {a!r}")
-        if not np.all(np.isfinite(values)):
-            raise DataError("balanced panel contains non-finite values")
-        values.flags.writeable = False
-        for name, field in [("countries", countries), ("values", values)]:
-            object.__setattr__(self, name, field)
 
     @property
     def n_countries(self) -> int:
@@ -327,9 +309,14 @@ def balanced_subset(panel: IndicatorPanel, years: tuple[int, int]) -> BalancedPa
     complete = np.bincount(panel.country[inside], minlength=len(panel.codes)) == end - start + 1
     if not complete.any():
         raise DataError(f"no country has complete {panel.indicator} coverage for {start}-{end}")
-    values = panel.values[inside & complete[panel.country]].reshape(-1, end - start + 1)
+    values = panel.values[inside & complete[panel.country]]
+    values.flags.writeable = False  # and so is its matrix view
     countries = tuple(panel.codes[i] for i in np.flatnonzero(complete).tolist())
-    return BalancedPanel(countries=countries, years=range(start, end + 1), values=values)
+    balanced = BalancedPanel.__new__(BalancedPanel)  # the panel's rules hold for these rows
+    for name, field in [("countries", countries), ("years", range(start, end + 1)),
+                        ("values", values.reshape(-1, end - start + 1))]:
+        object.__setattr__(balanced, name, field)
+    return balanced
 
 
 def growth_rate(panel: BalancedPanel, rows: Sequence[int], method: str = "log") -> np.ndarray:

@@ -197,6 +197,8 @@ def cross_section(x: panel.BalancedPanel, y: panel.BalancedPanel, year: int,
     """
     _instance(panel.BalancedPanel, x=x, y=y)
     _instance(Collection, excluded=excluded)
+    if isinstance(excluded, str):  # a str is a Collection too, and would match by substring
+        raise ParameterError(f"excluded must be a collection of codes, got str {excluded!r}")
     _integer("year", year, -math.inf)
     row_y = {c: i for i, c in enumerate(y.countries)}
     rows = np.array([i for i, c in enumerate(x.countries) if c in row_y], np.intp)

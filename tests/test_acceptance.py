@@ -35,6 +35,7 @@ import scipy.stats
 import econrank as er
 from econrank.cli import main as cli_main
 from laplace_reference import sample_discrete_laplace
+from panel_mapping import balanced
 from rank_records import records
 from stats_reference import brute_force_rank, ols_normal_equations, pooled_t_textbook
 from workforce_reference import draw_workforce
@@ -397,14 +398,10 @@ def test_c10_rank_invariants():
         countries = [f"C{i:03d}" for i in range(n_countries)]
         # coarse integer values make rank ties common
         values = rng.integers(1, 6, size=(n_countries, span)).astype(float)
-        balanced = er.BalancedPanel(
-            countries=tuple(countries),
-            years=range(2000, 2000 + span),
-            values=values,
-        )
-        for ranks in er.rank_matrix(balanced).T.tolist():  # one year's ranks per column
+        panel = balanced(tuple(countries), range(2000, 2000 + span), values)
+        for ranks in er.rank_matrix(panel).T.tolist():  # one year's ranks per column
             assert sorted(ranks) == list(range(1, n_countries + 1))
-        sample = er.rank_changes(balanced, window, overlapping=True)
+        sample = er.rank_changes(panel, window, overlapping=True)
         for t0, t1 in sample.windows:
             window_sum = sum(
                 d for (_, a, b, d) in records(sample) if (a, b) == (t0, t1)

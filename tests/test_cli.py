@@ -627,6 +627,8 @@ def test_trace_records_the_calls_cross_section_makes(toy_gdp_csv, toy_gci_csv, t
                     "--out", tmp_path / "out"]) == 0
     assert {"panel.growth_rate", "xsection.fit_power_law", "xsection.split_by_sign",
             "xsection.two_sample_t", "xsection.ols_linear"} <= {s[0] for s in tracer.spans}
+    # the counter reads n_countries off what balanced_subset returns: 5 gdp and 5 gci countries
+    assert tracer.counts[0]["panel.balanced_countries"] == 5 + 5
 
 
 class TestSimulate:

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 import econrank
 from econrank.cli import main
 from econrank.errors import DataError, EconRankError, ParameterError
+from panel_mapping import balanced
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -298,7 +299,7 @@ def library_calls(tmp_path_factory) -> dict[str, dict[str, object]]:
     config = er.SweepConfig(n_countries=4, n_jobs=8, mu_range=(1.0, 2.0),
                             sigma_range=(0.5, 1.5), gamma=0.5, seed=1)
     ensemble, fit = er.sweep(config), er.fit_laplace_mle(sample.deltas)
-    instances = [balanced, xs, ensemble, fit, xs.growth_fit, xs.fit, sample, config, xs.ttest]
+    instances = [xs, ensemble, fit, xs.growth_fit, xs.fit, sample, config, xs.ttest]
     columns = {"x": [1.0, 2.0, 4.0], "y": [1.0, 3.0, 2.0]}
     return {
         **{type(obj).__name__: {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -378,7 +379,6 @@ LEAKS = {
     "fit_power_law([1, 2, 3], [1, 2, 'x'])": DataError,
     "two_sample_t([1, 2], ['a', 3])": DataError,
     "IndicatorPanel('gdp', ['A'], [2000], [10**400])": DataError,
-    "BalancedPanel(('A',), range(2000, 2001), [[10**400]])": DataError,
     "balanced_subset(ip, (2000, 'x'))": ParameterError,
     "balanced_subset(ip, (2000.7, 2002.9))": ParameterError,
     "rank_changes(p, 2.5)": ParameterError,
@@ -391,6 +391,7 @@ LEAKS = {
     "growth_rate(p, [1.5])": ParameterError,
     "growth_rate(p, [-1])": ParameterError,
     "cross_section(p, p, '2003')": ParameterError,
+    "cross_section(p, p, 2003, 'AB')": ParameterError,  # a str matched codes by substring
     "sweep(None)": ParameterError,
     "rank_matrix(None)": ParameterError,
     "fit_model_regression(None)": ParameterError,
@@ -408,16 +409,14 @@ LEAKS = {
     "load_panel(toy, 'gdp', {1: 'ALB'})": ParameterError,
     "IndicatorPanel('gdp', ['A'], [10**20], [1.0])": DataError,
     "IndicatorPanel('gdp', ['A'], np.array([2**63], np.uint64), [1.0])": DataError,
-    "BalancedPanel(('A',), (2000,), [[1.0]])": ParameterError,
-    "BalancedPanel((), range(0, 10**30), np.empty((0, 0)))": DataError,
 }
 
 
 @pytest.mark.parametrize("call", LEAKS)
 def test_a_call_that_leaked_raises_the_family_of_the_rule(call):
     namespace = {name: getattr(econrank, name) for name in econrank.__all__}
-    namespace["p"] = econrank.BalancedPanel(("A", "B", "C"), range(2000, 2004),
-                                            np.arange(1.0, 13.0).reshape(3, 4))
+    namespace["p"] = balanced(("A", "B", "C"), range(2000, 2004),
+                              np.arange(1.0, 13.0).reshape(3, 4))
     namespace["ip"] = econrank.IndicatorPanel("gdp", ["A"] * 3, [2000, 2001, 2002], [1.0] * 3)
     namespace["fit"] = econrank.LaplaceFit(decay=0.5, n=4, mean_abs=2.0, log_likelihood=-6.8)
     namespace["np"], namespace["toy"] = np, DATA / "toy_gdp.csv"

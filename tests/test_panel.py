@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from econrank import (
-    BalancedPanel,
     IndicatorPanel,
     balanced_subset,
     growth_rate,
@@ -23,7 +22,7 @@ from econrank import (
 from econrank.errors import DataError, NumericalError, ParameterError
 from econrank.outputs import _BLOCK
 from econrank.panel import _BLOCK_CHARS, _plain_lines
-from panel_mapping import from_mapping, observations
+from panel_mapping import balanced, from_mapping, observations
 
 # ln(1.1), frozen from a 30-digit mpmath evaluation
 LN_1_1 = 0.0953101798043249
@@ -205,11 +204,8 @@ class TestBalancedSubset:
 
 
 class TestBalancedLookup:
-    panel = BalancedPanel(
-        countries=("BBB", "DDD", "FFF"),
-        years=range(2000, 2002),
-        values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-    )
+    panel = balanced(("BBB", "DDD", "FFF"), range(2000, 2002),
+                     np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
 
     def test_every_code_finds_its_row(self):
         for i, country in enumerate(self.panel.countries):
@@ -227,38 +223,15 @@ class TestBalancedLookup:
 
 
 class TestBalancedLayout:
-    def test_gapped_years_are_data_error(self):
-        for years in [range(2000, 2004, 2), range(2001, 1999, -1)]:
-            with pytest.raises(DataError, match="consecutively"):
-                BalancedPanel(countries=("AAA",), years=years, values=np.ones((1, 2)))
-
-    def test_years_other_than_a_range_are_parameter_error(self):
-        # a consecutive sequence too: the panel's years have one form
-        for years in [(2000, 2002), (2001, 2000), (2000, 2001), [2000, 2001],
-                      np.arange(2000, 2002)]:
-            with pytest.raises(ParameterError, match=r"^years must be range, got "):
-                BalancedPanel(countries=("AAA",), years=years, values=np.ones((1, 2)))
-
     def test_range_years_round_trip(self):
-        panel = BalancedPanel(
-            countries=("AAA",), years=range(1999, 2002), values=np.ones((1, 3))
-        )
+        panel = balanced(("AAA",), range(1999, 2002), np.ones((1, 3)))
         assert panel.years == range(1999, 2002)
         assert panel.year_index(2001) == 2
         source = _panel([("AAA", y, 1.0) for y in range(1999, 2002)])
         assert balanced_subset(source, (1999, 2001)).years == range(1999, 2002)
 
-    @pytest.mark.parametrize(
-        "codes, message",
-        [(("AAA", "AAA", "BBB"), "'AAA' follows 'AAA'"), (("BBB", "AAA"), "'AAA' follows 'BBB'")],
-        ids=["repeated", "unsorted"],
-    )
-    def test_codes_must_ascend_strictly(self, codes, message):
-        with pytest.raises(DataError, match=message):
-            BalancedPanel(countries=codes, years=range(2000, 2001), values=np.ones((len(codes), 1)))
-
     def test_distinct_panels_compare_unequal_and_hash(self):
-        a, b = (BalancedPanel(("AAA", "BBB"), range(2000, 2002), np.ones((2, 2))) for _ in "ab")
+        a, b = (balanced(("AAA", "BBB"), range(2000, 2002), np.ones((2, 2))) for _ in "ab")
         assert a == a and (a == b) is False and a != b
         assert len({a, b}) == 2 and hash(a) == hash(a)
 
@@ -752,6 +725,11 @@ def test_balanced_subset_keeps_exactly_the_complete_countries(obs):
     balanced = balanced_subset(panel, (span[0], span[-1]))
     assert balanced.countries == tuple(complete)
     assert balanced.values.tolist() == [[obs[c, y] for y in span] for c in complete]
+    # the rules a balanced panel holds, with no constructor of its own to check them
+    assert balanced.years == span and balanced.n_countries == len(complete)
+    assert balanced.values.dtype == np.float64 and balanced.values.shape == (len(complete), 5)
+    assert not balanced.values.flags.writeable
+    assert all(a < b for a, b in zip(balanced.countries, balanced.countries[1:]))
 
 
 @settings(max_examples=100)
@@ -811,17 +789,6 @@ def test_unequal_column_lengths_are_alignment_error():
         IndicatorPanel("gdp", ["AAA", "BBB"], [2000], [1.0, 2.0])
 
 
-def test_balanced_string_matrix_is_data_error():
-    with pytest.raises(DataError, match=r"^value matrix: could not convert string to float: .*'a'"):
-        BalancedPanel(("A",), range(2000, 2001), np.array([["a"]]))
-
-
-def test_balanced_values_from_a_list_are_float64():
-    panel = BalancedPanel(("A",), range(2000, 2002), [[1, 2.5]])
-    assert panel.values.dtype == np.float64
-    assert panel.values.tolist() == [[1.0, 2.5]]
-
-
 def test_panel_string_value_is_data_error():
     with pytest.raises(DataError, match=r"^value column: could not convert string to float: 'x'$"):
         IndicatorPanel("gdp", ["A"], [2000], ["x"])
@@ -840,28 +807,11 @@ def test_panel_columns_are_read_only():
             column[0] = column[1]
 
 
-def test_balanced_shape_must_match_countries_and_years():
-    with pytest.raises(DataError, match=re.escape(
-            "value matrix shape (2, 2) does not match 1 countries x 2 years")):
-        BalancedPanel(countries=("AAA",), years=range(2000, 2002), values=np.ones((2, 2)))
-
-
-def test_balanced_values_must_be_finite():
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DataError, match="balanced panel contains non-finite values"):
-            BalancedPanel(countries=("AAA",), years=range(2000, 2002),
-                          values=np.array([[1.0, bad]]))
-
-
 def test_balanced_values_are_read_only():
     balanced = balanced_subset(_panel([("AAA", 2000, 1.0), ("AAA", 2001, 2.0)]), (2000, 2001))
     with pytest.raises(ValueError, match="read-only"):
         balanced.values[0, 0] = math.nan
     assert np.all(np.isfinite(balanced.values))
-    source = np.ones((1, 1))
-    held = BalancedPanel(countries=("AAA",), years=range(2000, 2001), values=source)
-    source[0, 0] = 2.0  # the caller's array stays writable, and the panel keeps its copy
-    assert held.values[0, 0] == 1.0
 
 
 
@@ -869,23 +819,11 @@ def test_balanced_values_are_read_only():
 @given(st.lists(st.tuples(values, values), min_size=1, max_size=8), st.data())
 def test_growth_column_matches_the_scalar_rule(pairs, data):
     # the column equals the per-country arithmetic bit for bit, in rows order
-    balanced = BalancedPanel(countries=tuple(f"C{i}" for i in range(len(pairs))),
-                             years=range(2000, 2002), values=np.array(pairs))
+    panel = balanced(tuple(f"C{i}" for i in range(len(pairs))), range(2000, 2002), pairs)
     rows = data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=8), label="rows")
     for method, scalar in [("log", lambda a, b: math.log(b / a)),
                            ("relative", lambda a, b: (b - a) / a)]:
-        assert growth_rate(balanced, rows, method).tolist() == [scalar(*pairs[i]) for i in rows]
-
-def test_balanced_years_range_is_checked_without_a_copy():
-    # the years were listed twice, 80 B per year: 10**9 years would exhaust memory
-    tracemalloc.start()
-    try:
-        panel = BalancedPanel((), range(0, 10**6), np.empty((0, 10**6)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert panel.years == range(0, 10**6)
-    assert peak < 1 << 20, f"peak {peak} B"
+        assert growth_rate(panel, rows, method).tolist() == [scalar(*pairs[i]) for i in rows]
 
 
 def test_load_then_serialize_peak_memory_per_observation(tmp_path):

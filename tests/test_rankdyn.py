@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from econrank import (
-    BalancedPanel,
     balanced_subset,
     empirical_pdf,
     exceedance_probability,
@@ -20,9 +19,10 @@ from econrank import (
 )
 from econrank.errors import DataError, NumericalError, ParameterError
 from econrank.outputs import _BLOCK, deltas_csv
+from econrank.panel import BalancedPanel
 from econrank.rankdyn import _MAX_BINS, RankChangeSample, _as_delta_array
 from laplace_reference import sample_discrete_laplace
-from panel_mapping import from_mapping
+from panel_mapping import balanced, from_mapping
 from rank_records import records
 from stats_reference import brute_force_rank
 
@@ -180,7 +180,7 @@ def test_rank_matrix_matches_counting_oracle(data):
     # values from 1-5, as in criterion 10, make ties common
     values = np.array([[data.draw(st.integers(1, 5)) for _ in range(span)] for _ in codes],
                       dtype=float)
-    panel = BalancedPanel(countries=codes, years=range(2000, 2000 + span), values=values)
+    panel = balanced(codes, range(2000, 2000 + span), values)
     ranks = rank_matrix(panel)
     assert ranks.dtype == np.int64 and ranks.shape == (len(codes), span)
     for j in range(span):
@@ -219,7 +219,7 @@ def year_set_windows(years, window, overlapping):
 )
 def test_windows_match_the_year_set_rule(first, span, window, overlapping):
     years = range(first, first + span)
-    panel = BalancedPanel(countries=("A", "B"), years=years, values=np.ones((2, span)))
+    panel = balanced(("A", "B"), years, np.ones((2, span)))
     expected = year_set_windows(years, window, overlapping)
     if not expected:
         with pytest.raises(ParameterError):
