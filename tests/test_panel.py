@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import econrank
 from econrank import (
     IndicatorPanel,
     balanced_subset,
@@ -21,7 +23,7 @@ from econrank import (
 )
 from econrank.errors import DataError, NumericalError, ParameterError
 from econrank.outputs import _BLOCK
-from econrank.panel import _BLOCK_CHARS, _plain_lines
+from econrank.panel import _BLOCK_CHARS, BalancedPanel, _plain_lines
 from panel_mapping import balanced, from_mapping, observations
 
 # ln(1.1), frozen from a 30-digit mpmath evaluation
@@ -229,6 +231,75 @@ class TestBalancedLayout:
         assert panel.year_index(2001) == 2
         source = _panel([("AAA", y, 1.0) for y in range(1999, 2002)])
         assert balanced_subset(source, (1999, 2001)).years == range(1999, 2002)
+
+    @pytest.mark.parametrize("span", [(2000, 2001, 2002), range(2000, 2002), "ab", 2000],
+                             ids=["triple", "range", "str", "int"])
+    def test_span_other_than_a_pair_is_parameter_error(self, span):
+        source = _panel([("AAA", 2000, 1.0), ("AAA", 2001, 2.0)])
+        with pytest.raises(ParameterError, match=r"^years must be a \(start, end\) pair, got "):
+            balanced_subset(source, span)
+
+    def test_a_list_pair_is_read_as_the_span(self):
+        source = _panel([("AAA", y, float(y)) for y in range(1999, 2003)])
+        as_list = balanced_subset(source, [2000, 2001])
+        as_tuple = balanced_subset(source, (2000, 2001))
+        assert as_list.years == as_tuple.years == range(2000, 2002)
+        assert as_list.values.tolist() == as_tuple.values.tolist() == [[2000.0, 2001.0]]
+
+    def test_codes_ascend_from_rows_in_any_order(self):
+        rows = [(c, y, 1.0) for c in ("DDD", "BBB", "CCC", "AAA") for y in (2001, 2000)]
+        assert balanced_subset(_panel(rows), (2000, 2001)).countries == ("AAA", "BBB", "CCC", "DDD")
+
+    def test_integer_observations_come_back_float64(self):
+        source = IndicatorPanel("gdp", ["A", "A"], [2000, 2001], [1, 3])
+        panel = balanced_subset(source, (2000, 2001))
+        assert panel.values.dtype == np.float64 and panel.values.tolist() == [[1.0, 3.0]]
+
+    def test_shape_is_complete_countries_by_span_years(self):
+        # data run 1998-2005; a span inside it keeps only the span's columns
+        source = _panel([(c, y, 10 * i + y - 1997) for i, c in enumerate(("AAA", "BBB"))
+                         for y in range(1998, 2006)] + [("CCC", 2001, 1.0)])
+        panel = balanced_subset(source, (2001, 2003))
+        assert panel.values.shape == (2, 3)
+        assert panel.values.tolist() == [[4.0, 5.0, 6.0], [14.0, 15.0, 16.0]]
+
+    def test_a_one_year_span_keeps_every_country_seen_that_year(self):
+        source = _panel([("AAA", 2000, 1.0), ("BBB", 2001, 2.0), ("CCC", 2001, 3.0)])
+        panel = balanced_subset(source, (2001, 2001))
+        assert panel.countries == ("BBB", "CCC") and panel.values.tolist() == [[2.0], [3.0]]
+
+    def test_a_span_beyond_int64_is_data_error_without_a_year_list(self):
+        # the span's length overflows int64 and is never listed, only compared
+        source = _panel([("AAA", 2000, 1.0)])
+        tracemalloc.start()
+        try:
+            for span in [(0, 10**30), (-10**30, 10**30), (-2**63, 2**63 - 1)]:
+                with pytest.raises(DataError, match="^no country has complete gdp coverage"):
+                    balanced_subset(source, span)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} B"
+
+    def test_subset_values_are_a_copy_of_the_kept_rows(self):
+        source = _panel([("AAA", 2000, 1.0), ("AAA", 2001, 2.0), ("BBB", 2001, 3.0)])
+        panel = balanced_subset(source, (2000, 2001))
+        assert not np.shares_memory(panel.values, source.values)
+        assert source.values.tolist() == [1.0, 2.0, 3.0]  # the source keeps every row
+
+    def test_balanced_panel_has_no_public_constructor(self):
+        assert "BalancedPanel" not in econrank.__all__
+        with pytest.raises(TypeError):
+            BalancedPanel(("AAA",), range(2000, 2001), np.ones((1, 1)))
+        assert type(balanced_subset(_panel([("AAA", 2000, 1.0)]), (2000, 2000))) is BalancedPanel
+
+    def test_subset_fields_are_frozen(self):
+        panel = balanced_subset(_panel([("AAA", 2000, 1.0), ("BBB", 2000, 2.0)]), (2000, 2000))
+        for name, value in [("countries", ("BBB",)), ("years", range(2001, 2002)),
+                            ("values", np.ones((1, 1)))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(panel, name, value)
+        assert panel.countries == ("AAA", "BBB") and panel.years == range(2000, 2001)
 
     def test_distinct_panels_compare_unequal_and_hash(self):
         a, b = (balanced(("AAA", "BBB"), range(2000, 2002), np.ones((2, 2))) for _ in "ab")
